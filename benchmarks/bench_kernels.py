@@ -1,16 +1,29 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback on the
-three workloads that dominate the pipeline: the dimension-4 algebra
-enumeration, the heaviest coproduct solve (algebra P), and a full R-matrix
-scan.  Also cross-checks that both backends return identical results.
+"""Benchmark the quadratic-XOR kernel on the three workloads that dominate
+the pipeline: the dimension-4 algebra enumeration, the heaviest coproduct
+solve (algebra P), and a full R-matrix scan.
 
-Run:  python benchmarks/bench_kernels.py
+Every available backend is timed twice per suite: its plain index-order
+backtracker, and the same backtracker run in the greedy search order of
+f2hopf.kernels (the order every engine search uses).  All runs must return
+identical solutions.  Times are the best of up to three runs, fewer when a
+run is slow.  The numbers, the core count and the Python version go to
+benchmarks/BENCH_kernel.json (or the path given with --out).
+
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
+import json
+import os
+import platform
 import time
+from pathlib import Path
 
+from f2hopf import kernels
 from f2hopf.catalog import _algebra_equations, catalog
 from f2hopf.coproducts import (
     _coproduct_equations,
@@ -18,12 +31,11 @@ from f2hopf.coproducts import (
     _substitute,
     enumerate_counits,
 )
-from f2hopf.kernels import backends
 from f2hopf.qtri import _equations as qt_equations
 
 
 def workload_algebras():
-    return 36, _algebra_equations(4)
+    return [(36, _algebra_equations(4))]
 
 
 def workload_coproducts():
@@ -45,39 +57,71 @@ def workload_coproducts():
 def workload_qt():
     from f2hopf.golden import HOPF_FIXTURES_DIM4
 
-    jobs = []
-    for fx in HOPF_FIXTURES_DIM4:
-        jobs.append((16, qt_equations(fx.bialgebra())))
-    return jobs
+    return [(16, qt_equations(fx.bialgebra())) for fx in HOPF_FIXTURES_DIM4]
 
 
-def timed(solve, jobs):
-    t0 = time.perf_counter()
-    results = [tuple(solve(nvars, eqs)) for nvars, eqs in jobs]
-    return time.perf_counter() - t0, results
+def timed(solve, jobs, runs=3, budget_s=10.0):
+    """Best wall time of up to `runs` passes, stopping once `budget_s` is spent."""
+    best = float("inf")
+    spent = 0.0
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        results = [solve(nvars, eqs) for nvars, eqs in jobs]
+        elapsed = time.perf_counter() - t0
+        best = min(best, elapsed)
+        spent += elapsed
+        if spent > budget_s:
+            break
+    return best, results
 
 
-def main():
-    impls = backends()
-    print(f"available backends: {', '.join(impls)}")
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default=str(Path(__file__).with_name("BENCH_kernel.json")))
+    args = parser.parse_args(argv)
+
+    impls = kernels.backends()
+    print(f"available backends: {', '.join(impls)}; selected: {kernels.BACKEND}")
     suites = {
-        "algebra enumeration n=4": [workload_algebras()],
+        "algebra enumeration n=4": workload_algebras(),
         "coproduct solve, algebra P": workload_coproducts(),
         "R-matrix scan, 20 Hopf classes": workload_qt(),
     }
+    record = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cores": os.cpu_count(),
+        "selected_backend": kernels.BACKEND,
+        "suites": {},
+    }
     for name, jobs in suites.items():
-        row = [f"{name:32s}"]
+        t0 = time.perf_counter()
+        for nvars, eqs in jobs:
+            kernels.search_order(nvars, eqs)
+        order_s = time.perf_counter() - t0
         reference = None
+        times: dict[str, dict[str, float]] = {}
         for backend, impl in impls.items():
-            elapsed, results = timed(impl.solve_quadratic, jobs)
-            if reference is None:
-                reference = results
-            elif results != reference:
-                raise SystemExit(f"backend {backend} disagrees on {name}")
-            row.append(f"{backend}: {elapsed:8.3f}s")
-        sols = sum(len(r) for r in reference)
-        row.append(f"({sols} solutions)")
-        print("  ".join(row))
+            solvers = {
+                "index": impl.solve_quadratic,
+                "greedy": functools.partial(kernels.solve_ordered, impl.solve_quadratic),
+            }
+            for order, solve in solvers.items():
+                elapsed, results = timed(solve, jobs)
+                if reference is None:
+                    reference = results
+                elif results != reference:
+                    raise SystemExit(f"{backend} ({order} order) disagrees on {name}")
+                times.setdefault(backend, {})[order] = round(elapsed, 4)
+                print(f"{name:32s} {backend:7s} {order:6s} {elapsed:9.3f}s", flush=True)
+        record["suites"][name] = {
+            "systems": len(jobs),
+            "solutions": sum(len(r) for r in reference),
+            "search_order_s": round(order_s, 4),
+            "seconds": times,
+        }
+    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ The compiled twin f2hopf._kernels_c exposes the same three functions; the
 backend is picked at import time in f2hopf.kernels.  Every search in the
 engine (algebra enumeration, coproduct solving, R-matrix enumeration,
 representation enumeration) reduces to enumerating the solutions of a system
-of quadratic XOR equations, handled here by one depth-first backtracker.
+of quadratic XOR equations, handled here by one depth-first backtracker in
+index order.  The engine reaches it through f2hopf.kernels.solve_quadratic,
+which first renumbers the system into a greedy search order.
 
 An equation is a triple (const, lin, pairs):
 

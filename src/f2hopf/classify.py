@@ -19,12 +19,9 @@ from f2hopf.gf2 import Gf2Mat, bits_of, enumerate_invertible, parity
 from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
-    CoalgebraSC,
     apply_basis_change_coalgebra,
-    check_bialgebra,
     dual_bialgebra_raw,
     opposite_coproduct,
-    solve_antipode,
 )
 
 
@@ -361,19 +358,3 @@ def self_duality_pairing(b: Bialgebra) -> Gf2Mat | None:
                 best = m
     return best
 
-
-def antipode_order(h_s: Gf2Mat, limit: int = 16) -> int:
-    return h_s.order(limit)
-
-
-def verify_hopf_class(a: AlgebraSC, sol: RawSolution) -> bool:
-    """Re-validate one classified solution end to end."""
-    bi = Bialgebra(a, sol.coalg)
-    if not check_bialgebra(bi):
-        return False
-    s = solve_antipode(bi)
-    if (s is None) != (sol.antipode is None):
-        return False
-    if s is not None and s.rows != sol.antipode.rows:
-        return False
-    return True

@@ -366,6 +366,10 @@ def cmd_verify(args) -> int:
             print(f"{path}: schema error: {exc}", file=sys.stderr)
             status = 2
             continue
+        except OSError as exc:
+            print(f"{path}: cannot read: {exc.strerror}", file=sys.stderr)
+            status = 2
+            continue
         if problems:
             status = 1
             for p in problems:
@@ -424,6 +428,11 @@ def main(argv: list[str] | None = None) -> int:
         if not args.stage:
             args.stage = ["all"]
         if args.algebra:
+            for n in args.dim:
+                if args.algebra not in catalog(n).labels:
+                    print(f"f2hopf run: no algebra {args.algebra!r} in dimension {n}",
+                          file=sys.stderr)
+                    return 2
             # One-algebra runs bypass the cache and just print the counts.
             for n in args.dim:
                 rs = solve_coproducts(catalog(n)[args.algebra].representative,

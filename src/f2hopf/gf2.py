@@ -295,12 +295,6 @@ def solve_linear(a: Gf2Mat, b: Gf2Vec) -> LinearSolution | None:
     return LinearSolution(Gf2Vec(n, particular), tuple(basis))
 
 
-def nullspace_basis(a: Gf2Mat) -> tuple[Gf2Vec, ...]:
-    sol = solve_linear(a, Gf2Vec(a.nrows, 0))
-    assert sol is not None
-    return sol.nullspace
-
-
 # --- enumeration of GL(n, F2) ------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from typing import Any
 
 from f2hopf import __version__
 from f2hopf.gf2 import Gf2Mat
-from f2hopf.structure import AlgebraSC, CoalgebraSC
+from f2hopf.structure import AlgebraSC
 
 SCHEMA_PREFIX = "f2hopf/"
 
@@ -31,10 +31,6 @@ def mat_to_hex(m: Gf2Mat) -> str:
     return ",".join(format(r, "x") for r in m.rows)
 
 
-def mat_from_hex(s: str, cols: int) -> Gf2Mat:
-    return Gf2Mat(tuple(int(p, 16) for p in s.split(",")), cols)
-
-
 def algebra_record(label: str, a: AlgebraSC, relations: str) -> dict[str, Any]:
     return {
         "label": label,
@@ -48,20 +44,6 @@ def algebra_record(label: str, a: AlgebraSC, relations: str) -> dict[str, Any]:
 def algebra_from_record(rec: dict[str, Any]) -> AlgebraSC:
     return AlgebraSC(
         rec["dim"], tensor_from_hex(rec["product"]), tensor_from_hex(rec["unit"])
-    )
-
-
-def coalgebra_record(c: CoalgebraSC) -> dict[str, Any]:
-    return {
-        "dim": c.n,
-        "coproduct": tensor_to_hex(c.c),
-        "counit": tensor_to_hex(c.eps),
-    }
-
-
-def coalgebra_from_record(rec: dict[str, Any]) -> CoalgebraSC:
-    return CoalgebraSC(
-        rec["dim"], tensor_from_hex(rec["coproduct"]), tensor_from_hex(rec["counit"])
     )
 
 

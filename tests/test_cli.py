@@ -102,6 +102,21 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_unknown_algebra_label_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--dim", "4", "--algebra", "ZZ", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'ZZ'" in err
+    assert not out.exists()
+
+
+def test_verify_missing_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli(["verify", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing.json" in err
+
+
 def test_parallel_jobs_identical(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from f2hopf import kernels
 from f2hopf.gf2 import enumerate_invertible, mat_inv_rows
 from f2hopf.kernels import backends
 
@@ -64,6 +67,73 @@ def test_solver_limit():
 def test_solver_contradiction():
     for impl in IMPLS.values():
         assert impl.solve_quadratic(3, [(1, 0, ())]) == []
+
+
+@st.composite
+def quadratic_systems(draw):
+    """Random systems of up to 14 variables.  Quadratic terms are drawn on
+    low indices as often as on high ones, so the greedy search order differs
+    from index order; equations may be empty, constant or purely quadratic."""
+    nvars = draw(st.integers(1, 14))
+    var = st.integers(0, nvars - 1)
+    eqs = []
+    for _ in range(draw(st.integers(0, 12))):
+        const = draw(st.integers(0, 1))
+        lin = draw(st.integers(0, (1 << nvars) - 1)) if draw(st.booleans()) else 0
+        pairs = []
+        for i, j in draw(st.lists(st.tuples(var, var), max_size=4)):
+            if i != j:
+                pairs.append((min(i, j), max(i, j)))
+        eqs.append((const, lin, tuple(pairs)))
+    return nvars, eqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratic_systems())
+def test_ordered_solver_against_brute_force_and_backends(system):
+    nvars, eqs = system
+    expected = _brute(nvars, eqs)
+    assert kernels.solve_quadratic(nvars, eqs) == expected
+    for impl in IMPLS.values():
+        assert impl.solve_quadratic(nvars, eqs) == expected
+        assert kernels.solve_ordered(impl.solve_quadratic, nvars, eqs) == expected
+
+
+@pytest.mark.parametrize(
+    "nvars, eqs",
+    [
+        (5, []),  # no equations: every assignment
+        (6, [(1, 0b000011, ()), (0, 0, ((0, 1),))]),  # variables 2..5 unused
+        (4, [(0, 0b0011, ()), (1, 0, ())]),  # 1 = 0
+        (5, [(1, 0, ((0, 4), (1, 2))), (0, 0, ((0, 1), (3, 4)))]),  # only x_i x_j
+    ],
+    ids=["no-equations", "unused-variable", "one-equals-zero", "only-quadratic"],
+)
+def test_ordered_solver_edge_cases(nvars, eqs):
+    expected = _brute(nvars, eqs)
+    assert kernels.solve_quadratic(nvars, eqs) == expected
+    for impl in IMPLS.values():
+        assert impl.solve_quadratic(nvars, eqs) == expected
+
+
+def test_search_order_tie_breaks():
+    # x6 + x7 = 1, x4 x5 + x3 = 0, x4 x5 + x2 = 0, x3 x5 + x1 = 0; x0 unused.
+    # x6 and x7 each leave x6 + x7 with one open variable: x6 by index.
+    # x7 then closes it.  Nothing closes or is near next, and x5 has the
+    # highest degree.  x3 and x4 tie on near and degree: x3 by index.  x4
+    # closes one equation and leaves x2's with one open variable, x1 and x2
+    # close one each (x1 by index), and the unused x0 comes last.
+    eqs = [
+        (1, 0b11000000, ()),
+        (0, 1 << 3, ((4, 5),)),
+        (0, 1 << 2, ((4, 5),)),
+        (0, 1 << 1, ((3, 5),)),
+    ]
+    assert kernels.search_order(8, eqs) == [6, 7, 5, 3, 4, 1, 2, 0]
+    # Closing one equation (x2 = 1) beats being near two (x0, x1).
+    eqs = [(1, 0b100, ()), (0, 0b011, ()), (0, 0, ((0, 1),))]
+    assert kernels.search_order(3, eqs) == [2, 0, 1]
+    assert kernels.search_order(3, []) == [0, 1, 2]
 
 
 def test_transforms_agree_and_invert():

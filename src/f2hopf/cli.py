@@ -7,29 +7,32 @@ datasets, and export the quiver.
 
 Raw coproduct solutions are cached under the output directory (or the
 directory named by F2HOPF_CACHE_ROOT), keyed by dimension, algebra label and
-engine version; corrupt cache entries are recomputed.  Identical inputs
+engine fingerprint; corrupt cache entries are recomputed.  Identical inputs
 produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import hashlib
+import importlib
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from f2hopf import __version__, serialize
+from f2hopf import __version__, kernels, serialize
 from f2hopf.catalog import catalog
 from f2hopf.classify import build_quiver, classify_dimension
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
-from f2hopf.gf2 import Gf2Mat
 from f2hopf.golden import CENSUS, HOPF_FIXTURES_DIM4
 from f2hopf.serialize import (
     DatasetError,
     dump_dataset,
     load_dataset,
+    mat_from_hex,
     mat_to_hex,
     tensor_from_hex,
     tensor_to_hex,
@@ -60,11 +63,7 @@ def _raw_from_payload(n: int, label: str, payload: list[dict]) -> RawSolutionSet
     sols = []
     for rec in payload:
         coalg = CoalgebraSC(n, tensor_from_hex(rec["C"]), tensor_from_hex(rec["epsilon"]))
-        anti = None
-        if "antipode" in rec:
-            anti = Gf2Mat(
-                tuple(int(p, 16) for p in rec["antipode"].split(",")), n
-            )
+        anti = mat_from_hex(rec["antipode"], n) if "antipode" in rec else None
         sols.append(RawSolution(coalg, rec["type"], anti))
     return RawSolutionSet(label, catalog(n)[label].representative, tuple(sols))
 
@@ -72,6 +71,36 @@ def _raw_from_payload(n: int, label: str, payload: list[dict]) -> RawSolutionSet
 def _cache_dir(out_dir: Path) -> Path:
     root = os.environ.get("F2HOPF_CACHE_ROOT")
     return Path(root) if root else out_dir / "cache"
+
+
+@functools.cache
+def engine_fingerprint() -> str:
+    """Short SHA-256 prefix over the source of every module that computes or
+    encodes raw solutions (the selected kernel backend included), so a cache
+    entry written by another engine is never read."""
+    names = ("f2hopf.gf2", kernels._impl.__name__, "f2hopf.kernels", "f2hopf.structure",
+             "f2hopf.catalog", "f2hopf.coproducts", "f2hopf.serialize")
+    digest = hashlib.sha256()
+    for path in [importlib.import_module(name).__file__ for name in names] + [__file__]:
+        digest.update(Path(path).read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def _cache_path(cache: Path, n: int, label: str) -> Path:
+    return cache / f"raw_n{n}_{label}_{engine_fingerprint()}.json"
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, then rename it
+    over the target, so readers see either the old file or the new one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _solve_one(args: tuple[int, str]) -> tuple[str, list[dict]]:
@@ -86,7 +115,7 @@ def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool) -> dict[st
     results: dict[str, list[dict]] = {}
     todo = []
     for label in labels:
-        path = cache / f"raw_n{n}_{label}_{__version__}.json"
+        path = _cache_path(cache, n, label)
         if use_cache and path.exists():
             try:
                 _, payload = load_dataset(path.read_text(), "raw")
@@ -106,14 +135,38 @@ def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool) -> dict[st
                 results[label] = payload
         cache.mkdir(parents=True, exist_ok=True)
         for _, label in todo:
-            path = cache / f"raw_n{n}_{label}_{__version__}.json"
-            path.write_text(dump_dataset("raw", results[label]))
+            _write_atomic(_cache_path(cache, n, label), dump_dataset("raw", results[label]))
     return {label: _raw_from_payload(n, label, results[label]) for label in labels}
 
 
 def _write(out_dir: Path, name: str, kind: str, payload) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(dump_dataset(kind, payload))
+
+
+def reps_payload() -> dict:
+    """The reps dataset of dimension 4: every representation of the digital
+    u_q(sl_2) of size k <= 3, and the decompositions of the tensor products
+    and duals of its four named irreducibles."""
+    from f2hopf.golden import dsl2_named_reps, dsl2_presentation
+    from f2hopf.reps import decompose, dual_rep, enumerate_reps, tensor_rep
+
+    h = dsl2_presentation()
+    payload = {"counts": {}}
+    for k in (1, 2, 3):
+        reps = enumerate_reps(h.alg, k)
+        payload[str(k)] = [[mat_to_hex(m) for m in r.images] for r in reps]
+        payload["counts"][str(k)] = len(reps)
+    named = dsl2_named_reps()
+    payload["tensor_table"] = {
+        f"{a}*{b}": list(decompose(tensor_rep(h, named[a], named[b]), named))
+        for a in sorted(named)
+        for b in sorted(named)
+    }
+    payload["duals"] = {
+        a: decompose(dual_rep(h, named[a]), named)[0] for a in sorted(named)
+    }
+    return payload
 
 
 def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
@@ -242,37 +295,7 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
             summary["qt_pairs"] = qt_census(n)
 
     if stages & {"reps", "all"} and n == 4:
-        from f2hopf.gf2 import Gf2Mat as _M
-        from f2hopf.golden import (
-            REP_1,
-            REP_1BAR,
-            REP_2,
-            REP_2BAR,
-            dsl2_presentation,
-        )
-        from f2hopf.reps import Representation, decompose, dual_rep, enumerate_reps, tensor_rep
-
-        h = dsl2_presentation()
-        payload = {"counts": {}}
-        for k in (1, 2, 3):
-            reps = enumerate_reps(h.alg, k)
-            payload[str(k)] = [[mat_to_hex(m) for m in r.images] for r in reps]
-            payload["counts"][str(k)] = len(reps)
-        named = {}
-        for key, fx in (("1", REP_1), ("1b", REP_1BAR), ("2", REP_2),
-                        ("2b", REP_2BAR)):
-            k = fx["s"].nrows
-            named[key] = Representation(
-                k, (_M.identity(k), fx["s"], fx["x"], fx["w"])
-            )
-        payload["tensor_table"] = {
-            f"{a}*{b}": list(decompose(tensor_rep(h, named[a], named[b]), named))
-            for a in sorted(named)
-            for b in sorted(named)
-        }
-        payload["duals"] = {
-            a: decompose(dual_rep(h, named[a]), named)[0] for a in sorted(named)
-        }
+        payload = reps_payload()
         _write(out_dir, f"reps_n{n}.json", "reps", payload)
         summary["reps"] = payload["counts"]
 
@@ -350,9 +373,38 @@ def verify_dataset(path: Path) -> list[str]:
                     problems.append(f"{rec['name']}: integral mismatch")
                 if mat_to_hex(f) != rec["F"]:
                     problems.append(f"{rec['name']}: Fourier matrix mismatch")
+    elif kind == "reps":
+        problems.extend(_reps_problems(payload))
     else:
         # Schema-conformant but with no deeper re-check implemented.
         pass
+    return problems
+
+
+def _reps_problems(payload) -> list[str]:
+    """Check every listed image tuple, then compare the whole dataset with a
+    fresh derivation."""
+    from f2hopf.golden import dsl2_presentation
+    from f2hopf.reps import Representation, is_representation
+
+    if not isinstance(payload, dict):
+        return ["payload is not a mapping"]
+    alg = dsl2_presentation().alg
+    problems = []
+    for k in (1, 2, 3):
+        listed = payload.get(str(k))
+        for i, images in enumerate(listed if isinstance(listed, list) else []):
+            try:
+                rep = Representation(k, tuple(mat_from_hex(m, k) for m in images))
+                ok = len(images) == alg.n and is_representation(alg, rep)
+            except (ValueError, TypeError, AttributeError, IndexError):
+                ok = False
+            if not ok:
+                problems.append(f"k={k}[{i}]: not a representation")
+    want = reps_payload()
+    for key, value in want.items():
+        if payload.get(key) != value:
+            problems.append(f"{key}: differs from the derived dataset")
     return problems
 
 

@@ -657,6 +657,18 @@ REP_2BAR = {
 
 REP_COUNTS = {1: 2, 2: 20, 3: 394}
 
+
+def dsl2_named_reps() -> dict:
+    """The four named representations "1", "1b", "2", "2b" (in that order) as
+    reps.Representation objects on the 1, s, x, w presentation basis."""
+    from f2hopf.reps import Representation  # not at import time: only reps users pay for it
+
+    out = {}
+    for key, fx in (("1", REP_1), ("1b", REP_1BAR), ("2", REP_2), ("2b", REP_2BAR)):
+        k = fx["s"].nrows
+        out[key] = Representation(k, (Gf2Mat.identity(k), fx["s"], fx["x"], fx["w"]))
+    return out
+
 # Tensor product decomposition table, entries name the equivalent
 # representation (or direct sum).
 TENSOR_TABLE = {

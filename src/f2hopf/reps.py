@@ -1,7 +1,14 @@
 """Matrix representations of the classified algebras: exhaustive enumeration
 in sizes k <= 3, equivalence classes under conjugation, duals and tensor
-products through the Hopf structure, and decomposition by exhaustive search
-for a block-diagonalizing conjugation.
+products through the Hopf structure, and decomposition into named
+representations.
+
+Equivalence is decided by linear algebra: the matrices P with
+P r1(x) = r2(x) P for every basis element x form the intertwiner space, and
+r1 and r2 are equivalent exactly when that space holds an invertible P.  The
+conjugation returned is the invertible intertwiner whose rows tuple is
+lexicographically smallest, i.e. the first one in the order of
+gf2.enumerate_invertible.
 """
 
 from __future__ import annotations
@@ -9,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, bits_of, enumerate_invertible
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows, solve_linear
 from f2hopf.structure import AlgebraSC, HopfAlgebra
 
 
@@ -114,38 +121,24 @@ def conjugate(rep: Representation, p: Gf2Mat) -> Representation:
 
 
 def are_equivalent(r1: Representation, r2: Representation) -> bool:
-    if r1.k != r2.k:
-        return False
-    key2 = tuple(m.rows for m in r2.images)
-    for p in enumerate_invertible(r1.k):
-        if tuple((p * m * p.inverse()).rows for m in r1.images) == key2:
-            return True
-    return False
+    return equivalent_by_conjugation(r1, r2) is not None
 
 
 def equivalence_classes(reps: list[Representation]) -> list[list[int]]:
-    """Partition under simultaneous conjugation; indices into the input."""
-    if not reps:
-        return []
-    k = reps[0].k
-    index_of = {tuple(m.rows for m in r.images): i for i, r in enumerate(reps)}
-    group = [(p, p.inverse()) for p in enumerate_invertible(k)]
-    unseen = set(range(len(reps)))
-    classes = []
-    while unseen:
-        start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for p, pinv in group:
-                key = tuple((p * m * pinv).rows for m in reps[i].images)
-                j = index_of.get(key)
-                if j is not None and j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
-        unseen -= orbit
-        classes.append(sorted(orbit))
+    """Partition under simultaneous conjugation; indices into the input.
+
+    Classes are ordered by their smallest index and list their members in
+    ascending order; each representation is compared with the first member
+    of every class found so far.
+    """
+    classes: list[list[int]] = []
+    for i, r in enumerate(reps):
+        for cls in classes:
+            if equivalent_by_conjugation(reps[cls[0]], r) is not None:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
     return classes
 
 
@@ -211,22 +204,72 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     return Representation(k, tuple(images))
 
 
+def _intertwiner_basis(r1: Representation, r2: Representation) -> list[int]:
+    """Basis of {P : P r1(x) = r2(x) P for all x}, in reduced echelon form.
+
+    P is packed with row i at bits k*(k-1-i) .. k*(k-i)-1, so comparing packed
+    integers compares rows tuples lexicographically.  Every basis vector's
+    highest bit is set in no other vector and the list is ascending, which
+    makes the XOR over the vectors chosen by a mask increase with the mask.
+    """
+    k = r1.k
+
+    def var(i: int, j: int) -> int:
+        return k * (k - 1 - i) + j
+
+    equations = []
+    for a, b in zip(r1.images[1:], r2.images[1:]):
+        for i in range(k):
+            for j in range(k):
+                # (P a)[i][j] + (b P)[i][j] = sum_l P[i][l] a[l][j] + b[i][l] P[l][j]
+                row = 0
+                for l in range(k):
+                    if (a.rows[l] >> j) & 1:
+                        row ^= 1 << var(i, l)
+                    if (b.rows[i] >> l) & 1:
+                        row ^= 1 << var(l, j)
+                if row:
+                    equations.append(row)
+    sol = solve_linear(Gf2Mat(tuple(equations), k * k), Gf2Vec(len(equations), 0))
+    basis: list[int] = []
+    for w in sol.nullspace:
+        v = w.bits
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            top = 1 << (v.bit_length() - 1)
+            basis = [b ^ v if b & top else b for b in basis]
+            basis.append(v)
+    return sorted(basis)
+
+
 def equivalent_by_conjugation(r1: Representation, r2: Representation) -> Gf2Mat | None:
-    """A conjugation carrying r1 onto r2, found by exhaustive search over the
-    general linear group (k <= 4)."""
+    """The conjugation P with P r1(x) P^-1 = r2(x) for all x whose rows tuple
+    is lexicographically smallest (the first in gf2.enumerate_invertible
+    order), or None when r1 and r2 are not equivalent.
+
+    The intertwiners form a linear space; its elements are visited in
+    ascending packed order and the first invertible one is returned.
+    """
     if r1.k != r2.k:
         return None
-    key2 = tuple(m.rows for m in r2.images)
-    for p in enumerate_invertible(r1.k):
-        pinv = p.inverse()
-        if tuple((p * m * pinv).rows for m in r1.images) == key2:
-            return p
+    k = r1.k
+    basis = _intertwiner_basis(r1, r2)
+    row_mask = (1 << k) - 1
+    for mask in range(1, 1 << len(basis)):
+        packed = 0
+        for i in bits_of(mask):
+            packed ^= basis[i]
+        rows = tuple((packed >> (k * (k - 1 - i))) & row_mask for i in range(k))
+        if rank_rows(rows) == k:
+            return Gf2Mat(rows, k)
     return None
 
 
 def decompose(rep: Representation, candidates: dict[str, Representation]):
-    """Name the representation as a candidate or a direct sum of two of them,
-    searching all conjugations; None when nothing matches."""
+    """Name the representation as a candidate or a direct sum of two of them
+    (the first match in candidate order, then in sorted name pairs); None when
+    nothing matches."""
     for name, cand in candidates.items():
         if cand.k == rep.k and equivalent_by_conjugation(rep, cand) is not None:
             return (name,)
@@ -244,8 +287,6 @@ def decompose(rep: Representation, candidates: dict[str, Representation]):
 def invariant_line(rep: Representation, vec_bits: int, character: Representation) -> bool:
     """Whether the given vector spans a subrepresentation isomorphic to the
     one-dimensional character."""
-    from f2hopf.gf2 import Gf2Vec
-
     v = Gf2Vec(rep.k, vec_bits)
     for m, ch in zip(rep.images, character.images):
         want_bits = v.bits if ch.rows[0] & 1 else 0

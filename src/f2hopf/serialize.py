@@ -31,6 +31,10 @@ def mat_to_hex(m: Gf2Mat) -> str:
     return ",".join(format(r, "x") for r in m.rows)
 
 
+def mat_from_hex(s: str, cols: int) -> Gf2Mat:
+    return Gf2Mat(tuple(int(p, 16) for p in s.split(",")), cols)
+
+
 def algebra_record(label: str, a: AlgebraSC, relations: str) -> dict[str, Any]:
     return {
         "label": label,

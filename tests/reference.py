@@ -2,6 +2,9 @@
 
 Everything here works on unpacked tensors (nested tuples of 0/1) with plain
 modular arithmetic, deliberately sharing no code with the packed evaluators.
+The exception is the pair of GL(k) searches at the end: they enumerate the
+whole group with gf2's packed matrices, as the engine did before it decided
+equivalence from the intertwiner space.
 """
 
 from __future__ import annotations
@@ -157,3 +160,34 @@ def naive_rank(m):
                 rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def naive_conjugation(r1, r2):
+    """The first matrix p of gf2.enumerate_invertible(k) with p m p^-1 = m2 for
+    every pair of images (m, m2) of r1 and r2, or None."""
+    from f2hopf.gf2 import enumerate_invertible
+
+    if r1.k != r2.k:
+        return None
+    for p in enumerate_invertible(r1.k):
+        pinv = p.inverse()
+        if all((p * m * pinv).rows == m2.rows for m, m2 in zip(r1.images, r2.images)):
+            return p
+    return None
+
+
+def naive_orbit_partition(reps):
+    """Indices of reps grouped by their orbit under conjugation by all of
+    GL(k); classes ordered by smallest index, members ascending."""
+    from f2hopf.gf2 import enumerate_invertible
+
+    if not reps:
+        return []
+    group = [(p, p.inverse()) for p in enumerate_invertible(reps[0].k)]
+    classes: dict = {}
+    for i, r in enumerate(reps):
+        orbit_min = min(
+            tuple((p * m * pinv).rows for m in r.images) for p, pinv in group
+        )
+        classes.setdefault(orbit_min, []).append(i)
+    return list(classes.values())

@@ -160,3 +160,72 @@ def test_reps_stage_tensor_table(tmp_path):
            for k, v in payload["tensor_table"].items()}
     assert got == TENSOR_TABLE
     assert payload["duals"] == {"1": "1", "1b": "1b", "2": "2b", "2b": "2"}
+
+
+def test_cache_entry_of_another_engine_not_read(tmp_path):
+    from f2hopf.cli import engine_fingerprint
+
+    out = tmp_path / "out"
+    args = ["run", "--dim", "2", "--stage", "coproducts", "--out", str(out)]
+    assert run_cli(args) == 0
+    cache = out / "cache"
+    current = cache / f"raw_n2_B_{engine_fingerprint()}.json"
+    assert sorted(p.name for p in cache.iterdir()) == [
+        f"raw_n2_{label}_{engine_fingerprint()}.json" for label in "ABC"
+    ]
+    # Another engine's entry for B, well-formed but with no solutions.
+    stale = cache / "raw_n2_B_0123456789abcdef.json"
+    stale.write_text(dump_dataset("raw", []))
+    current.unlink()
+    assert run_cli(args) == 0
+    assert load_dataset(stale.read_text(), "raw")[1] == []
+    assert load_dataset(current.read_text(), "raw")[1]
+    assert load_dataset((out / "raw_n2_B.json").read_text(), "raw")[1]
+
+
+def test_cache_writes_leave_no_temporary_file(tmp_path, monkeypatch):
+    from f2hopf import cli
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("F2HOPF_CACHE_ROOT", str(cache))
+    assert run_cli(["run", "--dim", "3", "--stage", "coproducts",
+                    "--out", str(tmp_path / "out")]) == 0
+    names = sorted(p.name for p in cache.iterdir())
+    assert len(names) == 7 and all(n.startswith("raw_n3_") for n in names)
+
+    # A write that fails part-way leaves neither a temporary nor a target file.
+    def broken(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", broken)
+    with pytest.raises(OSError):
+        cli._write_atomic(cache / "raw_n9_X.json", "{}")
+    assert sorted(p.name for p in cache.iterdir()) == names
+
+
+@pytest.mark.parametrize("field", ["counts", "image", "tensor_table", "duals"])
+def test_verify_rederives_reps(tmp_path, capsys, field):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--dim", "4", "--stage", "reps", "--out", str(out)]) == 0
+    target = out / "reps_n4.json"
+    assert run_cli(["verify", str(target)]) == 0
+    _, payload = load_dataset(target.read_text(), "reps")
+    if field == "counts":
+        payload["counts"]["2"] += 1
+    elif field == "image":
+        rows = payload["2"][3][1].split(",")
+        rows[0] = format(int(rows[0], 16) ^ 1, "x")
+        payload["2"][3][1] = ",".join(rows)
+    elif field == "tensor_table":
+        payload["tensor_table"]["2*2b"] = ["2"]
+    else:
+        payload["duals"]["2"] = "2"
+    target.write_text(dump_dataset("reps", payload))
+    capsys.readouterr()
+    assert run_cli(["verify", str(target)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    if field == "image":
+        assert any("k=2[3]: not a representation" in line for line in fails)
+        assert any("2: differs" in line for line in fails)
+    else:
+        assert len(fails) == 1 and f"{field}: differs" in fails[0]

@@ -1,18 +1,21 @@
-import pytest
+import functools
+import random
 
-from f2hopf.gf2 import Gf2Mat
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from f2hopf import reps as reps_module
+from f2hopf.cli import reps_payload
+from f2hopf.gf2 import enumerate_invertible
 from f2hopf.golden import (
     DUAL_REPS,
-    REP_1,
-    REP_1BAR,
-    REP_2,
-    REP_2BAR,
     REP_COUNTS,
     TENSOR_TABLE,
+    dsl2_named_reps,
     dsl2_presentation,
 )
 from f2hopf.reps import (
-    Representation,
     are_equivalent,
     conjugate,
     direct_sum,
@@ -25,16 +28,17 @@ from f2hopf.reps import (
     regular_rep,
     tensor_rep,
 )
+from reference import naive_conjugation, naive_orbit_partition
 
 H = dsl2_presentation()
 ALG = H.alg
 
 
+NAMED = dsl2_named_reps()
+
+
 def named(key):
-    fixture = {"1": REP_1, "1b": REP_1BAR, "2": REP_2, "2b": REP_2BAR}[key]
-    k = fixture["s"].nrows
-    return Representation(k, (Gf2Mat.identity(k), fixture["s"], fixture["x"],
-                              fixture["w"]))
+    return NAMED[key]
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -112,8 +116,6 @@ def test_regular_representation():
 
 
 def test_conjugation_preserves_validity():
-    from f2hopf.gf2 import enumerate_invertible
-
     r = named("2")
     for p in enumerate_invertible(2):
         assert is_representation(ALG, conjugate(r, p))
@@ -136,3 +138,73 @@ def test_direct_sums_generate_k3_classes():
         assert any(
             equivalent_by_conjugation(rep, cand) is not None for cand in candidates
         )
+
+
+@functools.cache
+def reps_of_size(k):
+    return enumerate_reps(ALG, k)
+
+
+def test_conjugation_matches_oracle_on_reps_stage_pairs(monkeypatch):
+    pairs = []
+    search = reps_module.equivalent_by_conjugation
+
+    def record(r1, r2):
+        pairs.append((r1, r2))
+        return search(r1, r2)
+
+    monkeypatch.setattr(reps_module, "equivalent_by_conjugation", record)
+    reps_payload()
+    monkeypatch.undo()
+    assert len(pairs) == 32
+    got = [equivalent_by_conjugation(r1, r2) for r1, r2 in pairs]
+    assert got == [naive_conjugation(r1, r2) for r1, r2 in pairs]
+    assert sum(p is not None for p in got) == 20
+
+
+def test_conjugation_matches_oracle_on_all_k2_pairs():
+    reps = reps_of_size(2)
+    for r1 in reps:
+        for r2 in reps:
+            assert equivalent_by_conjugation(r1, r2) == naive_conjugation(r1, r2)
+
+
+def test_conjugation_matches_oracle_on_sampled_k3_pairs():
+    reps = reps_of_size(3)
+    classes = [c for c in equivalence_classes(reps) if len(c) > 1]
+    rng = random.Random(20201)
+    pairs = [tuple(rng.sample(range(len(reps)), 2)) for _ in range(100)]
+    pairs += [tuple(rng.sample(rng.choice(classes), 2)) for _ in range(100)]
+    found = 0
+    for i, j in pairs:
+        got = equivalent_by_conjugation(reps[i], reps[j])
+        assert got == naive_conjugation(reps[i], reps[j]), (i, j)
+        found += got is not None
+    assert found >= 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_conjugate_found_with_smallest_intertwiner(data):
+    # k <= 3: every representation (the named ones among them); k = 4: sums
+    # of the named two-dimensional ones, as in the tensor table.
+    k = data.draw(st.sampled_from([2, 3, 4]))
+    if k < 4:
+        r = data.draw(st.sampled_from(reps_of_size(k)))
+    else:
+        r = data.draw(st.sampled_from([direct_sum(named("2"), named("2b")),
+                                       direct_sum(named("2"), named("2"))]))
+    p = data.draw(st.sampled_from(enumerate_invertible(k)))
+    target = conjugate(r, p)
+    q = equivalent_by_conjugation(r, target)
+    assert q is not None
+    assert [m.rows for m in conjugate(r, q).images] == [m.rows for m in target.images]
+    assert q.rows <= p.rows
+    if k < 4:
+        assert q == naive_conjugation(r, target)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_equivalence_classes_match_naive_orbits(k):
+    reps = reps_of_size(k)
+    assert equivalence_classes(reps) == naive_orbit_partition(reps)

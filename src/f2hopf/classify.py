@@ -13,16 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from f2hopf import kernels
 from f2hopf.catalog import AlgebraCatalog, catalog
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
-from f2hopf.gf2 import Gf2Mat, bits_of, enumerate_invertible, parity
-from f2hopf.structure import (
-    AlgebraSC,
-    Bialgebra,
-    apply_basis_change_coalgebra,
-    dual_bialgebra_raw,
-    opposite_coproduct,
-)
+from f2hopf.gf2 import Gf2Mat, bits_of, enumerate_invertible, mat_inv_rows, parity
+from f2hopf.structure import AlgebraSC, Bialgebra, dual_bialgebra_raw, opposite_coproduct
 
 
 @dataclass(frozen=True)
@@ -37,36 +32,32 @@ class BialgebraClass:
 
 def classify_bialgebras(a: AlgebraSC, raw: RawSolutionSet) -> list[BialgebraClass]:
     """Orbit partition of the raw solutions under the automorphism group,
-    ordered by (coalgebra type, representative tensor)."""
-    autos = catalog(a.n)[raw.algebra_label].automorphisms
+    ordered by (coalgebra type, representative tensor).
+
+    The solutions are ordered by packed tensor, so the smallest unclassified
+    index starts the next orbit and is its representative; the automorphisms
+    form a group, so that orbit is exactly the images of its first member."""
+    sols = raw.solutions
+    if any(s.coalg.c >= t.coalg.c for s, t in zip(sols, sols[1:])):
+        raise ValueError("raw solutions are not strictly ascending by tensor")
+    n = a.n
     # Pushing a coproduct through the automorphism phi is the basis change
     # by phi^-1; iterating over the whole group makes the direction moot.
-    changes = [p.inverse() for p in autos]
-    index_of = {s.coalg.c: i for i, s in enumerate(raw.solutions)}
-    unseen = set(range(len(raw.solutions)))
-    orbits: list[list[int]] = []
+    changes = [(p.rows, mat_inv_rows(p.rows, n))
+               for p in catalog(n)[raw.algebra_label].automorphisms]
+    index_of = {s.coalg.c: i for i, s in enumerate(sols)}
+    unseen = set(range(len(sols)))
+    classes = []
     while unseen:
         start = min(unseen)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            coalg = raw.solutions[i].coalg
-            for p in changes:
-                j = index_of[apply_basis_change_coalgebra(coalg, p).c]
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
-        unseen -= orbit
-        orbits.append(sorted(orbit))
-
-    classes = []
-    for orbit in orbits:
-        rep_idx = min(orbit, key=lambda i: raw.solutions[i].coalg.c)
-        rep = raw.solutions[rep_idx]
-        hopf_flags = {raw.solutions[i].hopf for i in orbit}
-        types = {raw.solutions[i].type_label for i in orbit}
-        if len(hopf_flags) != 1 or len(types) != 1:
+        rep = sols[start]
+        orbit = sorted({index_of[kernels.transform_coproduct(rep.coalg.c, n, p, pinv)]
+                        for p, pinv in changes})
+        if orbit[0] != start:
+            raise RuntimeError("automorphisms do not form a group")
+        unseen.difference_update(orbit)
+        if any(sols[i].hopf != rep.hopf or sols[i].type_label != rep.type_label
+               for i in orbit):
             raise RuntimeError("orbit mixes Hopf flags or coalgebra types")
         classes.append(
             BialgebraClass(
@@ -105,9 +96,6 @@ def classify_bialgebras_pairwise(a: AlgebraSC, raw: RawSolutionSet) -> list[set[
     """Cross-check partition: i ~ j when some invertible matrix is at once a
     coalgebra map between the two coproducts and an algebra automorphism.
     Exhaustive over the general linear group; use only for small dimensions."""
-    from f2hopf import kernels
-    from f2hopf.gf2 import mat_inv_rows
-
     n = a.n
     auto_pairs = []
     for m in enumerate_invertible(n):
@@ -210,24 +198,26 @@ class ClassifiedDimension:
         )
 
 
+def classify_raw(n: int, raw: dict[str, RawSolutionSet]) -> ClassifiedDimension:
+    """Classify given raw solution sets, one per algebra label of dimension n."""
+    cat = catalog(n)
+    classes = {c.label: classify_bialgebras(c.representative, raw[c.label])
+               for c in cat.classes}
+    return ClassifiedDimension(n, cat, raw, classes)
+
+
 @lru_cache(maxsize=None)
 def classify_dimension(n: int) -> ClassifiedDimension:
-    cat = catalog(n)
-    raw = {}
-    classes = {}
-    for cls in cat.classes:
-        rs = solve_coproducts(cls.representative, cls.label)
-        raw[cls.label] = rs
-        classes[cls.label] = classify_bialgebras(cls.representative, rs)
-    return ClassifiedDimension(n, cat, raw, classes)
+    """Solve every algebra of dimension n, then classify (cached)."""
+    return classify_raw(n, {c.label: solve_coproducts(c.representative, c.label)
+                            for c in catalog(n).classes})
 
 
 def hopf_census(n: int) -> tuple[int, int, int]:
     return classify_dimension(n).census()
 
 
-def build_quiver(n: int) -> QuiverGraph:
-    dim = classify_dimension(n)
+def build_quiver(dim: ClassifiedDimension) -> QuiverGraph:
     counts: dict[tuple[str, str], list[int]] = {}
     for cls in dim.all_classes():
         key = (cls.algebra_label, cls.coalgebra_type)
@@ -238,7 +228,7 @@ def build_quiver(n: int) -> QuiverGraph:
     arrows = [
         QuiverArrow(src, tgt, m, h) for (src, tgt), (m, h) in sorted(counts.items())
     ]
-    return QuiverGraph(n, dim.cat.labels, tuple(arrows))
+    return QuiverGraph(dim.n, dim.cat.labels, tuple(arrows))
 
 
 # --- duality ------------------------------------------------------------------
@@ -271,13 +261,10 @@ def locate_class(dim: ClassifiedDimension, b: Bialgebra) -> BialgebraClass:
         _, p = standardize_unit(b.alg)
         b = apply_basis_change(b, p)
     alg_label, _ = bialgebra_type(b)
-    target = classify_dimension(dim.n).raw[alg_label]
+    target = dim.raw[alg_label]
     rep_alg = dim.cat[alg_label].representative
     # Move onto the catalog representative of the algebra, then hit the
     # coproduct with every unit-fixing transport of the algebra.
-    from f2hopf import kernels
-    from f2hopf.gf2 import mat_inv_rows
-
     n = dim.n
     index_of = {s.coalg.c: i for i, s in enumerate(target.solutions)}
     member_class = {}

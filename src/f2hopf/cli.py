@@ -24,8 +24,14 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from f2hopf import __version__, kernels, serialize
-from f2hopf.catalog import catalog
-from f2hopf.classify import build_quiver, classify_dimension
+from f2hopf.catalog import RELATIONS, catalog
+from f2hopf.classify import (
+    ClassifiedDimension,
+    QuiverGraph,
+    build_quiver,
+    classify_dimension,
+    classify_raw,
+)
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
 from f2hopf.golden import CENSUS, HOPF_FIXTURES_DIM4
 from f2hopf.serialize import (
@@ -169,6 +175,35 @@ def reps_payload() -> dict:
     return payload
 
 
+def classes_payload(dim: ClassifiedDimension) -> list[dict]:
+    """The classes dataset: every bialgebra class with its orbit members
+    (indices into the raw list), representative and co-opposite partner."""
+    return [
+        {
+            "algebra": cls.algebra_label,
+            "type": cls.coalgebra_type,
+            "members": list(cls.members),
+            "representative": tensor_to_hex(cls.representative.coalg.c),
+            "hopf": cls.hopf,
+            "cop_partner": cls.cop_partner,
+        }
+        for cls in dim.all_classes()
+    ]
+
+
+def quiver_payload(q: QuiverGraph) -> list[dict]:
+    """The quiver dataset: one record per arrow with its multiplicities."""
+    return [
+        {
+            "source": a.source,
+            "target": a.target,
+            "multiplicity": a.multiplicity,
+            "hopf_multiplicity": a.hopf_multiplicity,
+        }
+        for a in q.arrows
+    ]
+
+
 def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
                  use_cache: bool, mode: str) -> dict:
     """Execute the requested stages; returns the summary dictionary."""
@@ -192,41 +227,15 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
                 _write(out_dir, f"raw_n{n}_{label}.json", "raw", _raw_payload(rs))
 
     if stages & {"classify", "quiver", "fourier", "qtri", "all"}:
-        dim = classify_dimension(n)
-        classes_payload = []
-        for cls in dim.all_classes():
-            classes_payload.append(
-                {
-                    "algebra": cls.algebra_label,
-                    "type": cls.coalgebra_type,
-                    "members": list(cls.members),
-                    "representative": tensor_to_hex(cls.representative.coalg.c),
-                    "hopf": cls.hopf,
-                    "cop_partner": cls.cop_partner,
-                }
-            )
+        dim = classify_raw(n, raw)
         if stages & {"classify", "all"}:
-            _write(out_dir, f"classes_n{n}.json", "classes", classes_payload)
+            _write(out_dir, f"classes_n{n}.json", "classes", classes_payload(dim))
         summary["bialgebras"] = len(dim.all_classes())
         summary["hopf"] = len(dim.hopf_classes())
 
         if stages & {"quiver", "all"}:
-            q = build_quiver(n)
-            _write(
-                out_dir,
-                f"quiver_n{n}.json",
-                "quiver",
-                [
-                    {
-                        "source": a.source,
-                        "target": a.target,
-                        "multiplicity": a.multiplicity,
-                        "hopf_multiplicity": a.hopf_multiplicity,
-                    }
-                    for a in q.arrows
-                ],
-            )
-            out_dir.mkdir(parents=True, exist_ok=True)
+            q = build_quiver(dim)
+            _write(out_dir, f"quiver_n{n}.json", "quiver", quiver_payload(q))
             (out_dir / f"quiver_n{n}.dot").write_text(q.to_dot())
 
         if stages & {"fourier", "all"}:
@@ -272,10 +281,11 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
             _write(out_dir, f"fourier_n{n}.json", "fourier", payload)
 
         if stages & {"qtri", "all"}:
-            from f2hopf.qtri import qt_by_class, qt_census
+            from f2hopf.qtri import qt_by_class, qt_pairs
 
+            by_class = qt_by_class(dim)
             payload = []
-            for (alg_label, typ), structures in sorted(qt_by_class(n).items()):
+            for (alg_label, typ), structures in sorted(by_class.items()):
                 payload.append(
                     {
                         "type": [alg_label, typ],
@@ -292,7 +302,7 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
                     }
                 )
             _write(out_dir, f"qt_n{n}.json", "qt", payload)
-            summary["qt_pairs"] = qt_census(n)
+            summary["qt_pairs"] = qt_pairs(by_class)
 
     if stages & {"reps", "all"} and n == 4:
         payload = reps_payload()
@@ -375,6 +385,8 @@ def verify_dataset(path: Path) -> list[str]:
                     problems.append(f"{rec['name']}: Fourier matrix mismatch")
     elif kind == "reps":
         problems.extend(_reps_problems(payload))
+    elif kind in _CLASSIFICATION_KINDS:
+        problems.extend(_classification_problems(kind, payload))
     else:
         # Schema-conformant but with no deeper re-check implemented.
         pass
@@ -408,6 +420,37 @@ def _reps_problems(payload) -> list[str]:
     return problems
 
 
+# kind -> (record fields naming algebra labels, payload derived from a dimension)
+_CLASSIFICATION_KINDS = {
+    "classes": (("algebra", "type"), classes_payload),
+    "quiver": (("source", "target"), lambda dim: quiver_payload(build_quiver(dim))),
+}
+
+
+def _classification_problems(kind: str, payload) -> list[str]:
+    """Compare a classes or quiver dataset, record by record, with one derived
+    from a fresh solve (never from the cache).  The files do not record their
+    dimension; it is the smallest whose catalog names every algebra label in
+    the file, since each dimension's classification names an algebra that no
+    smaller dimension has."""
+    fields, derive = _CLASSIFICATION_KINDS[kind]
+    if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
+        return ["payload is not a list of records"]
+    labels = {str(rec.get(f)) for rec in payload for f in fields}
+    n = next((n for n in sorted(RELATIONS) if labels <= RELATIONS[n].keys()), None)
+    if n is None:
+        return ["algebra labels of no single dimension"]
+    want = derive(classify_dimension(n))
+    problems = []
+    if len(payload) != len(want):
+        problems.append(f"{len(payload)} records, the derived dataset of n={n} has {len(want)}")
+    for i, (got, exp) in enumerate(zip(payload, want)):
+        for key in sorted(got.keys() | exp.keys()):
+            if got.get(key) != exp.get(key):
+                problems.append(f"{kind}[{i}] {key}: differs from the derived dataset of n={n}")
+    return problems
+
+
 def cmd_verify(args) -> int:
     status = 0
     for name in args.paths:
@@ -434,7 +477,7 @@ def cmd_verify(args) -> int:
 def cmd_export(args) -> int:
     out_dir = Path(args.out)
     for n in args.dim:
-        q = build_quiver(n)
+        q = build_quiver(classify_dimension(n))
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"quiver_n{n}.dot").write_text(q.to_dot())
         print(f"wrote {out_dir / f'quiver_n{n}.dot'}")

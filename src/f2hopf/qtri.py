@@ -13,9 +13,9 @@ an explicit linear solve in H (x) H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from f2hopf import kernels
+from f2hopf.classify import ClassifiedDimension
 from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, solve_linear
 from f2hopf.structure import (
     Bialgebra,
@@ -305,11 +305,9 @@ def yang_baxter_ok(b: Bialgebra, r: TensorSquareElement) -> bool:
 # --- census and the dual picture ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _qt_for_dimension(n: int):
-    from f2hopf.classify import classify_dimension
-
-    dim = classify_dimension(n)
+def qt_by_class(dim: ClassifiedDimension) -> dict[tuple[str, str], list[QuasiTriangularStructure]]:
+    """All quasitriangular structures on each Hopf class, keyed by
+    (algebra label, coalgebra type)."""
     out = {}
     for cls in dim.hopf_classes():
         bi = Bialgebra(dim.cat[cls.algebra_label].representative,
@@ -318,16 +316,14 @@ def _qt_for_dimension(n: int):
     return out
 
 
-def qt_census(n: int) -> int:
-    """Number of (Hopf class, nontrivial R) pairs in dimension n."""
-    return sum(
-        sum(1 for s in structures if not s.trivial)
-        for structures in _qt_for_dimension(n).values()
-    )
+def qt_pairs(by_class: dict[tuple[str, str], list[QuasiTriangularStructure]]) -> int:
+    """Number of (Hopf class, nontrivial R) pairs in a ``qt_by_class`` result."""
+    return sum(not s.trivial for structures in by_class.values() for s in structures)
 
 
-def qt_by_class(n: int) -> dict[tuple[str, str], list[QuasiTriangularStructure]]:
-    return dict(_qt_for_dimension(n))
+def qt_census(dim: ClassifiedDimension) -> int:
+    """Number of (Hopf class, nontrivial R) pairs in one dimension."""
+    return qt_pairs(qt_by_class(dim))
 
 
 # Coquasitriangular structures: bilinear forms on H (x) H.  In finite

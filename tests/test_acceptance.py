@@ -73,8 +73,8 @@ def test_criterion_1_census_and_runtime():
     for n in (2, 3, 4):
         want = CENSUS[n]
         ok &= hopf_census(n) == want[:3]
-        ok &= qt_census(n) == want[3]
-    build_quiver(4)
+        ok &= qt_census(classify_dimension(n)) == want[3]
+    build_quiver(classify_dimension(4))
     elapsed = time.monotonic() - t0
     ok &= elapsed <= 600
     report("1 census + full pipeline", ok, f"n=4 pipeline {elapsed:.1f}s")
@@ -123,16 +123,16 @@ def test_criterion_4_distinct_classes():
     ok &= dict(per_alg) == HOPF_CLASS_COUNTS_DIM4
     ok &= len(dim4.hopf_classes()) == 20
     for n in (2, 3, 4):
-        for a in build_quiver(n).arrows:
+        for a in build_quiver(classify_dimension(n)).arrows:
             ok &= a.hopf_multiplicity <= 1
     report("4 distinct-class structure", ok)
 
 
 def test_criterion_5_quivers():
     ok = True
-    q2 = build_quiver(2)
+    q2 = build_quiver(classify_dimension(2))
     ok &= len(q2.arrows) == 4 and q2.total_hopf == 3
-    q4 = build_quiver(4)
+    q4 = build_quiver(classify_dimension(4))
     ok &= sorted(q4.hopf_arrows()) == sorted(HOPF_ARROWS_DIM4)
     got = {(a.source, a.target): (a.multiplicity, a.hopf_multiplicity)
            for a in q4.arrows}
@@ -206,10 +206,10 @@ def test_criterion_8_quasitriangular_counts():
         Bialgebra(dim2.cat["A"].representative, gra_cls.representative.coalg)
     )
     ok &= len(sols) == 2 and all(s.triangular for s in sols)
-    for key, structures in qt_by_class(3).items():
+    for key, structures in qt_by_class(classify_dimension(3)).items():
         ok &= len(structures) == 1 and structures[0].trivial
     # dimension 4 counts per class
-    by_cls = qt_by_class(4)
+    by_cls = qt_by_class(classify_dimension(4))
     for key, (total, nontrivial) in QT_COUNTS_DIM4.items():
         ok &= len(by_cls[key]) == total
         ok &= sum(1 for s in by_cls[key] if not s.trivial) == nontrivial
@@ -226,12 +226,13 @@ def test_criterion_8_quasitriangular_counts():
     # Yang-Baxter holds for every enumerated structure
     for n in (2, 3, 4):
         dim = classify_dimension(n)
+        structures_of = qt_by_class(dim)
         for cls in dim.hopf_classes():
             bi = Bialgebra(dim.cat[cls.algebra_label].representative,
                            cls.representative.coalg)
-            for s in qt_by_class(n)[(cls.algebra_label, cls.coalgebra_type)]:
+            for s in structures_of[(cls.algebra_label, cls.coalgebra_type)]:
                 ok &= yang_baxter_ok(bi, s.r)
-    ok &= qt_census(4) == QT_PAIR_CENSUS[4]
+    ok &= qt_census(classify_dimension(4)) == QT_PAIR_CENSUS[4]
     elapsed = time.monotonic() - t0
     ok &= elapsed <= 60
     report("8 quasitriangular census", ok, f"{elapsed:.1f}s")

@@ -8,6 +8,7 @@ from f2hopf.classify import (
     build_quiver,
     classify_bialgebras_pairwise,
     classify_dimension,
+    classify_raw,
     dual_bialgebra,
     hopf_census,
     locate_class,
@@ -94,8 +95,47 @@ def test_pairwise_method_agrees_dim4_sample():
         assert pairwise == orbit, label
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_classes_rebuilt_from_pairwise_partition(n):
+    # Members, representatives (smallest tensor), class order (coalgebra
+    # type, then representative tensor) and co-opposite partners, all
+    # rebuilt from the GL(n) oracle's partition.
+    from f2hopf.structure import opposite_coproduct
+
+    dim = classify_dimension(n)
+    for label in dim.cat.labels:
+        sols = dim.raw[label].solutions
+        groups = classify_bialgebras_pairwise(dim.cat[label].representative, dim.raw[label])
+        reps = [min(g, key=lambda i: sols[i].coalg.c) for g in groups]
+        order = sorted(range(len(groups)),
+                       key=lambda k: (sols[reps[k]].type_label, sols[reps[k]].coalg.c))
+        group_of = {i: pos for pos, k in enumerate(order) for i in groups[k]}
+        index_of = {s.coalg.c: i for i, s in enumerate(sols)}
+        want = [
+            (sorted(groups[k]), sols[reps[k]],
+             group_of.get(index_of.get(opposite_coproduct(sols[reps[k]].coalg).c)))
+            for k in order
+        ]
+        got = [(list(c.members), c.representative, c.cop_partner)
+               for c in dim.classes[label]]
+        assert got == want, label
+
+
+def test_representatives_are_smallest_members_dim4():
+    dim = classify_dimension(4)
+    for label in dim.cat.labels:
+        sols = dim.raw[label].solutions
+        classes = dim.classes[label]
+        for cls in classes:
+            assert cls.representative is sols[cls.members[0]]
+            assert all(sols[i].coalg.c > cls.representative.coalg.c
+                       for i in cls.members[1:])
+        keys = [(c.coalgebra_type, c.representative.coalg.c) for c in classes]
+        assert keys == sorted(keys)
+
+
 def test_quiver_dim2():
-    q = build_quiver(2)
+    q = build_quiver(classify_dimension(2))
     got = {(a.source, a.target): (a.multiplicity, a.hopf_multiplicity)
            for a in q.arrows}
     assert got == {
@@ -106,7 +146,7 @@ def test_quiver_dim2():
 
 
 def test_quiver_dim3():
-    q = build_quiver(3)
+    q = build_quiver(classify_dimension(3))
     got = {(a.source, a.target): (a.multiplicity, a.hopf_multiplicity)
            for a in q.arrows}
     assert got == CLASS_COUNTS_DIM3
@@ -114,7 +154,7 @@ def test_quiver_dim3():
 
 
 def test_quiver_dim4():
-    q = build_quiver(4)
+    q = build_quiver(classify_dimension(4))
     got = {(a.source, a.target): (a.multiplicity, a.hopf_multiplicity)
            for a in q.arrows}
     assert got == BIALGEBRA_GRAPH_DIM4
@@ -125,7 +165,7 @@ def test_quiver_dim4():
 def test_distinct_counts_per_analysed_algebra_dim4():
     # published per-algebra distinct totals: G 4 (all Hopf), I 4, J 5, M 3,
     # NF 2 (all Hopf)
-    q = build_quiver(4)
+    q = build_quiver(classify_dimension(4))
     row_totals = Counter()
     for a in q.arrows:
         row_totals[a.source] += a.multiplicity
@@ -139,7 +179,7 @@ def test_distinct_counts_per_analysed_algebra_dim4():
 def test_dim3_noncommutative_or_noncocommutative_count():
     # twelve of the 24 distinct dimension-3 bialgebras touch the
     # noncommutative algebra G on either side
-    q = build_quiver(3)
+    q = build_quiver(classify_dimension(3))
     touching = sum(
         a.multiplicity for a in q.arrows if "G" in (a.source, a.target)
     )
@@ -148,7 +188,7 @@ def test_dim3_noncommutative_or_noncocommutative_count():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quiver_dual_symmetry(n):
-    q = build_quiver(n)
+    q = build_quiver(classify_dimension(n))
     for a in q.arrows:
         back = q.arrow(a.target, a.source)
         assert back is not None and back.multiplicity == a.multiplicity
@@ -157,7 +197,7 @@ def test_quiver_dual_symmetry(n):
 
 def test_at_most_one_hopf_per_type():
     for n in (2, 3, 4):
-        for a in build_quiver(n).arrows:
+        for a in build_quiver(classify_dimension(n)).arrows:
             assert a.hopf_multiplicity <= 1
 
 
@@ -185,6 +225,22 @@ def test_dual_bialgebra_small():
     assert check_bialgebra(d)
     assert bialgebra_type(d) == ("B", "A")
     assert bialgebra_type(f2z2) == ("A", "B")
+
+
+def test_locate_class_reads_the_given_dimension(monkeypatch):
+    from f2hopf import classify
+
+    dim3 = classify_raw(3, classify_dimension(3).raw)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("locate_class solved coproducts")
+
+    monkeypatch.setattr(classify, "solve_coproducts", no_solve)
+    monkeypatch.setattr(classify, "classify_dimension", no_solve)
+    alg_c = catalog(3)["C"].representative
+    found = locate_class(dim3, dual_bialgebra(Bialgebra(alg_c, named3("C.1").coalg)))
+    assert found is locate_class(dim3, Bialgebra(alg_c, named3("C.3").coalg))
+    assert found in dim3.classes["C"]
 
 
 def test_dual_bialgebra_c1_c3():

@@ -120,12 +120,54 @@ def test_verify_missing_file_exit_code(tmp_path, capsys):
 def test_parallel_jobs_identical(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
-    assert run_cli(["run", "--dim", "3", "--stage", "coproducts",
+    assert run_cli(["run", "--dim", "3", "--stage", "all",
                     "--out", str(serial)]) == 0
-    assert run_cli(["run", "--dim", "3", "--stage", "coproducts", "--jobs", "4",
+    assert run_cli(["run", "--dim", "3", "--stage", "all", "--jobs", "4",
                     "--no-cache", "--out", str(parallel)]) == 0
-    for path in sorted(serial.glob("raw_*.json")):
-        assert path.read_bytes() == (parallel / path.name).read_bytes()
+    written = sorted(serial.glob("*.json")) + sorted(serial.glob("*.dot"))
+    assert {p.name.split("_")[0] for p in written} == {
+        "algebras", "raw", "classes", "quiver", "fourier", "qt", "summary"}
+    for path in written:
+        assert path.read_bytes() == (parallel / path.name).read_bytes(), path.name
+
+
+def count_solves(monkeypatch) -> list:
+    """Count solve_coproducts calls made through any f2hopf module, and fail
+    on any call of the cached classify_dimension (whose cache could hide a
+    solve)."""
+    from f2hopf import classify, coproducts
+
+    calls = []
+    solve, classify_dimension = coproducts.solve_coproducts, classify.classify_dimension
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run called classify_dimension")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("f2hopf") and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is solve:
+                    monkeypatch.setattr(mod, attr, counted)
+                elif value is classify_dimension:
+                    monkeypatch.setattr(mod, attr, forbidden)
+    return calls
+
+
+def test_run_solves_once_and_classifies_from_the_cache(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
+    calls = count_solves(monkeypatch)
+    assert run_cli(["run", "--dim", "3", "--stage", "all", "--out", str(out)]) == 0
+    assert len(calls) == 7  # once per algebra of dimension 3
+    first = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    calls.clear()
+    assert run_cli(["run", "--dim", "3", "--stage", "all", "--out", str(out)]) == 0
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == first
 
 
 def test_export_dot(tmp_path):
@@ -201,6 +243,46 @@ def test_cache_writes_leave_no_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         cli._write_atomic(cache / "raw_n9_X.json", "{}")
     assert sorted(p.name for p in cache.iterdir()) == names
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("classes", "members"), ("classes", "representative"), ("classes", "hopf"),
+    ("classes", "cop_partner"), ("quiver", "multiplicity"),
+])
+def test_verify_rederives_classes_and_quiver(tmp_path, capsys, kind, field):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--dim", "3", "--stage", "classify", "--stage", "quiver",
+                    "--out", str(out)]) == 0
+    target = out / f"{kind}_n3.json"
+    assert run_cli(["verify", str(target)]) == 0
+    _, payload = load_dataset(target.read_text(), kind)
+    i = 5
+    if field == "members":
+        payload[i]["members"] = payload[i]["members"][:-1]
+    elif field == "representative":
+        payload[i]["representative"] = format(int(payload[i]["representative"], 16) ^ 2, "x")
+    elif field == "hopf":
+        payload[i]["hopf"] = not payload[i]["hopf"]
+    elif field == "cop_partner":
+        payload[i]["cop_partner"] = (payload[i]["cop_partner"] or 0) + 1
+    else:
+        payload[i]["multiplicity"] += 1
+    target.write_text(dump_dataset(kind, payload))
+    capsys.readouterr()
+    assert run_cli(["verify", str(target)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(fails) == 1 and f"{kind}[{i}] {field}: differs" in fails[0]
+
+
+@pytest.mark.parametrize("kind, payload, problem", [
+    ("classes", {"algebra": "A"}, "payload is not a list of records"),
+    ("quiver", [{"source": "A", "target": "ZZ"}], "algebra labels of no single dimension"),
+])
+def test_verify_rejects_malformed_classification(tmp_path, capsys, kind, payload, problem):
+    target = tmp_path / f"{kind}.json"
+    target.write_text(dump_dataset(kind, payload))
+    assert run_cli(["verify", str(target)]) == 1
+    assert capsys.readouterr().out == f"{target}: FAIL {problem}\n"
 
 
 @pytest.mark.parametrize("field", ["counts", "image", "tensor_table", "duals"])

@@ -92,11 +92,11 @@ def test_z3_trivial_only():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_census(n):
-    assert qt_census(n) == QT_PAIR_CENSUS[n]
+    assert qt_census(classify_dimension(n)) == QT_PAIR_CENSUS[n]
 
 
 def test_counts_per_class_dim4():
-    by_cls = qt_by_class(4)
+    by_cls = qt_by_class(classify_dimension(4))
     assert set(by_cls) == set(QT_COUNTS_DIM4)
     for key, (total, nontrivial) in QT_COUNTS_DIM4.items():
         sols = by_cls[key]
@@ -105,7 +105,7 @@ def test_counts_per_class_dim4():
 
 
 def test_cocommutative_classes_have_trivial_solution():
-    by_cls = qt_by_class(4)
+    by_cls = qt_by_class(classify_dimension(4))
     for (alg, typ), sols in by_cls.items():
         if catalog(4)[typ].commutative:  # cocommutative class
             assert any(s.trivial for s in sols), (alg, typ)
@@ -186,11 +186,12 @@ def test_trivial_only_exclusions():
 def test_yang_baxter_everywhere():
     for n in (2, 3, 4):
         dim = classify_dimension(n)
+        by_cls = qt_by_class(dim)
         for cls in dim.hopf_classes():
             bi = Bialgebra(
                 dim.cat[cls.algebra_label].representative, cls.representative.coalg
             )
-            for s in qt_by_class(n)[(cls.algebra_label, cls.coalgebra_type)]:
+            for s in by_cls[(cls.algebra_label, cls.coalgebra_type)]:
                 assert yang_baxter_ok(bi, s.r), (n, cls.algebra_label)
     gra = small_bialgebra("gra")
     for s in enumerate_quasitriangular(gra):

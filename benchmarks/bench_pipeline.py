@@ -18,7 +18,7 @@ version and the kernel backend go to benchmarks/BENCH_pipeline.json (or the
 path given with --out).  The script uses only the CLI, so it also times
 older engines: point PYTHONPATH at their source.
 
-Run:  PYTHONPATH=src python benchmarks/bench_pipeline.py [--rounds 3]
+Run:  PYTHONPATH=src python benchmarks/bench_pipeline.py
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ import time
 from pathlib import Path
 
 DIMS = (2, 3, 4)
+ROUNDS = 3
 
 
-def child(out_dir: str, jobs: int) -> None:
+def child(out_dir: str) -> None:
     """One timed run in this process; prints a JSON line."""
     t0 = time.perf_counter()
     from f2hopf import cli, coproducts, kernels
@@ -60,7 +61,7 @@ def child(out_dir: str, jobs: int) -> None:
                 if value is solve:
                     setattr(mod, attr, counted)
 
-    argv = ["run", "--stage", "all", "--jobs", str(jobs), "--out", out_dir]
+    argv = ["run", "--stage", "all", "--jobs", "1", "--out", out_dir]
     for n in DIMS:
         argv += ["--dim", str(n)]
     t1 = time.perf_counter()
@@ -70,10 +71,10 @@ def child(out_dir: str, jobs: int) -> None:
                       "solve_coproducts_calls": len(calls), "backend": kernels.BACKEND}))
 
 
-def run_child(out_dir: Path, jobs: int) -> dict:
+def run_child(out_dir: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "F2HOPF_CACHE_ROOT"}
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(out_dir), "--jobs", str(jobs)],
+        [sys.executable, __file__, "--child", str(out_dir)],
         env=env, capture_output=True, text=True, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -85,19 +86,17 @@ def run_child(out_dir: Path, jobs: int) -> dict:
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(Path(__file__).with_name("BENCH_pipeline.json")))
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--child", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child, args.jobs)
+        child(args.child)
         return
 
     runs: dict[str, list[dict]] = {"cold": [], "warm": []}
-    for _ in range(args.rounds):
+    for _ in range(ROUNDS):
         with tempfile.TemporaryDirectory(prefix="bench-pipeline-") as tmp:
             for mode in ("cold", "warm"):
-                result = run_child(Path(tmp) / "out", args.jobs)
+                result = run_child(Path(tmp) / "out")
                 runs[mode].append(result)
                 print(f"{mode}: wall {result['wall_s']:.3f}s, "
                       f"{result['solve_coproducts_calls']} solves", flush=True)
@@ -107,9 +106,8 @@ def main(argv=None):
         "machine": platform.machine(),
         "cores": os.cpu_count(),
         "backend": runs["cold"][0]["backend"],
-        "command": "f2hopf run --dim 2 --dim 3 --dim 4 --stage all --jobs "
-                   f"{args.jobs}",
-        "rounds": args.rounds,
+        "command": "f2hopf run --dim 2 --dim 3 --dim 4 --stage all --jobs 1",
+        "rounds": ROUNDS,
     }
     for mode, results in runs.items():
         record[mode] = {

@@ -385,7 +385,7 @@ def verify_dataset(path: Path) -> list[str]:
                     problems.append(f"{rec['name']}: Fourier matrix mismatch")
     elif kind == "reps":
         problems.extend(_reps_problems(payload))
-    elif kind in _CLASSIFICATION_KINDS:
+    elif kind in ("classes", "quiver"):
         problems.extend(_classification_problems(kind, payload))
     else:
         # Schema-conformant but with no deeper re-check implemented.
@@ -420,27 +420,21 @@ def _reps_problems(payload) -> list[str]:
     return problems
 
 
-# kind -> (record fields naming algebra labels, payload derived from a dimension)
-_CLASSIFICATION_KINDS = {
-    "classes": (("algebra", "type"), classes_payload),
-    "quiver": (("source", "target"), lambda dim: quiver_payload(build_quiver(dim))),
-}
-
-
 def _classification_problems(kind: str, payload) -> list[str]:
     """Compare a classes or quiver dataset, record by record, with one derived
     from a fresh solve (never from the cache).  The files do not record their
     dimension; it is the smallest whose catalog names every algebra label in
     the file, since each dimension's classification names an algebra that no
     smaller dimension has."""
-    fields, derive = _CLASSIFICATION_KINDS[kind]
+    fields = ("algebra", "type") if kind == "classes" else ("source", "target")
     if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
         return ["payload is not a list of records"]
     labels = {str(rec.get(f)) for rec in payload for f in fields}
     n = next((n for n in sorted(RELATIONS) if labels <= RELATIONS[n].keys()), None)
     if n is None:
         return ["algebra labels of no single dimension"]
-    want = derive(classify_dimension(n))
+    dim = classify_dimension(n)
+    want = classes_payload(dim) if kind == "classes" else quiver_payload(build_quiver(dim))
     problems = []
     if len(payload) != len(want):
         problems.append(f"{len(payload)} records, the derived dataset of n={n} has {len(want)}")

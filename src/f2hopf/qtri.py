@@ -321,11 +321,6 @@ def qt_pairs(by_class: dict[tuple[str, str], list[QuasiTriangularStructure]]) ->
     return sum(not s.trivial for structures in by_class.values() for s in structures)
 
 
-def qt_census(dim: ClassifiedDimension) -> int:
-    """Number of (Hopf class, nontrivial R) pairs in one dimension."""
-    return qt_pairs(qt_by_class(dim))
-
-
 # Coquasitriangular structures: bilinear forms on H (x) H.  In finite
 # dimension these are exactly the quasitriangular structures of the dual, so
 # the two routes below must agree.

@@ -24,7 +24,7 @@ from f2hopf.qtri import (
     coquasitriangular_via_dual,
     enumerate_quasitriangular,
     qt_by_class,
-    qt_census,
+    qt_pairs,
     yang_baxter_ok,
 )
 from f2hopf.structure import Bialgebra
@@ -92,7 +92,7 @@ def test_z3_trivial_only():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_census(n):
-    assert qt_census(classify_dimension(n)) == QT_PAIR_CENSUS[n]
+    assert qt_pairs(qt_by_class(classify_dimension(n))) == QT_PAIR_CENSUS[n]
 
 
 def test_counts_per_class_dim4():

@@ -3,11 +3,14 @@
 the pipeline: the dimension-4 algebra enumeration, the heaviest coproduct
 solve (algebra P), and a full R-matrix scan.
 
-Every available backend is timed twice per suite: its plain index-order
-backtracker, and the same backtracker run in the greedy search order of
-f2hopf.kernels (the order every engine search uses).  All runs must return
-identical solutions.  Times are the best of up to three runs, fewer when a
-run is slow.  The numbers, the core count and the Python version go to
+Each suite times the systems the backtracker receives in the engine: the
+builders' systems after ``kernels.eliminate`` has removed the product-free
+equations (the elimination is timed separately).  Every available backend
+is timed twice per suite: its plain index-order backtracker, and the same
+backtracker run in the greedy search order of f2hopf.kernels (the order
+every engine search uses).  All runs must return identical solutions.
+Times are the best of up to three runs, fewer when a run is slow.  The
+numbers, the core count and the Python version go to
 benchmarks/BENCH_kernel.json (or the path given with --out).
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
@@ -25,12 +28,7 @@ from pathlib import Path
 
 from f2hopf import kernels
 from f2hopf.catalog import _algebra_equations, catalog
-from f2hopf.coproducts import (
-    _coproduct_equations,
-    _eliminate,
-    _substitute,
-    enumerate_counits,
-)
+from f2hopf.coproducts import _coproduct_equations, enumerate_counits
 from f2hopf.qtri import _equations as qt_equations
 
 
@@ -40,18 +38,7 @@ def workload_algebras():
 
 def workload_coproducts():
     a = catalog(4)["P"].representative
-    jobs = []
-    for eps in enumerate_counits(a):
-        linear, quadratic = _coproduct_equations(a, eps)
-        elim = _eliminate(48, linear)
-        if elim is None:
-            continue
-        free_vars, subst = elim
-        reduced = _substitute(quadratic, subst)
-        if reduced is None:
-            continue
-        jobs.append((len(free_vars), reduced))
-    return jobs
+    return [(48, _coproduct_equations(a, eps)) for eps in enumerate_counits(a)]
 
 
 def workload_qt():
@@ -94,7 +81,13 @@ def main(argv=None):
         "selected_backend": kernels.BACKEND,
         "suites": {},
     }
-    for name, jobs in suites.items():
+    for name, systems in suites.items():
+        # The backtracker receives each system after elimination; a system
+        # that elimination already finds unsolvable is not searched.
+        t0 = time.perf_counter()
+        reductions = [kernels.eliminate(nvars, eqs) for nvars, eqs in systems]
+        eliminate_s = time.perf_counter() - t0
+        jobs = [r[:2] for r in reductions if r is not None]
         t0 = time.perf_counter()
         for nvars, eqs in jobs:
             kernels.search_order(nvars, eqs)
@@ -112,12 +105,14 @@ def main(argv=None):
                     reference = results
                 elif results != reference:
                     raise SystemExit(f"{backend} ({order} order) disagrees on {name}")
-                times.setdefault(backend, {})[order] = round(elapsed, 4)
-                print(f"{name:32s} {backend:7s} {order:6s} {elapsed:9.3f}s", flush=True)
+                times.setdefault(backend, {})[order] = round(elapsed, 6)
+                print(f"{name:32s} {backend:7s} {order:6s} {elapsed:10.6f}s", flush=True)
         record["suites"][name] = {
-            "systems": len(jobs),
+            "systems": len(systems),
+            "searched": len(jobs),
             "solutions": sum(len(r) for r in reference),
-            "search_order_s": round(order_s, 4),
+            "eliminate_s": round(eliminate_s, 6),
+            "search_order_s": round(order_s, 6),
             "seconds": times,
         }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")

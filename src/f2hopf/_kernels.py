@@ -2,11 +2,11 @@
 
 The compiled twin f2hopf._kernels_c exposes the same three functions; the
 backend is picked at import time in f2hopf.kernels.  Every search in the
-engine (algebra enumeration, coproduct solving, R-matrix enumeration,
-representation enumeration) reduces to enumerating the solutions of a system
-of quadratic XOR equations, handled here by one depth-first backtracker in
-index order.  The engine reaches it through f2hopf.kernels.solve_quadratic,
-which first renumbers the system into a greedy search order.
+engine reduces to enumerating the solutions of a system of quadratic XOR
+equations, handled here by one depth-first backtracker in index order.  The
+engine reaches it only through f2hopf.kernels.solve_quadratic, which first
+eliminates the product-free equations and renumbers what is left into a
+greedy search order.
 
 An equation is a triple (const, lin, pairs):
 
@@ -23,13 +23,12 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def solve_quadratic(nvars: int, equations, limit: int | None = None) -> list[int]:
+def solve_quadratic(nvars: int, equations) -> list[int]:
     """Enumerate all assignments satisfying every equation.
 
     Variables are assigned in index order 0..nvars-1, trying 0 before 1, and
     each equation is checked as soon as its highest variable is assigned.
-    The returned packed assignment masks are sorted ascending; ``limit``
-    truncates the search in discovery order before sorting.
+    The returned packed assignment masks are sorted ascending.
     """
     if nvars > 63:
         raise ValueError("kernel supports at most 63 variables")
@@ -68,12 +67,8 @@ def solve_quadratic(nvars: int, equations, limit: int | None = None) -> list[int
                     break
             if ok:
                 descend(level + 1, a)
-                if limit is not None and len(solutions) >= limit:
-                    return
 
     descend(0, 0)
-    if limit is not None:
-        solutions = solutions[:limit]
     solutions.sort()
     return solutions
 

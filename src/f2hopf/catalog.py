@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, bits_of, enumerate_invertible, mat_inv_rows
+from f2hopf.gf2 import Gf2Mat, bits_of, enumerate_invertible, mat_inv_rows, rank_rows
+from f2hopf.kernels import Equation
 from f2hopf.structure import AlgebraSC, check_algebra
 
 BASIS_NAMES = {1: ("1",), 2: ("1", "x"), 3: ("1", "x", "y"), 4: ("1", "x", "y", "z")}
@@ -174,6 +175,8 @@ def _unit_fixing(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 def catalog(n: int) -> AlgebraCatalog:
     """Build (and cache) the catalog for one dimension, expanding the full
     isomorphism orbit of every entry under unit-fixing basis changes."""
+    if n not in RELATIONS:
+        raise ValueError(f"no catalog for dimension {n!r}")
     group = _unit_fixing(n)
     classes = []
     orbit_label: dict[int, str] = {}
@@ -205,15 +208,58 @@ def catalog(n: int) -> AlgebraCatalog:
     return AlgebraCatalog(n, tuple(classes), orbit_label)
 
 
+def isomorphisms(a: AlgebraSC, b: AlgebraSC) -> list[Gf2Mat]:
+    """Every algebra isomorphism from a onto b, in lexicographic order of the
+    rows tuple (the order of gf2.enumerate_invertible).
+
+    Row i of a matrix is the image of basis element i of a in the basis of
+    b.  The maps sending a's unit to b's unit with
+    phi(e_p) phi(e_q) = phi(e_p e_q) for all p, q are the solutions of a
+    quadratic XOR system in the n^2 entries; the invertible ones are kept.
+    Entry (i, j) is variable n*(n-1-i) + j, so row 0 takes the highest
+    bits and ascending masks are in lexicographic row order.
+    """
+    n = a.n
+    if b.n != n:
+        return []
+
+    def var(i: int, j: int) -> int:
+        return n * (n - 1 - i) + j
+
+    equations = []
+    for j in range(n):
+        # Unit: sum over the unit's terms i of phi[i][j] = eta_b[j].
+        eq = Equation((b.eta >> j) & 1)
+        for i in bits_of(a.eta):
+            eq.add_var(var(i, j))
+        equations.append(eq.emit())
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                # sum_{j,k} phi[p][j] phi[q][k] V_b[j][k][r] = sum_s V_a[p][q][s] phi[s][r]
+                eq = Equation()
+                for s in bits_of(a.prod(p, q)):
+                    eq.add_var(var(s, r))
+                for j in range(n):
+                    for k in range(n):
+                        if (b.prod(j, k) >> r) & 1:
+                            eq.add_pair(var(p, j), var(q, k))
+                equations.append(eq.emit())
+    row_mask = (1 << n) - 1
+    out = []
+    for mask in kernels.solve_quadratic(n * n, equations):
+        rows = tuple((mask >> (n * (n - 1 - i))) & row_mask for i in range(n))
+        if rank_rows(rows) == n:
+            out.append(Gf2Mat(rows, n))
+    return out
+
+
 def automorphism_group(a: AlgebraSC) -> list[Gf2Mat]:
-    """All unit-fixing basis changes preserving the tensor exactly."""
+    """All unit-fixing basis changes preserving the tensor exactly, in
+    lexicographic row order."""
     if not a.is_standard:
         raise ValueError("automorphism_group expects standard form")
-    out = []
-    for p, pinv in _unit_fixing(a.n):
-        if kernels.transform_product(a.v, a.n, p, pinv) == a.v:
-            out.append(Gf2Mat(p, a.n))
-    return out
+    return isomorphisms(a, a)
 
 
 def standardize_unit(a: AlgebraSC) -> tuple[AlgebraSC, Gf2Mat]:
@@ -281,29 +327,18 @@ def _algebra_equations(n: int):
         for b in range(1, n):
             for c in range(1, n):
                 for g in range(n):
-                    const = 0
-                    lin = 0
-                    pairs: dict[tuple[int, int], int] = {}
-
-                    def add_pair(i: int, j: int):
-                        nonlocal lin
-                        if i == j:
-                            lin ^= 1 << i
-                            return
-                        key = (i, j) if i < j else (j, i)
-                        pairs[key] = pairs.get(key, 0) ^ 1
-
+                    eq = Equation()
                     # (x^a x^b) x^c : sum_lam V[a][b][lam] V[lam][c][g]
-                    lin ^= (1 if c == g else 0) << var(a, b, 0)
+                    if c == g:
+                        eq.add_var(var(a, b, 0))
                     for lam in range(1, n):
-                        add_pair(var(a, b, lam), var(lam, c, g))
+                        eq.add_pair(var(a, b, lam), var(lam, c, g))
                     # x^a (x^b x^c) : sum_lam V[b][c][lam] V[a][lam][g]
-                    lin ^= (1 if a == g else 0) << var(b, c, 0)
+                    if a == g:
+                        eq.add_var(var(b, c, 0))
                     for lam in range(1, n):
-                        add_pair(var(b, c, lam), var(a, lam, g))
-                    quad = tuple(sorted(k for k, odd in pairs.items() if odd))
-                    if lin or quad or const:
-                        equations.append((const, lin, quad))
+                        eq.add_pair(var(b, c, lam), var(a, lam, g))
+                    equations.append(eq.emit())
     return equations
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from f2hopf import kernels
-from f2hopf.catalog import AlgebraCatalog, catalog
+from f2hopf.catalog import AlgebraCatalog, catalog, identify_algebra, isomorphisms
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
 from f2hopf.gf2 import Gf2Mat, bits_of, enumerate_invertible, mat_inv_rows, parity
 from f2hopf.structure import AlgebraSC, Bialgebra, dual_bialgebra_raw, opposite_coproduct
@@ -246,7 +246,6 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
 
 def bialgebra_type(b: Bialgebra) -> tuple[str, str]:
     """(algebra label, coalgebra type label)."""
-    from f2hopf.catalog import identify_algebra
     from f2hopf.coproducts import coalgebra_type
 
     return identify_algebra(b.alg), coalgebra_type(b.coalg)
@@ -254,31 +253,19 @@ def bialgebra_type(b: Bialgebra) -> tuple[str, str]:
 
 def locate_class(dim: ClassifiedDimension, b: Bialgebra) -> BialgebraClass:
     """The class of an arbitrary bialgebra (standard form not required)."""
-    from f2hopf.catalog import standardize_unit
-    from f2hopf.structure import apply_basis_change
-
-    if not b.alg.is_standard:
-        _, p = standardize_unit(b.alg)
-        b = apply_basis_change(b, p)
-    alg_label, _ = bialgebra_type(b)
+    alg_label = identify_algebra(b.alg)
     target = dim.raw[alg_label]
     rep_alg = dim.cat[alg_label].representative
-    # Move onto the catalog representative of the algebra, then hit the
-    # coproduct with every unit-fixing transport of the algebra.
+    # An isomorphism p from the catalog representative onto b's algebra is a
+    # basis change that moves b's algebra onto the representative; the same
+    # change carries b's coproduct onto one of the raw solutions, and any
+    # such p lands in the same class.
     n = dim.n
-    index_of = {s.coalg.c: i for i, s in enumerate(target.solutions)}
-    member_class = {}
-    for ci, cls in enumerate(dim.classes[alg_label]):
-        for i in cls.members:
-            member_class[i] = ci
-    for m in enumerate_invertible(n, fix_unit=True):
-        pinv = mat_inv_rows(m.rows, n)
-        if kernels.transform_product(b.alg.v, n, m.rows, pinv) != rep_alg.v:
-            continue
-        c_img = kernels.transform_coproduct(b.coalg.c, n, m.rows, pinv)
-        i = index_of.get(c_img)
-        if i is not None:
-            return dim.classes[alg_label][member_class[i]]
+    p = isomorphisms(rep_alg, b.alg)[0]
+    c_img = kernels.transform_coproduct(b.coalg.c, n, p.rows, mat_inv_rows(p.rows, n))
+    for cls in dim.classes[alg_label]:
+        if any(target.solutions[i].coalg.c == c_img for i in cls.members):
+            return cls
     raise RuntimeError("bialgebra does not match any classified solution")
 
 

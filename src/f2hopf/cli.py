@@ -347,42 +347,11 @@ def verify_dataset(path: Path) -> list[str]:
     kind, payload = load_dataset(path.read_text())
     problems: list[str] = []
     if kind == "algebras":
-        for rec in payload:
-            a = serialize.algebra_from_record(rec)
-            rep = check_algebra(a)
-            if not rep:
-                problems.append(f"{rec['label']}: {rep.axiom} at {rep.index}")
+        problems.extend(_record_problems(payload, _algebra_record_problems))
     elif kind == "raw":
-        for i, rec in enumerate(payload):
-            label = rec["algebra"]
-            n = rec["dim"]
-            a = catalog(n)[label].representative
-            coalg = CoalgebraSC(
-                n, tensor_from_hex(rec["C"]), tensor_from_hex(rec["epsilon"])
-            )
-            rep = check_bialgebra(Bialgebra(a, coalg))
-            if not rep:
-                problems.append(f"{label}[{i}]: {rep.axiom} at {rep.index}")
-                continue
-            s = solve_antipode(Bialgebra(a, coalg))
-            if (s is not None) != rec["hopf"]:
-                problems.append(f"{label}[{i}]: hopf flag mismatch")
-            elif s is not None and mat_to_hex(s) != rec.get("antipode"):
-                problems.append(f"{label}[{i}]: antipode mismatch")
+        problems.extend(_record_problems(payload, _raw_record_problems))
     elif kind == "fourier":
-        from f2hopf.fourier import fourier_matrices
-        from f2hopf.structure import HopfAlgebra
-
-        by_name = {fx.name: fx for fx in HOPF_FIXTURES_DIM4}
-        for rec in payload:
-            if rec.get("name") in by_name:
-                fx = by_name[rec["name"]]
-                h = fx.hopf()
-                i, f, fs = fourier_matrices(h)
-                if tensor_to_hex(i.bits) != rec["I"]:
-                    problems.append(f"{rec['name']}: integral mismatch")
-                if mat_to_hex(f) != rec["F"]:
-                    problems.append(f"{rec['name']}: Fourier matrix mismatch")
+        problems.extend(_record_problems(payload, _fourier_record_problems))
     elif kind == "reps":
         problems.extend(_reps_problems(payload))
     elif kind in ("classes", "quiver"):
@@ -390,6 +359,61 @@ def verify_dataset(path: Path) -> list[str]:
     else:
         # Schema-conformant but with no deeper re-check implemented.
         pass
+    return problems
+
+
+def _record_problems(payload, check) -> list[str]:
+    """Run ``check(i, record)`` on every record of a list payload.  A record
+    that cannot be read (a missing field, a malformed value) is reported as
+    a problem like any other, never raised."""
+    if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
+        return ["payload is not a list of records"]
+    problems = []
+    for i, rec in enumerate(payload):
+        try:
+            problems.extend(check(i, rec))
+        except (KeyError, ValueError, TypeError) as exc:
+            problems.append(f"record {i}: unreadable ({type(exc).__name__}: {exc})")
+    return problems
+
+
+def _algebra_record_problems(i: int, rec: dict) -> list[str]:
+    if rec["dim"] not in RELATIONS:
+        return [f"record {i}: no catalog for dimension {rec['dim']!r}"]
+    rep = check_algebra(serialize.algebra_from_record(rec))
+    return [] if rep else [f"{rec['label']}: {rep.axiom} at {rep.index}"]
+
+
+def _raw_record_problems(i: int, rec: dict) -> list[str]:
+    label = rec["algebra"]
+    n = rec["dim"]
+    a = catalog(n)[label].representative
+    coalg = CoalgebraSC(n, tensor_from_hex(rec["C"]), tensor_from_hex(rec["epsilon"]))
+    rep = check_bialgebra(Bialgebra(a, coalg))
+    if not rep:
+        return [f"{label}[{i}]: {rep.axiom} at {rep.index}"]
+    s = solve_antipode(Bialgebra(a, coalg))
+    if (s is not None) != rec["hopf"]:
+        return [f"{label}[{i}]: hopf flag mismatch"]
+    if s is not None and mat_to_hex(s) != rec.get("antipode"):
+        return [f"{label}[{i}]: antipode mismatch"]
+    return []
+
+
+def _fourier_record_problems(i: int, rec: dict) -> list[str]:
+    """Re-derive a fixture record (one named after a golden fixture); other
+    records are not checked yet."""
+    from f2hopf.fourier import fourier_matrices
+
+    fx = next((fx for fx in HOPF_FIXTURES_DIM4 if fx.name == rec.get("name")), None)
+    if fx is None:
+        return []
+    integral, f, _ = fourier_matrices(fx.hopf())
+    problems = []
+    if tensor_to_hex(integral.bits) != rec["I"]:
+        problems.append(f"{fx.name}: integral mismatch")
+    if mat_to_hex(f) != rec["F"]:
+        problems.append(f"{fx.name}: Fourier matrix mismatch")
     return problems
 
 

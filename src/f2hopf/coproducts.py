@@ -1,10 +1,10 @@
 """For a fixed algebra, every coalgebra structure making it a bialgebra.
 
-The solve runs in two phases, mirroring how the search stays tractable: the
-counit and unit constraints are linear in the coproduct bits and are removed
-by Gaussian elimination first; the remaining coassociativity and
-compatibility constraints are quadratic and are enumerated by the
-backtracking kernel over the residual free bits.
+For each multiplicative counit, the counit identities, coassociativity and
+compatibility with the product are one quadratic XOR system in the free
+coproduct bits, solved by ``kernels.solve_quadratic``.  The counit
+identities are linear, so its elimination step removes them before the
+backtracker searches the remaining bits.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from f2hopf import kernels
 from f2hopf.catalog import identify_algebra
 from f2hopf.gf2 import Gf2Mat, bits_of
+from f2hopf.kernels import Equation
 from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
@@ -42,39 +43,12 @@ def enumerate_counits(a: AlgebraSC) -> list[int]:
     return out
 
 
-class _Affine:
-    """Accumulates const / linear / quadratic parts of one XOR equation."""
-
-    __slots__ = ("const", "lin", "pairs")
-
-    def __init__(self):
-        self.const = 0
-        self.lin = 0
-        self.pairs: dict[tuple[int, int], int] = {}
-
-    def add_const(self, c: int):
-        self.const ^= c & 1
-
-    def add_var(self, i: int):
-        self.lin ^= 1 << i
-
-    def add_pair(self, i: int, j: int):
-        if i == j:
-            self.lin ^= 1 << i
-            return
-        key = (i, j) if i < j else (j, i)
-        self.pairs[key] = self.pairs.get(key, 0) ^ 1
-
-    def emit(self) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-        return self.const, self.lin, tuple(sorted(k for k, v in self.pairs.items() if v))
-
-
-def _coproduct_equations(a: AlgebraSC, eps: int):
+def _coproduct_equations(a: AlgebraSC, eps: int) -> list[tuple[int, int, tuple]]:
     """Bialgebra constraints as XOR equations over the free coproduct bits.
 
     Variables are the bits of the coproduct rows for mu >= 1 (the row of the
-    unit is forced to 1 (x) 1), numbered (mu-1)*n^2 + nu*n + rho.  Returns
-    (linear_equations, quadratic_equations).
+    unit is forced to 1 (x) 1), numbered (mu-1)*n^2 + nu*n + rho, so
+    variable v is bit n^2 + v of the packed coproduct tensor.
     """
     n = a.n
     nn = n * n
@@ -82,36 +56,27 @@ def _coproduct_equations(a: AlgebraSC, eps: int):
     def var(mu: int, nu: int, rho: int) -> int:
         return (mu - 1) * nn + nu * n + rho
 
-    def cbit_const(mu: int, nu: int, rho: int) -> int:
-        # Only row 0 is constant: Delta(1) = 1 (x) 1.
-        return 1 if (nu == 0 and rho == 0) else 0
-
-    linear = []
-    quadratic = []
+    equations = []
 
     # Counit identities, linear in the coproduct.
     for mu in range(1, n):
         for rho in range(n):
-            eq = _Affine()
-            for nu in range(n):
-                if (eps >> nu) & 1:
-                    eq.add_var(var(mu, nu, rho))
-            eq.add_const(1 if mu == rho else 0)
-            linear.append(eq.emit())
+            eq = Equation(1 if mu == rho else 0)
+            for nu in bits_of(eps):
+                eq.add_var(var(mu, nu, rho))
+            equations.append(eq.emit())
         for nu in range(n):
-            eq = _Affine()
-            for rho in range(n):
-                if (eps >> rho) & 1:
-                    eq.add_var(var(mu, nu, rho))
-            eq.add_const(1 if mu == nu else 0)
-            linear.append(eq.emit())
+            eq = Equation(1 if mu == nu else 0)
+            for rho in bits_of(eps):
+                eq.add_var(var(mu, nu, rho))
+            equations.append(eq.emit())
 
     # Coassociativity: for mu >= 1 and every (alpha, beta, gamma).
     for mu in range(1, n):
         for alpha in range(n):
             for beta in range(n):
                 for gamma in range(n):
-                    eq = _Affine()
+                    eq = Equation()
                     # sum_nu C[mu][nu][gamma] C[nu][alpha][beta]
                     if alpha == 0 and beta == 0:
                         eq.add_var(var(mu, 0, gamma))
@@ -122,11 +87,7 @@ def _coproduct_equations(a: AlgebraSC, eps: int):
                         eq.add_var(var(mu, alpha, 0))
                     for rho in range(1, n):
                         eq.add_pair(var(mu, alpha, rho), var(rho, beta, gamma))
-                    const, lin, pairs = eq.emit()
-                    if pairs:
-                        quadratic.append((const, lin, pairs))
-                    elif lin or const:
-                        linear.append((const, lin, pairs))
+                    equations.append(eq.emit())
 
     # Compatibility: Delta(x^mu x^nu) = Delta(x^mu) Delta(x^nu), mu, nu >= 1.
     for mu in range(1, n):
@@ -134,13 +95,11 @@ def _coproduct_equations(a: AlgebraSC, eps: int):
             pv = a.prod(mu, nu)
             for lam in range(n):
                 for gamma in range(n):
-                    eq = _Affine()
-                    # LHS sum_rho V[mu][nu][rho] C[rho][lam][gamma]
-                    if pv & 1:
-                        eq.add_const(cbit_const(0, lam, gamma))
-                    for rho in range(1, n):
-                        if (pv >> rho) & 1:
-                            eq.add_var(var(rho, lam, gamma))
+                    # LHS sum_rho V[mu][nu][rho] C[rho][lam][gamma], where
+                    # row 0 is the constant Delta(1) = 1 (x) 1.
+                    eq = Equation(pv & 1 if lam == 0 and gamma == 0 else 0)
+                    for rho in bits_of(pv & ~1):
+                        eq.add_var(var(rho, lam, gamma))
                     # RHS sum C[mu][a][b] C[nu][r][d] V[a][r][lam] V[b][d][gamma]
                     for aa in range(n):
                         for bb in range(n):
@@ -151,85 +110,8 @@ def _coproduct_equations(a: AlgebraSC, eps: int):
                                     if not (a.prod(bb, dd) >> gamma) & 1:
                                         continue
                                     eq.add_pair(var(mu, aa, bb), var(nu, rr, dd))
-                    const, lin, pairs = eq.emit()
-                    if pairs:
-                        quadratic.append((const, lin, pairs))
-                    elif lin or const:
-                        linear.append((const, lin, pairs))
-    return linear, quadratic
-
-
-def _eliminate(nvars: int, linear):
-    """Row-reduce the linear equations.
-
-    Returns None when inconsistent, else (free_vars, subst) where subst maps
-    every variable to (const, mask over positions in free_vars).
-    """
-    rows = []  # packed lin | const << nvars
-    for const, lin, _ in linear:
-        rows.append(lin | (const << nvars))
-    pivots: dict[int, int] = {}  # column -> reduced row
-    for row in rows:
-        for col, prow in pivots.items():
-            if (row >> col) & 1:
-                row ^= prow
-        if row == 0:
-            continue
-        if row == 1 << nvars:
-            return None
-        col = (row & -row).bit_length() - 1
-        for c2 in list(pivots):
-            if (pivots[c2] >> col) & 1:
-                pivots[c2] ^= row
-        pivots[col] = row
-    free_vars = [v for v in range(nvars) if v not in pivots]
-    pos = {v: i for i, v in enumerate(free_vars)}
-    subst: list[tuple[int, int]] = []
-    for v in range(nvars):
-        if v in pivots:
-            row = pivots[v]
-            const = (row >> nvars) & 1
-            mask = 0
-            for f in free_vars:
-                if (row >> f) & 1:
-                    mask |= 1 << pos[f]
-            subst.append((const, mask))
-        else:
-            subst.append((0, 1 << pos[v]))
-    return free_vars, subst
-
-
-def _substitute(quadratic, subst):
-    """Rewrite quadratic equations over the free variables; None on 0 = 1."""
-    out = []
-    seen = set()
-    for const, lin, pairs in quadratic:
-        eq = _Affine()
-        eq.add_const(const)
-        for v in bits_of(lin):
-            c, m = subst[v]
-            eq.add_const(c)
-            eq.lin ^= m
-        for i, j in pairs:
-            ci, mi = subst[i]
-            cj, mj = subst[j]
-            eq.add_const(ci & cj)
-            if ci:
-                eq.lin ^= mj
-            if cj:
-                eq.lin ^= mi
-            for bi in bits_of(mi):
-                for bj in bits_of(mj):
-                    eq.add_pair(bi, bj)
-        e = eq.emit()
-        if e[1] == 0 and not e[2]:
-            if e[0]:
-                return None
-            continue
-        if e not in seen:
-            seen.add(e)
-            out.append(e)
-    return out
+                    equations.append(eq.emit())
+    return equations
 
 
 @dataclass(frozen=True)
@@ -275,26 +157,8 @@ def solve_coproduct_tensors(a: AlgebraSC, eps: int) -> list[int]:
     ascending as packed tensors."""
     n = a.n
     nn = n * n
-    nvars = (n - 1) * nn
-    linear, quadratic = _coproduct_equations(a, eps)
-    elim = _eliminate(nvars, linear)
-    if elim is None:
-        return []
-    free_vars, subst = elim
-    reduced = _substitute(quadratic, subst)
-    if reduced is None:
-        return []
-    assignments = kernels.solve_quadratic(len(free_vars), reduced)
-    tensors = []
-    for mask in assignments:
-        c = 1  # Delta(1) = 1 (x) 1
-        for v in range(nvars):
-            const, m = subst[v]
-            if const ^ ((mask & m).bit_count() & 1):
-                c |= 1 << (nn + v)
-        tensors.append(c)
-    tensors.sort()
-    return tensors
+    masks = kernels.solve_quadratic((n - 1) * nn, _coproduct_equations(a, eps))
+    return [1 | (mask << nn) for mask in masks]  # Delta(1) = 1 (x) 1
 
 
 def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:

@@ -4,21 +4,22 @@ holonomy composition.
 The transform F maps H to its dual; composing with an identification of the
 dual basis with the standard basis of the target algebra gives a 'transport'
 matrix attached to the quiver arrow.  Identifications come in two modes:
-'computed' (lexicographically smallest algebra isomorphism, deterministic)
-and 'fixture' (the frozen identifications shipped with the golden data).
+'computed' (lexicographically smallest algebra isomorphism, deterministic,
+read off the solutions of the homomorphism equations rather than a scan of
+GL(n)) and 'fixture' (the frozen identifications shipped with the golden
+data).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from f2hopf.catalog import catalog
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, enumerate_invertible, solve_linear
+from f2hopf.catalog import catalog, isomorphisms
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, solve_linear
 from f2hopf.structure import (
     AlgebraSC,
     CoalgebraSC,
     HopfAlgebra,
-    apply_basis_change_algebra,
     dualize_coalgebra,
 )
 
@@ -109,20 +110,13 @@ def computed_identification(coalg: CoalgebraSC, target: AlgebraSC) -> Gf2Mat:
     of the coalgebra (on the dual basis) onto the target standard form.
 
     Row mu of the result expresses the dual basis element y_mu in the
-    target's standard basis.
+    target's standard basis.  The isomorphisms are the invertible solutions
+    of the homomorphism equations (``catalog.isomorphisms``).
     """
-    dual = dualize_coalgebra(coalg)
-    n = dual.n
-    for m in enumerate_invertible(n):
-        # The unit of the dual is eps; it must land on the target unit.
-        img_unit = 0
-        for i in bits_of(dual.eta):
-            img_unit ^= m.rows[i]
-        if img_unit != 1:
-            continue
-        if apply_basis_change_algebra(dual, m.inverse()).v == target.v:
-            return m
-    raise RuntimeError("dual algebra is not isomorphic to the target")
+    found = isomorphisms(dualize_coalgebra(coalg), target)
+    if not found:
+        raise RuntimeError("dual algebra is not isomorphic to the target")
+    return found[0]
 
 
 def transport_matrix(h: HopfAlgebra, identification: Gf2Mat) -> Gf2Mat:

@@ -1,24 +1,36 @@
-"""Kernel backend selection and the search order of the quadratic-XOR solver.
+"""The one solve path of the engine, and kernel backend selection.
+
+Every search in the engine (algebras, coproducts, R-matrices and their dual
+forms, representations, algebra isomorphisms) lists the solutions of a
+quadratic XOR system.  Each builder states its system with ``Equation`` and
+passes it, unreduced, to ``solve_quadratic``, which runs one path:
+
+1. Elimination.  ``eliminate`` row-reduces the product-free equations with
+   ``gf2.solve_linear`` and substitutes the result into the rest, leaving a
+   smaller system over the free variables.
+2. Search order.  Each backend's ``solve_quadratic`` is a depth-first
+   backtracker that assigns variables in index order and checks an equation
+   as soon as its highest variable is set.  Builders number their variables
+   lexicographically, which leaves most equations open until deep in that
+   tree, so ``solve_ordered`` renumbers the reduced system in
+   ``search_order`` before calling it.
+3. Back-substitution.  Every solution over the free variables is mapped back
+   to a full assignment, so callers see ascending masks in their own
+   numbering, exactly the solutions an index-order search of their system
+   would return.
 
 Backends.  The compiled extension f2hopf._kernels_c is imported when it is
 available, otherwise the pure-Python f2hopf._kernels.  Set F2HOPF_NO_EXT=1 to
 force the fallback (the benchmark and the agreement tests load both backends
 explicitly through ``backends()``).  ``transform_product`` and
 ``transform_coproduct`` are the selected backend's functions.
-
-Search order.  Each backend's ``solve_quadratic`` is a depth-first
-backtracker that assigns variables in index order and checks an equation as
-soon as its highest variable is set.  The engine numbers its variables
-lexicographically (structure constants by (mu, nu, rho)), which leaves most
-equations open until deep in the tree.  ``solve_quadratic`` here therefore
-renumbers the system in ``search_order`` before calling the backend, and maps
-the solutions back, so callers see the same ascending masks in their own
-numbering as an index-order search would return.
 """
 
 from __future__ import annotations
 
 import os
+
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, solve_linear
 
 if os.environ.get("F2HOPF_NO_EXT") == "1":
     from f2hopf import _kernels as _impl
@@ -31,6 +43,97 @@ else:
 BACKEND: str = _impl.BACKEND
 transform_product = _impl.transform_product
 transform_coproduct = _impl.transform_coproduct
+
+
+class Equation:
+    """One XOR equation under construction, in the kernel's (const, lin,
+    pairs) format: const ^ XOR(lin bits) ^ XOR(x_i x_j over pairs) == 0.
+
+    ``add_pair`` folds a square into the linear part (x_i x_i = x_i over F2)
+    and cancels a product added an even number of times.
+    """
+
+    __slots__ = ("const", "lin", "pairs")
+
+    def __init__(self, const: int = 0):
+        self.const = const
+        self.lin = 0
+        self.pairs: set[tuple[int, int]] = set()
+
+    def add_var(self, i: int) -> None:
+        self.lin ^= 1 << i
+
+    def add_pair(self, i: int, j: int) -> None:
+        if i == j:
+            self.lin ^= 1 << i
+            return
+        key = (i, j) if i < j else (j, i)
+        if key in self.pairs:
+            self.pairs.remove(key)
+        else:
+            self.pairs.add(key)
+
+    def emit(self) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        return self.const & 1, self.lin, tuple(sorted(self.pairs))
+
+
+def eliminate(nvars: int, equations):
+    """Solve the product-free equations and substitute into the rest.
+
+    Returns None when the system has no solution for a reason found here:
+    the product-free equations are inconsistent, or a substituted equation
+    reads 1 = 0.  Otherwise returns (nfree, reduced, particular, directions):
+    the free variables are the non-pivot columns of the row-reduced
+    product-free equations, ascending, renumbered 0..nfree-1; ``reduced`` is
+    the rest of the system over them (rewritten without duplicates or
+    equations that read 0 = 0 when there was something to substitute); and
+    an assignment t of the free variables stands for the full assignment
+    ``particular`` XOR the ``directions[k]`` with bit k of t set.
+    """
+    equations = list(equations)
+    linear = [(const, lin) for const, lin, pairs in equations if not pairs]
+    if not any(const or lin for const, lin in linear):
+        # Nothing to eliminate: every variable is free.
+        return nvars, [e for e in equations if e[2]], 0, [1 << v for v in range(nvars)]
+    rhs = sum((const & 1) << k for k, (const, _) in enumerate(linear))
+    sol = solve_linear(Gf2Mat(tuple(lin for _, lin in linear), nvars),
+                       Gf2Vec(len(linear), rhs))
+    if sol is None:
+        return None
+    particular = sol.particular.bits
+    directions = [d.bits for d in sol.nullspace]
+    # subst[v]: the free variables whose direction sets variable v.
+    subst = [0] * nvars
+    for k, d in enumerate(directions):
+        for v in _bits(d):
+            subst[v] |= 1 << k
+    reduced = []
+    seen = set()
+    for const, lin, pairs in equations:
+        if not pairs:
+            continue
+        eq = Equation(const ^ ((lin & particular).bit_count() & 1))
+        for v in _bits(lin):
+            eq.lin ^= subst[v]
+        for i, j in pairs:
+            ci = (particular >> i) & 1
+            cj = (particular >> j) & 1
+            eq.const ^= ci & cj
+            if ci:
+                eq.lin ^= subst[j]
+            if cj:
+                eq.lin ^= subst[i]
+            for fi in _bits(subst[i]):
+                for fj in _bits(subst[j]):
+                    eq.add_pair(fi, fj)
+        e = eq.emit()
+        if not e[1] and not e[2]:
+            if e[0]:
+                return None
+        elif e not in seen:
+            seen.add(e)
+            reduced.append(e)
+    return len(directions), reduced, particular, directions
 
 
 def search_order(nvars: int, equations) -> list[int]:
@@ -101,16 +204,35 @@ def _bits(mask: int):
 
 def solve_ordered(solve, nvars: int, equations) -> list[int]:
     """Run the index-order backtracker ``solve`` (a backend's
-    ``solve_quadratic``) on the system renumbered in ``search_order``.
+    ``solve_quadratic``) on the system renumbered in ``search_order``, with
+    no elimination.
 
     Returns the solution masks in the caller's numbering, ascending:
     exactly what ``solve(nvars, equations)`` returns.
     """
+    return _search(solve, nvars, equations, 0, [1 << v for v in range(nvars)])
+
+
+def solve_quadratic(nvars: int, equations) -> list[int]:
+    """All solutions of a quadratic XOR system, as ascending packed masks.
+
+    The equation format is documented in f2hopf._kernels.  The system is
+    reduced by ``eliminate`` and the selected backend's backtracker searches
+    the free variables in ``search_order``.
+    """
+    reduction = eliminate(nvars, equations)
+    if reduction is None:
+        return []
+    return _search(_impl.solve_quadratic, *reduction)
+
+
+def _search(solve, nfree: int, equations, particular: int, directions) -> list[int]:
+    """Search a system over nfree variables with ``solve`` in
+    ``search_order`` and map each solution t to ``particular`` XOR the
+    ``directions[k]`` with bit k of t set; ascending."""
     equations = list(equations)
-    order = search_order(nvars, equations)
-    if order == list(range(nvars)):
-        return solve(nvars, equations)
-    pos = [0] * nvars
+    order = search_order(nfree, equations)
+    pos = [0] * nfree
     for k, v in enumerate(order):
         pos[v] = k
     renumbered = []
@@ -124,26 +246,17 @@ def solve_ordered(solve, nvars: int, equations) -> list[int]:
             (pos[i], pos[j]) if pos[i] < pos[j] else (pos[j], pos[i]) for i, j in pairs
         )
         renumbered.append((const, new_lin, new_pairs))
-    back = [1 << v for v in order]
+    back = [directions[v] for v in order]
     out = []
-    for mask in solve(nvars, renumbered):
-        x = 0
+    for mask in solve(nfree, renumbered):
+        x = particular
         while mask:
             low = mask & -mask
-            x |= back[low.bit_length() - 1]
+            x ^= back[low.bit_length() - 1]
             mask ^= low
         out.append(x)
     out.sort()
     return out
-
-
-def solve_quadratic(nvars: int, equations) -> list[int]:
-    """All solutions of a quadratic XOR system, as ascending packed masks.
-
-    The equation format is documented in f2hopf._kernels.  The search runs
-    the selected backend's backtracker in ``search_order``.
-    """
-    return solve_ordered(_impl.solve_quadratic, nvars, equations)
 
 
 def backends() -> dict[str, object]:

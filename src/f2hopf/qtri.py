@@ -4,10 +4,11 @@ classification, the Yang-Baxter check, and the dual (coquasitriangular)
 picture.
 
 R lives in H (x) H as an n^2-bit vector.  The defining hexagon identities
-are quadratic XOR equations in the bits of R, the intertwiner condition and
-the counit conditions are linear, so the same backtracking kernel that finds
-coproducts enumerates all solutions; invertibility is decided afterwards by
-an explicit linear solve in H (x) H.
+are quadratic XOR equations in the bits of R, and the intertwiner and counit
+conditions are linear, so ``kernels.solve_quadratic``, the solve path that
+finds coproducts, enumerates all solutions: its elimination step removes the
+linear conditions and the backtracker searches what is left.  Invertibility
+is decided afterwards by an explicit linear solve in H (x) H.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from f2hopf import kernels
 from f2hopf.classify import ClassifiedDimension
 from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, solve_linear
+from f2hopf.kernels import Equation
 from f2hopf.structure import (
     Bialgebra,
     HopfAlgebra,
@@ -81,63 +83,43 @@ def _equations(b: Bialgebra):
     equations = []
     # Counit conditions: eps applied to either leg collapses R to 1.
     for nu in range(n):
-        lin = 0
-        for mu in range(n):
-            if (c.eps >> mu) & 1:
-                lin |= 1 << var(mu, nu)
-        equations.append((1 if nu == 0 else 0, lin, ()))
-        lin = 0
-        for mu in range(n):
-            if (c.eps >> mu) & 1:
-                lin |= 1 << var(nu, mu)
-        equations.append((1 if nu == 0 else 0, lin, ()))
+        left = Equation(1 if nu == 0 else 0)
+        right = Equation(1 if nu == 0 else 0)
+        for mu in bits_of(c.eps):
+            left.add_var(var(mu, nu))
+            right.add_var(var(nu, mu))
+        equations += [left.emit(), right.emit()]
     # Hexagon 1: (Delta (x) id) R = R13 R23.
     for al in range(n):
         for be in range(n):
             for rho in range(n):
-                lin = 0
-                pairs: dict[tuple[int, int], int] = {}
+                eq = Equation()
                 for mu in range(n):
                     if (c.cop(mu) >> (al * n + be)) & 1:
-                        lin ^= 1 << var(mu, rho)
+                        eq.add_var(var(mu, rho))
                 for m in range(n):
                     for v in range(n):
                         if (a.prod(m, v) >> rho) & 1:
-                            i, j = var(al, m), var(be, v)
-                            if i == j:
-                                lin ^= 1 << i
-                            else:
-                                key = (min(i, j), max(i, j))
-                                pairs[key] = pairs.get(key, 0) ^ 1
-                equations.append(
-                    (0, lin, tuple(sorted(k for k, o in pairs.items() if o)))
-                )
+                            eq.add_pair(var(al, m), var(be, v))
+                equations.append(eq.emit())
     # Hexagon 2: (id (x) Delta) R = R13 R12.
     for mu in range(n):
         for al in range(n):
             for be in range(n):
-                lin = 0
-                pairs = {}
+                eq = Equation()
                 for nu in range(n):
                     if (c.cop(nu) >> (al * n + be)) & 1:
-                        lin ^= 1 << var(mu, nu)
+                        eq.add_var(var(mu, nu))
                 for rho in range(n):
                     for nu in range(n):
                         if (a.prod(nu, rho) >> mu) & 1:
-                            i, j = var(rho, al), var(nu, be)
-                            if i == j:
-                                lin ^= 1 << i
-                            else:
-                                key = (min(i, j), max(i, j))
-                                pairs[key] = pairs.get(key, 0) ^ 1
-                equations.append(
-                    (0, lin, tuple(sorted(k for k, o in pairs.items() if o)))
-                )
+                            eq.add_pair(var(rho, al), var(nu, be))
+                equations.append(eq.emit())
     # Intertwiner: R Delta(h) = Delta^cop(h) R, linear in R.
     for rho in range(n):
         for sg in range(n):
             for ta in range(n):
-                lin = 0
+                eq = Equation()
                 for mu in range(n):
                     for nu in range(n):
                         coef = 0
@@ -150,9 +132,9 @@ def _equations(b: Bialgebra):
                                 (a.prod(al, nu) >> ta) & 1
                             )
                         if coef:
-                            lin ^= 1 << var(mu, nu)
-                if lin:
-                    equations.append((0, lin, ()))
+                            eq.add_var(var(mu, nu))
+                if eq.lin:
+                    equations.append(eq.emit())
     return equations
 
 
@@ -335,13 +317,6 @@ def _cqt_equations(b: Bialgebra):
     def var(mu, nu):
         return mu * n + nu
 
-    def add_pair(pairs, lin, i, j):
-        if i == j:
-            return lin ^ (1 << i)
-        key = (min(i, j), max(i, j))
-        pairs[key] = pairs.get(key, 0) ^ 1
-        return lin
-
     equations = []
     for mu in range(n):
         # R(x^mu (x) 1) = eps = R(1 (x) x^mu)
@@ -351,42 +326,36 @@ def _cqt_equations(b: Bialgebra):
         for be in range(n):
             for ga in range(n):
                 # R(fg (x) h) = R(f (x) h1) R(g (x) h2)
-                lin = 0
-                pairs: dict[tuple[int, int], int] = {}
+                eq = Equation()
                 for tau in bits_of(a.prod(al, be)):
-                    lin ^= 1 << var(tau, ga)
+                    eq.add_var(var(tau, ga))
                 for t in bits_of(c.cop(ga)):
                     rho, sg = divmod(t, n)
-                    lin = add_pair(pairs, lin, var(al, rho), var(be, sg))
-                equations.append(
-                    (0, lin, tuple(sorted(k for k, o in pairs.items() if o)))
-                )
+                    eq.add_pair(var(al, rho), var(be, sg))
+                equations.append(eq.emit())
                 # R(f (x) gh) = R(f1 (x) h) R(f2 (x) g)
-                lin = 0
-                pairs = {}
+                eq = Equation()
                 for tau in bits_of(a.prod(be, ga)):
-                    lin ^= 1 << var(al, tau)
+                    eq.add_var(var(al, tau))
                 for t in bits_of(c.cop(al)):
                     rho, sg = divmod(t, n)
-                    lin = add_pair(pairs, lin, var(rho, ga), var(sg, be))
-                equations.append(
-                    (0, lin, tuple(sorted(k for k, o in pairs.items() if o)))
-                )
+                    eq.add_pair(var(rho, ga), var(sg, be))
+                equations.append(eq.emit())
     # Quasi-commutativity: g1 h1 R(h2 (x) g2) = R(h1 (x) g1) h2 g2.
     for be in range(n):
         for ga in range(n):
             for tp in range(n):
-                lin = 0
+                eq = Equation()
                 for tb in bits_of(c.cop(be)):
                     b1, b2 = divmod(tb, n)
                     for tg in bits_of(c.cop(ga)):
                         g1, g2 = divmod(tg, n)
                         if (a.prod(b1, g1) >> tp) & 1:
-                            lin ^= 1 << var(g2, b2)
+                            eq.add_var(var(g2, b2))
                         if (a.prod(g2, b2) >> tp) & 1:
-                            lin ^= 1 << var(g1, b1)
-                if lin:
-                    equations.append((0, lin, ()))
+                            eq.add_var(var(g1, b1))
+                if eq.lin:
+                    equations.append(eq.emit())
     return equations
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from f2hopf import kernels
 from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows, solve_linear
+from f2hopf.kernels import Equation
 from f2hopf.structure import AlgebraSC, HopfAlgebra
 
 
@@ -68,22 +69,12 @@ def _rep_equations(a: AlgebraSC, k: int):
             pv = a.prod(mu, nu)
             for i in range(k):
                 for j in range(k):
-                    lin = 0
-                    pairs: dict[tuple[int, int], int] = {}
+                    eq = Equation((pv & 1) if i == j else 0)
                     for l in range(k):
-                        vi, vj = var(mu, i, l), var(nu, l, j)
-                        if vi == vj:
-                            lin ^= 1 << vi
-                        else:
-                            key = (min(vi, vj), max(vi, vj))
-                            pairs[key] = pairs.get(key, 0) ^ 1
-                    const = (pv & 1) if i == j else 0
-                    for rho in range(1, n):
-                        if (pv >> rho) & 1:
-                            lin ^= 1 << var(rho, i, j)
-                    equations.append(
-                        (const, lin, tuple(sorted(p for p, o in pairs.items() if o)))
-                    )
+                        eq.add_pair(var(mu, i, l), var(nu, l, j))
+                    for rho in bits_of(pv & ~1):
+                        eq.add_var(var(rho, i, j))
+                    equations.append(eq.emit())
     return equations
 
 

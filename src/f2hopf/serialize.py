@@ -76,11 +76,13 @@ def load_dataset(text: str, kind: str | None = None) -> tuple[str, Any]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetError("not a JSON object")
     for field in ("schema", "version", "checksum", "payload"):
         if field not in doc:
             raise DatasetError(f"missing field {field!r}")
     schema = doc["schema"]
-    if not schema.startswith(SCHEMA_PREFIX):
+    if not isinstance(schema, str) or not schema.startswith(SCHEMA_PREFIX):
         raise DatasetError(f"unknown schema {schema!r}")
     got_kind = schema[len(SCHEMA_PREFIX):]
     if kind is not None and got_kind != kind:

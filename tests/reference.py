@@ -2,12 +2,16 @@
 
 Everything here works on unpacked tensors (nested tuples of 0/1) with plain
 modular arithmetic, deliberately sharing no code with the packed evaluators.
-The exception is the pair of GL(k) searches at the end: they enumerate the
-whole group with gf2's packed matrices, as the engine did before it decided
-equivalence from the intertwiner space.
+The exceptions are at the end: the GL(n) searches enumerate the whole group
+with gf2's packed matrices, as the engine did before it read conjugations and
+algebra isomorphisms off linear and quadratic solves, and
+``brute_force_coproduct_set`` memoises the engine's exhaustive coproduct
+oracle, whose dimension-3 scan is the slowest check in the suite.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 
 def unpack_tensor(bits: int, n: int):
@@ -191,3 +195,38 @@ def naive_orbit_partition(reps):
         )
         classes.setdefault(orbit_min, []).append(i)
     return list(classes.values())
+
+
+def naive_identification(coalg, target):
+    """The first matrix m of gf2.enumerate_invertible(n) that is an algebra
+    isomorphism from the dual algebra of the coalgebra onto the target: it
+    sends the dual's unit to the target's unit and moves the dual onto the
+    target's structure constants.  Row mu is the image of the dual basis
+    element y_mu."""
+    from f2hopf.gf2 import enumerate_invertible
+    from f2hopf.structure import apply_basis_change_algebra, dualize_coalgebra
+
+    dual = dualize_coalgebra(coalg)
+    for m in enumerate_invertible(dual.n):
+        img_unit = 0
+        for i in range(dual.n):
+            if (dual.eta >> i) & 1:
+                img_unit ^= m.rows[i]
+        if img_unit != target.eta:
+            continue
+        if apply_basis_change_algebra(dual, m.inverse()).v == target.v:
+            return m
+    return None
+
+
+@cache
+def brute_force_coproduct_set(n: int, label: str) -> frozenset:
+    """(coproduct, counit) of every bialgebra on catalog algebra ``label`` of
+    dimension n, found by ``coproducts.brute_force_coproducts``; computed
+    once per test session."""
+    from f2hopf.catalog import catalog
+    from f2hopf.coproducts import brute_force_coproducts
+
+    return frozenset(
+        (c.c, c.eps) for c in brute_force_coproducts(catalog(n)[label].representative)
+    )

@@ -21,7 +21,7 @@ from f2hopf.classify import (
     hopf_census,
     pairing_ok,
 )
-from f2hopf.coproducts import brute_force_coproducts, solve_coproducts
+from f2hopf.coproducts import solve_coproducts
 from f2hopf.fourier import (
     adjoint_round_trip,
     canonical_round_trip,
@@ -355,6 +355,7 @@ def test_criterion_10_property_suites():
     )
     from f2hopf.qtri import coquasitriangular_direct
     from reference import (
+        brute_force_coproduct_set,
         naive_check_algebra,
         naive_check_coalgebra,
         unpack_tensor,
@@ -383,13 +384,11 @@ def test_criterion_10_property_suites():
     # solver vs brute force: every dimension-2 algebra and dimension-3 D
     for cls in catalog(2).classes:
         rs = solve_coproducts(cls.representative, cls.label)
-        brute = brute_force_coproducts(cls.representative)
-        ok &= {(c.c, c.eps) for c in brute} == {
+        ok &= brute_force_coproduct_set(2, cls.label) == {
             (s.coalg.c, s.coalg.eps) for s in rs.solutions
         }
     rs = solve_coproducts(catalog(3)["D"].representative, "D")
-    brute = brute_force_coproducts(catalog(3)["D"].representative)
-    ok &= {(c.c, c.eps) for c in brute} == {
+    ok &= brute_force_coproduct_set(3, "D") == {
         (s.coalg.c, s.coalg.eps) for s in rs.solutions
     }
     # dualize and opposite are involutions on the named structures

@@ -9,6 +9,7 @@ from f2hopf.catalog import (
     classify_algebras,
     enumerate_algebras,
     identify_algebra,
+    isomorphisms,
     quartic_algebra,
     standardize_unit,
     tensor_product_algebra,
@@ -73,6 +74,34 @@ def test_automorphism_group_closed():
             assert a.inverse().rows in group
             for b in mats:
                 assert (a * b).rows in group
+
+
+def test_isomorphisms_are_the_catalog_automorphisms():
+    # The homomorphism solve returns exactly the group the catalog's scan of
+    # the unit-fixing GL(n) finds, in the same (lexicographic) order.
+    for n in (2, 3, 4):
+        for cls in catalog(n).classes:
+            autos = isomorphisms(cls.representative, cls.representative)
+            assert [m.rows for m in autos] == [m.rows for m in cls.automorphisms], cls.label
+
+
+def test_isomorphisms_between_classes():
+    a = catalog(3)["G"].representative
+    assert isomorphisms(a, catalog(3)["C"].representative) == []
+    assert isomorphisms(a, catalog(4)["NC"].representative) == []
+    moved = apply_basis_change_algebra(a, enumerate_invertible(3)[100])
+    found = isomorphisms(a, moved)
+    assert len(found) == len(catalog(3)["G"].automorphisms)
+    for p in found:
+        # Row i of p is the image of e_i, so p is the basis change that
+        # moves the image algebra back onto a.
+        assert apply_basis_change_algebra(moved, p).v == a.v
+
+
+def test_catalog_rejects_unknown_dimension():
+    for n in (0, 5, 7):
+        with pytest.raises(ValueError):
+            catalog(n)
 
 
 def test_enumerate_counts():

@@ -94,6 +94,18 @@ def test_verify_schema_violation(tmp_path):
         load_dataset(bad.read_text())
 
 
+@pytest.mark.parametrize("text", [
+    '{"schema": 5, "version": "0", "checksum": "0", "payload": []}',
+    '"schema version checksum payload"',
+])
+def test_verify_schema_violation_without_traceback(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "schema error" in err
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "f2hopf.cli", "run", "--stage", "nonsense"],
@@ -311,3 +323,56 @@ def test_verify_rederives_reps(tmp_path, capsys, field):
         assert any("2: differs" in line for line in fails)
     else:
         assert len(fails) == 1 and f"{field}: differs" in fails[0]
+
+
+def _malformed(kind: str, case: str):
+    """A checksum-valid dataset of the given kind with one malformed part."""
+    from f2hopf import serialize
+    from f2hopf.catalog import catalog
+    from f2hopf.cli import _raw_payload
+    from f2hopf.coproducts import solve_coproducts
+
+    if kind == "algebras":
+        payload = [serialize.algebra_record(c.label, c.representative, c.relations_doc)
+                   for c in catalog(2).classes]
+        del payload[0]["product"]
+        return payload
+    if kind == "fourier":
+        from f2hopf.golden import HOPF_FIXTURES_DIM4
+
+        return [{"name": HOPF_FIXTURES_DIM4[0].name}]
+    payload = _raw_payload(solve_coproducts(catalog(2)["B"].representative, "B"))
+    if case == "dim-7":
+        payload[0]["dim"] = 7
+    elif case == "unknown-label":
+        payload[0]["algebra"] = "ZZ"
+    elif case == "non-hex-C":
+        payload[0]["C"] = "not hex"
+    else:
+        payload = {"records": payload}
+    return payload
+
+
+MALFORMED = {
+    ("raw", "dim-7"): "record 0: unreadable (ValueError: no catalog for dimension 7)",
+    ("raw", "unknown-label"): "record 0: unreadable (KeyError: 'ZZ')",
+    ("raw", "non-hex-C"): "record 0: unreadable (ValueError: invalid literal",
+    ("raw", "not-a-list"): "payload is not a list of records",
+    ("algebras", "no-product"): "record 0: unreadable (KeyError: 'product')",
+    ("fourier", "no-integral"): "record 0: unreadable (KeyError: 'I')",
+}
+
+
+@pytest.mark.parametrize("kind, case", list(MALFORMED))
+def test_verify_reports_malformed_records(tmp_path, kind, case):
+    target = tmp_path / f"{kind}.json"
+    target.write_text(dump_dataset(kind, _malformed(kind, case)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "f2hopf.cli", "verify", str(target)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # no traceback
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.startswith(f"{target}: FAIL ") for line in lines)
+    assert lines[0].startswith(f"{target}: FAIL {MALFORMED[kind, case]}")

@@ -1,6 +1,6 @@
 import pytest
 
-from f2hopf.catalog import BASIS_NAMES, catalog
+from f2hopf.catalog import BASIS_NAMES, catalog, isomorphisms
 from f2hopf.classify import classify_dimension
 from f2hopf.fourier import (
     IntegralError,
@@ -26,7 +26,7 @@ from f2hopf.golden import (
     dsl2_presentation,
     parse_element,
 )
-from f2hopf.structure import Bialgebra, HopfAlgebra, solve_antipode
+from f2hopf.structure import Bialgebra, HopfAlgebra, dualize_coalgebra, solve_antipode
 
 
 def small_hopf(kind):
@@ -202,3 +202,18 @@ def test_computed_identification_mode():
         target = catalog(4)[fx.coalgebra_type].representative
         ident = computed_identification(h.coalg, target)
         assert ident.rows == data.dual_identification.rows
+
+
+def test_computed_identification_matches_the_gl_scan():
+    # For every Hopf class of n = 2..4 the homomorphism solve finds the same
+    # isomorphism as the exhaustive GL(n) scan: the lexicographically first.
+    from reference import naive_identification
+
+    for n in (2, 3, 4):
+        dim = classify_dimension(n)
+        for cls in dim.hopf_classes():
+            coalg = cls.representative.coalg
+            target = dim.cat[cls.coalgebra_type].representative
+            want = naive_identification(coalg, target)
+            assert computed_identification(coalg, target).rows == want.rows
+            assert isomorphisms(dualize_coalgebra(coalg), target)[0].rows == want.rows

@@ -55,15 +55,6 @@ def test_solver_against_brute_force():
             assert impl.solve_quadratic(nvars, eqs) == expected
 
 
-def test_solver_limit():
-    eqs = []
-    for impl in IMPLS.values():
-        assert impl.solve_quadratic(4, eqs, limit=3) == sorted(
-            impl.solve_quadratic(4, eqs, limit=3)
-        )
-        assert len(impl.solve_quadratic(4, eqs, limit=3)) == 3
-
-
 def test_solver_contradiction():
     for impl in IMPLS.values():
         assert impl.solve_quadratic(3, [(1, 0, ())]) == []
@@ -97,6 +88,43 @@ def test_ordered_solver_against_brute_force_and_backends(system):
     for impl in IMPLS.values():
         assert impl.solve_quadratic(nvars, eqs) == expected
         assert kernels.solve_ordered(impl.solve_quadratic, nvars, eqs) == expected
+
+
+@st.composite
+def eliminable_systems(draw):
+    """Random systems in which about half of the equations are product-free
+    (one per quadratic equation, at most nvars // 2, plus the extras below),
+    so the elimination step of kernels.solve_quadratic has work to do.
+
+    The product-free part may be rank-deficient (an equation that is the sum
+    of two others) or inconsistent (the same sum with the constant flipped),
+    and it may fix every variable of a quadratic equation, which then reads
+    0 = 0 or 1 = 0 after substitution."""
+    nvars, eqs = draw(quadratic_systems())
+    quadratic = [e for e in eqs if e[2]]
+    linear = []
+    for _ in range(max(1, min(len(quadratic), nvars // 2))):
+        linear.append((draw(st.integers(0, 1)), draw(st.integers(0, (1 << nvars) - 1)), ()))
+    (c1, l1, _), (c2, l2, _) = draw(st.lists(st.sampled_from(linear), min_size=2, max_size=2))
+    extra = draw(st.sampled_from(["none", "dependent", "inconsistent"]))
+    if extra != "none":
+        linear.append((c1 ^ c2 ^ (extra == "inconsistent"), l1 ^ l2, ()))
+    if quadratic and draw(st.booleans()):
+        const, lin, pairs = draw(st.sampled_from(quadratic))
+        support = lin
+        for i, j in pairs:
+            support |= (1 << i) | (1 << j)
+        for v in range(nvars):
+            if (support >> v) & 1:
+                linear.append((draw(st.integers(0, 1)), 1 << v, ()))
+    return nvars, draw(st.permutations(quadratic + linear))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eliminable_systems())
+def test_eliminating_solver_against_brute_force(system):
+    nvars, eqs = system
+    assert kernels.solve_quadratic(nvars, eqs) == _brute(nvars, eqs)
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,10 @@ solve (algebra P), and a full R-matrix scan.
 
 Each suite times the systems the backtracker receives in the engine: the
 builders' systems after ``kernels.eliminate`` has removed the product-free
-equations (the elimination is timed separately).  Every available backend
-is timed twice per suite: its plain index-order backtracker, and the same
-backtracker run in the greedy search order of f2hopf.kernels (the order
-every engine search uses).  All runs must return identical solutions.
+equations (the elimination is timed separately).  The backtracker is timed
+twice per suite: in plain index order (``kernels.backtrack``), and in the
+greedy search order every engine search uses (``kernels.solve_ordered``).
+Both orders must return identical solutions.
 Times are the best of up to three runs, fewer when a run is slow.  The
 numbers, the core count and the Python version go to
 benchmarks/BENCH_kernel.json (or the path given with --out).
@@ -19,7 +19,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import platform
@@ -67,8 +66,6 @@ def main(argv=None):
     parser.add_argument("--out", default=str(Path(__file__).with_name("BENCH_kernel.json")))
     args = parser.parse_args(argv)
 
-    impls = kernels.backends()
-    print(f"available backends: {', '.join(impls)}; selected: {kernels.BACKEND}")
     suites = {
         "algebra enumeration n=4": workload_algebras(),
         "coproduct solve, algebra P": workload_coproducts(),
@@ -78,7 +75,6 @@ def main(argv=None):
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cores": os.cpu_count(),
-        "selected_backend": kernels.BACKEND,
         "suites": {},
     }
     for name, systems in suites.items():
@@ -93,20 +89,15 @@ def main(argv=None):
             kernels.search_order(nvars, eqs)
         order_s = time.perf_counter() - t0
         reference = None
-        times: dict[str, dict[str, float]] = {}
-        for backend, impl in impls.items():
-            solvers = {
-                "index": impl.solve_quadratic,
-                "greedy": functools.partial(kernels.solve_ordered, impl.solve_quadratic),
-            }
-            for order, solve in solvers.items():
-                elapsed, results = timed(solve, jobs)
-                if reference is None:
-                    reference = results
-                elif results != reference:
-                    raise SystemExit(f"{backend} ({order} order) disagrees on {name}")
-                times.setdefault(backend, {})[order] = round(elapsed, 6)
-                print(f"{name:32s} {backend:7s} {order:6s} {elapsed:10.6f}s", flush=True)
+        times: dict[str, float] = {}
+        for order, solve in {"index": kernels.backtrack, "greedy": kernels.solve_ordered}.items():
+            elapsed, results = timed(solve, jobs)
+            if reference is None:
+                reference = results
+            elif results != reference:
+                raise SystemExit(f"{order} order disagrees on {name}")
+            times[order] = round(elapsed, 6)
+            print(f"{name:32s} {order:6s} {elapsed:10.6f}s", flush=True)
         record["suites"][name] = {
             "systems": len(systems),
             "searched": len(jobs),

@@ -23,7 +23,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from f2hopf import __version__, kernels, serialize
+from f2hopf import __version__, serialize
 from f2hopf.catalog import RELATIONS, catalog
 from f2hopf.classify import (
     ClassifiedDimension,
@@ -33,7 +33,7 @@ from f2hopf.classify import (
     classify_raw,
 )
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
-from f2hopf.golden import CENSUS, HOPF_FIXTURES_DIM4
+from f2hopf.golden import CENSUS, HOPF_FIXTURES_DIM4, REP_COUNTS
 from f2hopf.serialize import (
     DatasetError,
     dump_dataset,
@@ -82,10 +82,10 @@ def _cache_dir(out_dir: Path) -> Path:
 @functools.cache
 def engine_fingerprint() -> str:
     """Short SHA-256 prefix over the source of every module that computes or
-    encodes raw solutions (the selected kernel backend included), so a cache
-    entry written by another engine is never read."""
-    names = ("f2hopf.gf2", kernels._impl.__name__, "f2hopf.kernels", "f2hopf.structure",
-             "f2hopf.catalog", "f2hopf.coproducts", "f2hopf.serialize")
+    encodes raw solutions, so a cache entry written by another engine is never
+    read."""
+    names = ("f2hopf.gf2", "f2hopf.kernels", "f2hopf.structure", "f2hopf.catalog",
+             "f2hopf.coproducts", "f2hopf.serialize")
     digest = hashlib.sha256()
     for path in [importlib.import_module(name).__file__ for name in names] + [__file__]:
         digest.update(Path(path).read_bytes())
@@ -356,6 +356,8 @@ def verify_dataset(path: Path) -> list[str]:
         problems.extend(_reps_problems(payload))
     elif kind in ("classes", "quiver"):
         problems.extend(_classification_problems(kind, payload))
+    elif kind == "summary":
+        problems.extend(_summary_problems(payload))
     else:
         # Schema-conformant but with no deeper re-check implemented.
         pass
@@ -441,6 +443,22 @@ def _reps_problems(payload) -> list[str]:
     for key, value in want.items():
         if payload.get(key) != value:
             problems.append(f"{key}: differs from the derived dataset")
+    return problems
+
+
+def _summary_problems(payload) -> list[str]:
+    """Check a summary's counts against the published census of its
+    dimension and its representation counts against golden.REP_COUNTS."""
+    if not isinstance(payload, dict):
+        return ["payload is not a mapping"]
+    n = payload.get("dim")
+    if type(n) is not int or n not in RELATIONS:
+        return [f"no catalog for dimension {n!r}"]
+    problems = []
+    if not _summary_matches_expected(payload, n):
+        problems.append(f"counts differ from the census of n={n}")
+    if "reps" in payload and payload["reps"] != {str(k): c for k, c in REP_COUNTS.items()}:
+        problems.append("reps: differs from the representation counts")
     return problems
 
 

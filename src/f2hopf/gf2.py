@@ -52,9 +52,6 @@ class Gf2Vec:
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
 
 def vec(coords) -> Gf2Vec:
     coords = list(coords)
@@ -126,15 +123,6 @@ class Gf2Mat:
             if parity(r & v.bits):
                 bits |= 1 << i
         return Gf2Vec(self.nrows, bits)
-
-    def vec_mul(self, v: Gf2Vec) -> Gf2Vec:
-        """Row vector times matrix: (vM)_j = sum_i v_i M[i][j]."""
-        if self.nrows != v.n:
-            raise ValueError("shape mismatch")
-        acc = 0
-        for i in bits_of(v.bits):
-            acc ^= self.rows[i]
-        return Gf2Vec(self.cols, acc)
 
     def transpose(self) -> "Gf2Mat":
         out = [0] * self.cols

@@ -1,48 +1,43 @@
-"""The one solve path of the engine, and kernel backend selection.
+"""The quadratic-XOR kernel: the one solve path of the engine, and the
+packed tensor basis changes.
 
 Every search in the engine (algebras, coproducts, R-matrices and their dual
 forms, representations, algebra isomorphisms) lists the solutions of a
-quadratic XOR system.  Each builder states its system with ``Equation`` and
-passes it, unreduced, to ``solve_quadratic``, which runs one path:
+quadratic XOR system.  An equation is a triple (const, lin, pairs):
+
+    const  in {0, 1}
+    lin    bitmask of variables appearing linearly
+    pairs  tuple of (i, j) with i < j, the quadratic monomials x_i * x_j
+
+and states  const ^ XOR(lin bits) ^ XOR(x_i & x_j) == 0.
+Over F2 squares are linear (x*x = x), so i == j never appears in pairs.
+
+Each builder states its system with ``Equation`` and passes it, unreduced,
+to ``solve_quadratic``, which runs one path:
 
 1. Elimination.  ``eliminate`` row-reduces the product-free equations with
    ``gf2.solve_linear`` and substitutes the result into the rest, leaving a
    smaller system over the free variables.
-2. Search order.  Each backend's ``solve_quadratic`` is a depth-first
-   backtracker that assigns variables in index order and checks an equation
-   as soon as its highest variable is set.  Builders number their variables
-   lexicographically, which leaves most equations open until deep in that
-   tree, so ``solve_ordered`` renumbers the reduced system in
-   ``search_order`` before calling it.
+2. Search order.  ``backtrack`` is a depth-first search that assigns
+   variables in index order and checks an equation as soon as its highest
+   variable is set.  Builders number their variables lexicographically,
+   which leaves most equations open until deep in that tree, so the reduced
+   system is renumbered in ``search_order`` before the search.
 3. Back-substitution.  Every solution over the free variables is mapped back
    to a full assignment, so callers see ascending masks in their own
    numbering, exactly the solutions an index-order search of their system
    would return.
 
-Backends.  The compiled extension f2hopf._kernels_c is imported when it is
-available, otherwise the pure-Python f2hopf._kernels.  Set F2HOPF_NO_EXT=1 to
-force the fallback (the benchmark and the agreement tests load both backends
-explicitly through ``backends()``).  ``transform_product`` and
-``transform_coproduct`` are the selected backend's functions.
+``transform_product`` and ``transform_coproduct`` change the basis of a
+packed structure tensor.
 """
 
 from __future__ import annotations
 
-import os
-
 from f2hopf.gf2 import Gf2Mat, Gf2Vec, solve_linear
 
-if os.environ.get("F2HOPF_NO_EXT") == "1":
-    from f2hopf import _kernels as _impl
-else:
-    try:
-        from f2hopf import _kernels_c as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from f2hopf import _kernels as _impl  # type: ignore[no-redef]
-
-BACKEND: str = _impl.BACKEND
-transform_product = _impl.transform_product
-transform_coproduct = _impl.transform_coproduct
+# The kernel implementation, as benchmark records name it.
+BACKEND = "python"
 
 
 class Equation:
@@ -202,32 +197,31 @@ def _bits(mask: int):
         mask ^= low
 
 
-def solve_ordered(solve, nvars: int, equations) -> list[int]:
-    """Run the index-order backtracker ``solve`` (a backend's
-    ``solve_quadratic``) on the system renumbered in ``search_order``, with
+def solve_ordered(nvars: int, equations) -> list[int]:
+    """Run ``backtrack`` on the system renumbered in ``search_order``, with
     no elimination.
 
     Returns the solution masks in the caller's numbering, ascending:
-    exactly what ``solve(nvars, equations)`` returns.
+    exactly what ``backtrack(nvars, equations)`` returns.
     """
-    return _search(solve, nvars, equations, 0, [1 << v for v in range(nvars)])
+    return _search(nvars, equations, 0, [1 << v for v in range(nvars)])
 
 
 def solve_quadratic(nvars: int, equations) -> list[int]:
     """All solutions of a quadratic XOR system, as ascending packed masks.
 
-    The equation format is documented in f2hopf._kernels.  The system is
-    reduced by ``eliminate`` and the selected backend's backtracker searches
-    the free variables in ``search_order``.
+    The equation format is documented in the module docstring.  The system
+    is reduced by ``eliminate`` and ``backtrack`` searches the free
+    variables in ``search_order``.
     """
     reduction = eliminate(nvars, equations)
     if reduction is None:
         return []
-    return _search(_impl.solve_quadratic, *reduction)
+    return _search(*reduction)
 
 
-def _search(solve, nfree: int, equations, particular: int, directions) -> list[int]:
-    """Search a system over nfree variables with ``solve`` in
+def _search(nfree: int, equations, particular: int, directions) -> list[int]:
+    """Search a system over nfree variables with ``backtrack`` in
     ``search_order`` and map each solution t to ``particular`` XOR the
     ``directions[k]`` with bit k of t set; ascending."""
     equations = list(equations)
@@ -248,7 +242,7 @@ def _search(solve, nfree: int, equations, particular: int, directions) -> list[i
         renumbered.append((const, new_lin, new_pairs))
     back = [directions[v] for v in order]
     out = []
-    for mask in solve(nfree, renumbered):
+    for mask in backtrack(nfree, renumbered):
         x = particular
         while mask:
             low = mask & -mask
@@ -259,15 +253,125 @@ def _search(solve, nfree: int, equations, particular: int, directions) -> list[i
     return out
 
 
-def backends() -> dict[str, object]:
-    """All importable kernel backends, keyed by name."""
-    from f2hopf import _kernels
+def backtrack(nvars: int, equations) -> list[int]:
+    """Enumerate all assignments satisfying every equation.
 
-    found: dict[str, object] = {"python": _kernels}
-    try:
-        from f2hopf import _kernels_c
+    Variables are assigned in index order 0..nvars-1, trying 0 before 1, and
+    each equation is checked as soon as its highest variable is assigned.
+    The returned packed assignment masks are sorted ascending.
+    """
+    if nvars > 63:
+        raise ValueError("kernel supports at most 63 variables")
+    by_last: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [
+        [] for _ in range(nvars)
+    ]
+    for const, lin, pairs in equations:
+        last = -1
+        if lin:
+            last = lin.bit_length() - 1
+        for i, j in pairs:
+            if j > last:
+                last = j
+        if last < 0:
+            if const:
+                return []
+            continue
+        by_last[last].append((const, lin, pairs))
 
-        found[_kernels_c.BACKEND] = _kernels_c
-    except ImportError:
-        pass
-    return found
+    solutions: list[int] = []
+
+    def descend(level: int, assign: int):
+        if level == nvars:
+            solutions.append(assign)
+            return
+        checks = by_last[level]
+        for bit in (0, 1 << level):
+            a = assign | bit
+            ok = True
+            for const, lin, pairs in checks:
+                v = const ^ ((a & lin).bit_count() & 1)
+                for i, j in pairs:
+                    v ^= (a >> i) & (a >> j) & 1
+                if v:
+                    ok = False
+                    break
+            if ok:
+                descend(level + 1, a)
+
+    descend(0, 0)
+    solutions.sort()
+    return solutions
+
+
+def transform_product(v: int, n: int, p: tuple[int, ...], pinv: tuple[int, ...]) -> int:
+    """Basis change of a product tensor, packed layout (mu, nu, rho) -> bit
+    mu*n*n + nu*n + rho.
+
+    New constants V'[a][b][c] = sum P[a][m] P[b][u] V[m][u][r] Pinv[r][c].
+    """
+    mask = (1 << n) - 1
+    out = 0
+    for a in range(n):
+        pa = p[a]
+        for b in range(n):
+            pb = p[b]
+            acc = 0
+            ra = pa
+            while ra:
+                low = ra & -ra
+                m = low.bit_length() - 1
+                ra ^= low
+                base = m * n * n
+                rb = pb
+                while rb:
+                    lo2 = rb & -rb
+                    u = lo2.bit_length() - 1
+                    rb ^= lo2
+                    acc ^= (v >> (base + u * n)) & mask
+            res = 0
+            while acc:
+                low = acc & -acc
+                r = low.bit_length() - 1
+                acc ^= low
+                res ^= pinv[r]
+            out |= res << ((a * n + b) * n)
+    return out
+
+
+def transform_coproduct(c: int, n: int, p: tuple[int, ...], pinv: tuple[int, ...]) -> int:
+    """Basis change of a coproduct tensor, same packed layout.
+
+    New constants C'[a][b][g] = sum P[a][m] C[m][u][r] Pinv[u][b] Pinv[r][g].
+    """
+    nn = n * n
+    mask2 = (1 << nn) - 1
+    out = 0
+    for a in range(n):
+        acc = 0
+        ra = p[a]
+        while ra:
+            low = ra & -ra
+            m = low.bit_length() - 1
+            ra ^= low
+            acc ^= (c >> (m * nn)) & mask2
+        res = 0
+        while acc:
+            low = acc & -acc
+            t = low.bit_length() - 1
+            acc ^= low
+            u, r = divmod(t, n)
+            pu = pinv[u]
+            pr = pinv[r]
+            ru = pu
+            while ru:
+                l2 = ru & -ru
+                bcol = l2.bit_length() - 1
+                ru ^= l2
+                rr = pr
+                while rr:
+                    l3 = rr & -rr
+                    gcol = l3.bit_length() - 1
+                    rr ^= l3
+                    res ^= 1 << (bcol * n + gcol)
+        out |= res << (a * nn)
+    return out

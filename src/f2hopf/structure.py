@@ -128,9 +128,6 @@ class TensorSquareElement:
     def unit(cls, n: int) -> "TensorSquareElement":
         return cls(n, 1)
 
-    def coeff(self, mu: int, nu: int) -> int:
-        return (self.bits >> (mu * self.n + nu)) & 1
-
     def matrix(self) -> Gf2Mat:
         n = self.n
         return Gf2Mat(

@@ -325,6 +325,28 @@ def test_verify_rederives_reps(tmp_path, capsys, field):
         assert len(fails) == 1 and f"{field}: differs" in fails[0]
 
 
+@pytest.mark.parametrize("dim, stage, field", [
+    (2, "all", "algebras"), (2, "all", "bialgebras"), (2, "all", "hopf"),
+    (2, "all", "qt_pairs"), (4, "reps", "reps"),
+])
+def test_verify_rederives_summary(tmp_path, capsys, dim, stage, field):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--dim", str(dim), "--stage", stage, "--out", str(out)]) == 0
+    target = out / f"summary_n{dim}.json"
+    assert run_cli(["verify", str(target)]) == 0
+    _, payload = load_dataset(target.read_text(), "summary")
+    if field == "reps":
+        payload["reps"]["3"] += 1
+    else:
+        payload[field] += 1
+    target.write_text(dump_dataset("summary", payload))
+    capsys.readouterr()
+    assert run_cli(["verify", str(target)]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    want = "reps: differs" if field == "reps" else f"counts differ from the census of n={dim}"
+    assert len(fails) == 1 and want in fails[0]
+
+
 def _malformed(kind: str, case: str):
     """A checksum-valid dataset of the given kind with one malformed part."""
     from f2hopf import serialize
@@ -341,6 +363,13 @@ def _malformed(kind: str, case: str):
         from f2hopf.golden import HOPF_FIXTURES_DIM4
 
         return [{"name": HOPF_FIXTURES_DIM4[0].name}]
+    if kind == "summary":
+        payload = {"dim": 4, "algebras": 25, "reps": {"1": 2, "2": 20, "3": 394}}
+        if case == "dim-list":
+            payload["dim"] = [4]
+        else:
+            payload["reps"] = "many"
+        return payload
     payload = _raw_payload(solve_coproducts(catalog(2)["B"].representative, "B"))
     if case == "dim-7":
         payload[0]["dim"] = 7
@@ -360,6 +389,8 @@ MALFORMED = {
     ("raw", "not-a-list"): "payload is not a list of records",
     ("algebras", "no-product"): "record 0: unreadable (KeyError: 'product')",
     ("fourier", "no-integral"): "record 0: unreadable (KeyError: 'I')",
+    ("summary", "dim-list"): "no catalog for dimension [4]",
+    ("summary", "reps-not-a-mapping"): "reps: differs",
 }
 
 

@@ -5,15 +5,23 @@ Relation tables give the nonzero products among the non-unit basis elements;
 a product listed once is taken in both orders unless the reversed product is
 listed explicitly (so commutative tables stay short).  Everything is checked
 against the axiom evaluators at load time.
+
+Nothing here scans GL(n).  Automorphism groups and isomorphisms are the
+solutions of the homomorphism equations (``isomorphisms``), orbit sizes
+follow from orbit-stabiliser, and an algebra is identified by
+``algebra_invariant``, a basis-free summary of its product table that is
+distinct for every catalog class and complete in dimensions <= 4 (the tests
+compare its classes with the unit-fixing orbits of every enumerated tensor).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, bits_of, enumerate_invertible, mat_inv_rows, rank_rows
+from f2hopf.gf2 import Gf2Mat, bits_of, gl_order, rank_rows
 from f2hopf.kernels import Equation
 from f2hopf.structure import AlgebraSC, check_algebra
 
@@ -131,12 +139,12 @@ def algebra_from_relations(
 @dataclass(frozen=True)
 class AlgebraClass:
     """One isomorphism class: its label, relation text, hand-entered
-    representative and the lexicographically smallest tensor in its orbit."""
+    representative, the size of its orbit under unit-fixing basis changes
+    and its automorphism group."""
 
     label: str
     n: int
     representative: AlgebraSC
-    canonical: int
     relations_doc: str
     orbit_size: int
     automorphisms: tuple[Gf2Mat, ...]
@@ -150,7 +158,7 @@ class AlgebraClass:
 class AlgebraCatalog:
     n: int
     classes: tuple[AlgebraClass, ...]
-    orbit_label: dict[int, str]  # standard-form tensor -> class label
+    invariant_label: dict[tuple, str]  # algebra_invariant -> class label
 
     def __getitem__(self, label: str) -> AlgebraClass:
         for cls in self.classes:
@@ -163,49 +171,64 @@ class AlgebraCatalog:
         return tuple(c.label for c in self.classes)
 
 
-def _unit_fixing(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    out = []
-    for m in enumerate_invertible(n, fix_unit=True):
-        pinv = mat_inv_rows(m.rows, n)
-        out.append((m.rows, pinv))
-    return out
+def algebra_invariant(a: AlgebraSC) -> tuple:
+    """Isomorphism invariant read off the product table of all 2^n elements.
+
+    For each element x it records (x^2 = 0, #{y : xy = 0}, #{y : xy = yx}),
+    the tuples sorted over x.  Nothing here refers to a basis, so any unit
+    position gives the same value.  It separates every catalog class of
+    dimension <= 4 and is complete there:
+    ``test_orbits_are_the_invariant_classes`` checks that it partitions the
+    full enumeration exactly into the unit-fixing orbits.  No component can
+    be dropped: without any one of them two catalog entries collide.
+    """
+    # Elements are bit vectors.  left[i][y] = e_i y is filled by doubling
+    # over the bits of y, then table[x][y] = x y by doubling over those of x.
+    left = []
+    for i in range(a.n):
+        row = [0]
+        for j in range(a.n):
+            pij = a.prod(i, j)
+            row += [r ^ pij for r in row]
+        left.append(row)
+    table = [[0] * (1 << a.n)]
+    for row_i in left:
+        table += [[p ^ q for p, q in zip(t, row_i)] for t in table]
+    return tuple(sorted((row[x] == 0, row.count(0), sum(map(operator.eq, row, col)))
+                        for x, (row, col) in enumerate(zip(table, zip(*table)))))
 
 
 @lru_cache(maxsize=None)
 def catalog(n: int) -> AlgebraCatalog:
-    """Build (and cache) the catalog for one dimension, expanding the full
-    isomorphism orbit of every entry under unit-fixing basis changes."""
+    """Build (and cache) the catalog for one dimension.
+
+    Each class's automorphisms are ``automorphism_group(rep)``, read off the
+    homomorphism equations by ``isomorphisms``.  Its orbit under the
+    unit-fixing basis changes, a group of order 2^(n-1) |GL(n-1)|, has size
+    group order / |Aut| (orbit-stabiliser).  Classes are told apart by
+    ``algebra_invariant``, which must differ for every pair of entries."""
     if n not in RELATIONS:
         raise ValueError(f"no catalog for dimension {n!r}")
-    group = _unit_fixing(n)
+    group_order = (1 << (n - 1)) * gl_order(n - 1)
     classes = []
-    orbit_label: dict[int, str] = {}
+    invariant_label: dict[tuple, str] = {}
     for label, rel in RELATIONS[n].items():
         alg = algebra_from_relations(n, rel)
-        orbit: set[int] = set()
-        autos = []
-        for p, pinv in group:
-            img = kernels.transform_product(alg.v, n, p, pinv)
-            orbit.add(img)
-            if img == alg.v:
-                autos.append(Gf2Mat(p, n))
-        for t in orbit:
-            prev = orbit_label.get(t)
-            if prev is not None and prev != label:
-                raise RuntimeError(f"catalog entries {prev} and {label} are isomorphic")
-            orbit_label[t] = label
+        autos = automorphism_group(alg)
+        prev = invariant_label.setdefault(algebra_invariant(alg), label)
+        if prev != label:
+            raise RuntimeError(f"catalog entries {prev} and {label} share an invariant")
         classes.append(
             AlgebraClass(
                 label=label,
                 n=n,
                 representative=alg,
-                canonical=min(orbit),
                 relations_doc=rel,
-                orbit_size=len(orbit),
+                orbit_size=group_order // len(autos),
                 automorphisms=tuple(autos),
             )
         )
-    return AlgebraCatalog(n, tuple(classes), orbit_label)
+    return AlgebraCatalog(n, tuple(classes), invariant_label)
 
 
 def isomorphisms(a: AlgebraSC, b: AlgebraSC) -> list[Gf2Mat]:
@@ -296,14 +319,21 @@ def standardize_unit(a: AlgebraSC) -> tuple[AlgebraSC, Gf2Mat]:
     return std, p
 
 
+@lru_cache(maxsize=None)
 def identify_algebra(a: AlgebraSC) -> str:
-    """Catalog label of the class the algebra belongs to."""
+    """Catalog label of the class the algebra belongs to, memoised per tensor.
+    The unit may sit anywhere: the invariant does not depend on the basis."""
     rep = check_algebra(a)
     if not rep:
         raise ValueError(f"not a unital associative algebra: {rep}")
-    std = a if a.is_standard else standardize_unit(a)[0]
+    return _catalog_label(a.n, a.v, a.eta)
+
+
+@lru_cache(maxsize=None)
+def _catalog_label(n: int, v: int, eta: int) -> str:
+    # Keyed by plain integers: a hit costs about as much as one dict lookup.
     try:
-        return catalog(a.n).orbit_label[std.v]
+        return catalog(n).invariant_label[algebra_invariant(AlgebraSC(n, v, eta))]
     except KeyError:
         raise RuntimeError("algebra not in catalog (catalog incomplete?)") from None
 
@@ -371,14 +401,8 @@ def enumerate_algebras(n: int) -> tuple[AlgebraSC, ...]:
 def classify_algebras(algebras) -> dict[str, list[AlgebraSC]]:
     """Partition enumerated standard-form algebras into catalog classes."""
     buckets: dict[str, list[AlgebraSC]] = {}
-    cat = None
     for a in algebras:
-        if cat is None:
-            cat = catalog(a.n)
-        label = cat.orbit_label.get(a.v)
-        if label is None:
-            raise RuntimeError("enumerated algebra missing from catalog orbits")
-        buckets.setdefault(label, []).append(a)
+        buckets.setdefault(_catalog_label(a.n, a.v, a.eta), []).append(a)
     return buckets
 
 

@@ -3,9 +3,7 @@ pairings.
 
 Two bialgebras on the same algebra are isomorphic exactly when an algebra
 automorphism transports one coproduct to the other, so classes are orbits of
-the automorphism group acting on the raw coproduct list.  A slower
-cross-check (all invertible coalgebra maps intersected with the algebra
-automorphisms) is kept for the small dimensions.
+the automorphism group acting on the raw coproduct list.
 """
 
 from __future__ import annotations
@@ -90,39 +88,6 @@ def classify_bialgebras(a: AlgebraSC, raw: RawSolutionSet) -> list[BialgebraClas
             )
         )
     return out
-
-
-def classify_bialgebras_pairwise(a: AlgebraSC, raw: RawSolutionSet) -> list[set[int]]:
-    """Cross-check partition: i ~ j when some invertible matrix is at once a
-    coalgebra map between the two coproducts and an algebra automorphism.
-    Exhaustive over the general linear group; use only for small dimensions."""
-    n = a.n
-    auto_pairs = []
-    for m in enumerate_invertible(n):
-        pinv = mat_inv_rows(m.rows, n)
-        if kernels.transform_product(a.v, n, m.rows, pinv) == a.v:
-            auto_pairs.append((m.rows, pinv))
-    index_of = {s.coalg.c: i for i, s in enumerate(raw.solutions)}
-    parent = list(range(len(raw.solutions)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, s in enumerate(raw.solutions):
-        for p, pinv in auto_pairs:
-            img = kernels.transform_coproduct(s.coalg.c, n, pinv, p)
-            j = index_of.get(img)
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, set[int]] = {}
-    for i in range(len(raw.solutions)):
-        groups.setdefault(find(i), set()).add(i)
-    return sorted(groups.values(), key=min)
 
 
 @dataclass(frozen=True)

@@ -329,6 +329,7 @@ def _summary_matches_expected(summary: dict, n: int) -> bool:
 def cmd_run(args) -> int:
     stages = set(args.stage)
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail before any solve
     status = 0
     for n in args.dim:
         summary = run_pipeline(
@@ -512,12 +513,22 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for n in args.dim:
         q = build_quiver(classify_dimension(n))
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"quiver_n{n}.dot").write_text(q.to_dot())
         print(f"wrote {out_dir / f'quiver_n{n}.dot'}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--algebra", default=None,
                        help="restrict the coproducts stage to one algebra label")
     run_p.add_argument("--mode", default="fixture", choices=("computed", "fixture"))
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--jobs", type=_positive_int, default=1)
     run_p.add_argument("--out", default="f2hopf-out")
     run_p.add_argument("--no-cache", action="store_true")
     run_p.set_defaults(func=cmd_run)
@@ -553,8 +564,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except OSError as exc:  # e.g. an --out or cache path that cannot be created
+        print(f"f2hopf {args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "run":
         if not args.stage:
             args.stage = ["all"]

@@ -19,7 +19,6 @@ from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
     CoalgebraSC,
-    check_bialgebra,
     dualize_coalgebra,
     solve_antipode,
 )
@@ -182,20 +181,3 @@ def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
             )
     found.sort(key=lambda s: s.coalg.c)
     return RawSolutionSet(label, a, tuple(found))
-
-
-def brute_force_coproducts(a: AlgebraSC) -> list[CoalgebraSC]:
-    """Independent completeness oracle: scan every (coproduct, counit)
-    candidate through the full bialgebra checker.  Only viable for tiny
-    search spaces (n = 2 fully, n = 3 after counit filtering)."""
-    n = a.n
-    nn = n * n
-    out = []
-    for eps_rest in range(1 << (n - 1)):
-        eps = 1 | (eps_rest << 1)
-        for free in range(1 << ((n - 1) * nn)):
-            c = 1 | (free << nn)
-            coalg = CoalgebraSC(n, c, eps)
-            if check_bialgebra(Bialgebra(a, coalg)):
-                out.append(coalg)
-    return out

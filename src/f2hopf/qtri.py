@@ -403,25 +403,3 @@ def coquasitriangular_direct(b: Bialgebra) -> list[int]:
         if _convolution_invertible(b, bits):
             out.append(bits)
     return out
-
-
-def coquasitriangular_via_dual(b: Bialgebra) -> list[int]:
-    """The same forms obtained by enumerating quasitriangular structures on
-    the standardized dual and transporting coefficients back."""
-    from f2hopf.catalog import standardize_unit
-    from f2hopf.structure import apply_basis_change, dual_bialgebra_raw
-
-    raw = dual_bialgebra_raw(b)
-    _, p = standardize_unit(raw.alg)
-    std = apply_basis_change(raw, p)
-    n = b.n
-    out = []
-    for s in enumerate_quasitriangular(std):
-        bits = 0
-        for t in bits_of(s.r.bits):
-            al, be = divmod(t, n)
-            for mu in bits_of(p.rows[al]):
-                for nu in bits_of(p.rows[be]):
-                    bits ^= 1 << (mu * n + nu)
-        out.append(bits)
-    return sorted(out)

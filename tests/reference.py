@@ -4,9 +4,12 @@ Everything here works on unpacked tensors (nested tuples of 0/1) with plain
 modular arithmetic, deliberately sharing no code with the packed evaluators.
 The exceptions are at the end: the GL(n) searches enumerate the whole group
 with gf2's packed matrices, as the engine did before it read conjugations and
-algebra isomorphisms off linear and quadratic solves, and
-``brute_force_coproduct_set`` memoises the engine's exhaustive coproduct
-oracle, whose dimension-3 scan is the slowest check in the suite.
+algebra isomorphisms off linear and quadratic solves;
+``brute_force_coproducts`` scans every coproduct candidate through the
+bialgebra checker, and ``brute_force_coproduct_set`` memoises it, since its
+dimension-3 scan is the slowest check in the suite;
+``classify_bialgebras_pairwise`` and ``coquasitriangular_via_dual`` reach
+the engine's bialgebra classes and coquasitriangular forms by other routes.
 """
 
 from __future__ import annotations
@@ -219,14 +222,93 @@ def naive_identification(coalg, target):
     return None
 
 
+def brute_force_coproducts(a: AlgebraSC) -> list[CoalgebraSC]:
+    """Independent completeness oracle: scan every (coproduct, counit)
+    candidate through the full bialgebra checker.  Only viable for tiny
+    search spaces (n = 2 fully, n = 3 after counit filtering)."""
+    from f2hopf.structure import Bialgebra, CoalgebraSC, check_bialgebra
+
+    n = a.n
+    nn = n * n
+    out = []
+    for eps_rest in range(1 << (n - 1)):
+        eps = 1 | (eps_rest << 1)
+        for free in range(1 << ((n - 1) * nn)):
+            c = 1 | (free << nn)
+            coalg = CoalgebraSC(n, c, eps)
+            if check_bialgebra(Bialgebra(a, coalg)):
+                out.append(coalg)
+    return out
+
+
 @cache
 def brute_force_coproduct_set(n: int, label: str) -> frozenset:
     """(coproduct, counit) of every bialgebra on catalog algebra ``label`` of
-    dimension n, found by ``coproducts.brute_force_coproducts``; computed
+    dimension n, found by ``brute_force_coproducts``; computed
     once per test session."""
     from f2hopf.catalog import catalog
-    from f2hopf.coproducts import brute_force_coproducts
 
     return frozenset(
         (c.c, c.eps) for c in brute_force_coproducts(catalog(n)[label].representative)
     )
+
+
+def classify_bialgebras_pairwise(a: AlgebraSC, raw: RawSolutionSet) -> list[set[int]]:
+    """Cross-check partition: i ~ j when some invertible matrix is at once a
+    coalgebra map between the two coproducts and an algebra automorphism.
+    Exhaustive over the general linear group; use only for small dimensions."""
+    from f2hopf import kernels
+    from f2hopf.gf2 import enumerate_invertible, mat_inv_rows
+
+    n = a.n
+    auto_pairs = []
+    for m in enumerate_invertible(n):
+        pinv = mat_inv_rows(m.rows, n)
+        if kernels.transform_product(a.v, n, m.rows, pinv) == a.v:
+            auto_pairs.append((m.rows, pinv))
+    index_of = {s.coalg.c: i for i, s in enumerate(raw.solutions)}
+    parent = list(range(len(raw.solutions)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, s in enumerate(raw.solutions):
+        for p, pinv in auto_pairs:
+            img = kernels.transform_coproduct(s.coalg.c, n, pinv, p)
+            j = index_of.get(img)
+            if j is not None:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups: dict[int, set[int]] = {}
+    for i in range(len(raw.solutions)):
+        groups.setdefault(find(i), set()).add(i)
+    return sorted(groups.values(), key=min)
+
+
+def coquasitriangular_via_dual(b: Bialgebra) -> list[int]:
+    """The forms ``qtri.coquasitriangular_direct`` finds, obtained instead by
+    enumerating quasitriangular structures on the standardized dual and
+    transporting coefficients back."""
+    from f2hopf.catalog import standardize_unit
+    from f2hopf.gf2 import bits_of
+    from f2hopf.qtri import enumerate_quasitriangular
+    from f2hopf.structure import apply_basis_change, dual_bialgebra_raw
+
+    raw = dual_bialgebra_raw(b)
+    _, p = standardize_unit(raw.alg)
+    std = apply_basis_change(raw, p)
+    n = b.n
+    out = []
+    for s in enumerate_quasitriangular(std):
+        bits = 0
+        for t in bits_of(s.r.bits):
+            al, be = divmod(t, n)
+            for mu in bits_of(p.rows[al]):
+                for nu in bits_of(p.rows[be]):
+                    bits ^= 1 << (mu * n + nu)
+        out.append(bits)
+    return sorted(out)

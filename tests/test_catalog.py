@@ -1,9 +1,13 @@
+import functools
 import random
 
 import pytest
 
+from f2hopf import kernels
 from f2hopf.catalog import (
+    RELATIONS,
     algebra_from_relations,
+    algebra_invariant,
     automorphism_group,
     catalog,
     classify_algebras,
@@ -14,7 +18,7 @@ from f2hopf.catalog import (
     standardize_unit,
     tensor_product_algebra,
 )
-from f2hopf.gf2 import enumerate_invertible
+from f2hopf.gf2 import enumerate_invertible, mat_inv_rows
 from f2hopf.golden import COPRODUCTS_DIM3
 from f2hopf.structure import apply_basis_change_algebra, check_algebra, dualize_coalgebra
 
@@ -44,15 +48,41 @@ def test_orbit_sizes_sum_to_enumeration():
     assert sum(c.orbit_size for c in catalog(2).classes) == 4
 
 
-def test_canonical_representative_is_orbit_minimum():
-    from f2hopf.structure import AlgebraSC
+@functools.cache
+def unit_fixing_scan(n: int, label: str) -> tuple[set[int], list[tuple[int, ...]]]:
+    """Oracle: the images of a class representative under every unit-fixing
+    basis change, and the changes that fix it (its stabiliser), in the order
+    of gf2.enumerate_invertible."""
+    v = catalog(n)[label].representative.v
+    images, stabiliser = set(), []
+    for m in enumerate_invertible(n, fix_unit=True):
+        img = kernels.transform_product(v, n, m.rows, mat_inv_rows(m.rows, n))
+        images.add(img)
+        if img == v:
+            stabiliser.append(m.rows)
+    return images, stabiliser
 
-    for n in (2, 3):
+
+def test_orbits_are_the_invariant_classes():
+    # Classification by invariant puts every enumerated tensor into the
+    # unit-fixing orbit of its class's representative, and nowhere else;
+    # the orbit-stabiliser size and the smallest member agree as well.
+    for n in (2, 3, 4):
         buckets = classify_algebras(enumerate_algebras(n))
-        for label, members in buckets.items():
-            cls = catalog(n)[label]
-            assert cls.canonical == min(a.v for a in members)
-            assert check_algebra(AlgebraSC(n, cls.canonical))
+        assert set(buckets) == set(catalog(n).labels)
+        for cls in catalog(n).classes:
+            orbit, _ = unit_fixing_scan(n, cls.label)
+            members = {a.v for a in buckets[cls.label]}
+            assert orbit == members, cls.label
+            assert len(orbit) == cls.orbit_size, cls.label
+            assert min(orbit) == min(members), cls.label
+
+
+def test_catalog_rejects_entries_sharing_an_invariant(monkeypatch):
+    # The same relation table under a second label must fail at load time.
+    monkeypatch.setitem(RELATIONS, 3, {**RELATIONS[3], "C2": "x*x=x"})
+    with pytest.raises(RuntimeError, match="C and C2 share an invariant"):
+        catalog.__wrapped__(3)
 
 
 def test_automorphism_group_orders():
@@ -77,12 +107,12 @@ def test_automorphism_group_closed():
 
 
 def test_isomorphisms_are_the_catalog_automorphisms():
-    # The homomorphism solve returns exactly the group the catalog's scan of
-    # the unit-fixing GL(n) finds, in the same (lexicographic) order.
+    # The catalog's automorphisms are exactly the stabiliser a scan of the
+    # unit-fixing GL(n) finds, in the same (lexicographic) order.
     for n in (2, 3, 4):
         for cls in catalog(n).classes:
-            autos = isomorphisms(cls.representative, cls.representative)
-            assert [m.rows for m in autos] == [m.rows for m in cls.automorphisms], cls.label
+            _, stabiliser = unit_fixing_scan(n, cls.label)
+            assert [m.rows for m in cls.automorphisms] == stabiliser, cls.label
 
 
 def test_isomorphisms_between_classes():
@@ -230,3 +260,34 @@ def test_bad_relations_rejected():
     with pytest.raises(ValueError):
         # x(xy) = x while (xx)y = y*y = 0: not associative
         algebra_from_relations(3, "x*x=y; x*y=1")
+
+
+def test_identify_non_standard_unit():
+    # A basis change whose first row is not the unit moves the unit off x^0.
+    # The invariant does not depend on the basis, so identification needs
+    # no standardisation.
+    for n, label in ((2, "C"), (3, "G"), (4, "NH"), (4, "P")):
+        a = catalog(n)[label].representative
+        p = next(m for m in enumerate_invertible(n) if m.rows[0] != 1)
+        moved = apply_basis_change_algebra(a, p)
+        assert moved.eta != 1
+        assert identify_algebra(moved) == label
+        assert algebra_invariant(moved) == algebra_invariant(a)
+
+
+def test_identify_rejects_invalid_tensors():
+    from f2hopf.structure import AlgebraSC
+
+    good = catalog(3)["D"].representative
+    bad = [
+        AlgebraSC(3, good.v ^ (1 << ((1 * 3 + 2) * 3))),  # x*y changed: not associative
+        AlgebraSC(3, good.v, eta=2),  # x is not a unit
+        AlgebraSC(2, 0),  # no unit at all
+    ]
+    for a in bad:
+        assert not check_algebra(a)
+        with pytest.raises(ValueError, match="not a unital associative algebra"):
+            identify_algebra(a)
+        # a failed identification is not memoised as a label
+        with pytest.raises(ValueError):
+            identify_algebra(a)

@@ -6,7 +6,6 @@ from f2hopf.catalog import BASIS_NAMES, catalog
 from f2hopf.classify import (
     bialgebra_type,
     build_quiver,
-    classify_bialgebras_pairwise,
     classify_dimension,
     classify_raw,
     dual_bialgebra,
@@ -28,6 +27,7 @@ from f2hopf.golden import (
     dsl2_presentation,
 )
 from f2hopf.structure import Bialgebra, check_bialgebra
+from reference import classify_bialgebras_pairwise
 
 
 def named3(name):

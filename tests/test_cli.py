@@ -114,6 +114,38 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("run", "--dim", "2", "--out", "{file}/x"), "Not a directory"),
+    (("run", "--dim", "2", "--algebra", "A", "--out", "{file}/x"), "Not a directory"),
+    (("export", "--dim", "4", "--out", "{file}/x"), "Not a directory"),
+    (("run", "--dim", "2", "--out", "{file}"), "File exists"),
+])
+def test_unwritable_out_exit_code(tmp_path, argv, error):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "f2hopf.cli", *(a.format(file=blocker) for a in argv)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and error in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, jobs):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "f2hopf.cli", "run", "--dim", "2", "--jobs", jobs,
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "argument --jobs" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_unknown_algebra_label_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["run", "--dim", "4", "--algebra", "ZZ", "--out", str(out)]) == 2

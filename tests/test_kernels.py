@@ -51,7 +51,7 @@ def test_solver_contradiction():
 
 
 @st.composite
-def quadratic_systems(draw):
+def quadratic_systems(draw, plant=True):
     """Random systems of up to 14 variables.  Quadratic terms are drawn on
     low indices as often as on high ones, so the greedy search order differs
     from index order; equations may be purely linear, purely quadratic or,
@@ -60,9 +60,17 @@ def quadratic_systems(draw):
     An equation drawn with neither a linear nor a quadratic term (0 = 0 or
     1 = 0) gets one linear variable in nine draws of ten.  Left as drawn,
     such equations put 1 = 0, which ends the search at once, into about two
-    systems in five.  The ``one-equals-zero`` edge case covers that."""
+    systems in five.  The ``one-equals-zero`` edge case covers that.
+
+    With ``plant``, four draws in five also pick a random assignment and set
+    every constant so that it holds, so those systems have a solution; the
+    rest keep their drawn constants and are unsolvable about as often as
+    not.  Returns (nvars, equations, planted assignment or None)."""
     nvars = draw(st.integers(1, 14))
     var = st.integers(0, nvars - 1)
+    planted = None
+    if plant and draw(st.integers(0, 4)):
+        planted = draw(st.integers(0, (1 << nvars) - 1))
     eqs = []
     for _ in range(draw(st.integers(0, 12))):
         const = draw(st.integers(0, 1))
@@ -73,18 +81,24 @@ def quadratic_systems(draw):
                 pairs.append((min(i, j), max(i, j)))
         if not lin and not pairs and draw(st.integers(0, 9)) < 9:
             lin = 1 << draw(var)
+        if planted is not None:
+            const = (planted & lin).bit_count() & 1
+            for i, j in pairs:
+                const ^= (planted >> i) & (planted >> j) & 1
         eqs.append((const, lin, tuple(pairs)))
-    return nvars, eqs
+    return nvars, eqs, planted
 
 
 @settings(max_examples=300, deadline=None)
 @given(quadratic_systems())
 def test_ordered_solver_against_brute_force(system):
-    nvars, eqs = system
+    nvars, eqs, planted = system
     expected = _brute(nvars, eqs)
     assert kernels.solve_quadratic(nvars, eqs) == expected
     assert kernels.backtrack(nvars, eqs) == expected
     assert kernels.solve_ordered(nvars, eqs) == expected
+    if planted is not None:
+        assert planted in expected
 
 
 @st.composite
@@ -97,7 +111,7 @@ def eliminable_systems(draw):
     of two others) or inconsistent (the same sum with the constant flipped),
     and it may fix every variable of a quadratic equation, which then reads
     0 = 0 or 1 = 0 after substitution."""
-    nvars, eqs = draw(quadratic_systems())
+    nvars, eqs, _ = draw(quadratic_systems(plant=False))
     quadratic = [e for e in eqs if e[2]]
     linear = []
     for _ in range(max(1, min(len(quadratic), nvars // 2))):

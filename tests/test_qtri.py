@@ -21,13 +21,13 @@ from f2hopf.qtri import (
     antipode_leg_transform,
     both_legs_antipode,
     coquasitriangular_direct,
-    coquasitriangular_via_dual,
     enumerate_quasitriangular,
     qt_by_class,
     qt_pairs,
     yang_baxter_ok,
 )
 from f2hopf.structure import Bialgebra
+from reference import coquasitriangular_via_dual
 
 
 def fixture(name):

@@ -406,28 +406,6 @@ def classify_algebras(algebras) -> dict[str, list[AlgebraSC]]:
     return buckets
 
 
-def tensor_product_algebra(a: AlgebraSC, b: AlgebraSC) -> AlgebraSC:
-    """Tensor product algebra on the product basis, then unit standardized.
-
-    Basis order pairs (i, j) -> i*b.n + j with x^i (x) y^j; the unit is
-    e0 (x) e0, already standard when both factors are standard.
-    """
-    n = a.n * b.n
-    v = 0
-    for i1 in range(a.n):
-        for j1 in range(b.n):
-            for i2 in range(a.n):
-                for j2 in range(b.n):
-                    pa = a.prod(i1, i2)
-                    pb = b.prod(j1, j2)
-                    row = i1 * b.n + j1
-                    col = i2 * b.n + j2
-                    for r1 in bits_of(pa):
-                        for r2 in bits_of(pb):
-                            v |= 1 << ((row * n + col) * n + (r1 * b.n + r2))
-    return AlgebraSC(n, v)
-
-
 def quartic_algebra(a: int, b: int, c: int, d: int) -> AlgebraSC:
     """F2[w] / (w^4 + a w^3 + b w^2 + c w + d) on basis 1, w, w^2, w^3."""
     n = 4

@@ -14,8 +14,14 @@ from functools import lru_cache
 from f2hopf import kernels
 from f2hopf.catalog import AlgebraCatalog, catalog, identify_algebra, isomorphisms
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
-from f2hopf.gf2 import Gf2Mat, bits_of, enumerate_invertible, mat_inv_rows, parity
-from f2hopf.structure import AlgebraSC, Bialgebra, dual_bialgebra_raw, opposite_coproduct
+from f2hopf.gf2 import Gf2Mat, bits_of, mat_inv_rows, parity
+from f2hopf.structure import (
+    AlgebraSC,
+    Bialgebra,
+    dual_bialgebra_raw,
+    dualize_coalgebra,
+    opposite_coproduct,
+)
 
 
 @dataclass(frozen=True)
@@ -277,23 +283,10 @@ def pairing_ok(b: Bialgebra, p: Gf2Mat) -> bool:
 def self_duality_pairing(b: Bialgebra) -> Gf2Mat | None:
     """Lexicographically smallest invertible bialgebra self-pairing, if any.
 
-    Candidates run over all invertible matrices whose first row and column
-    already match the counit (forced by the unit axioms of a pairing).
+    Row mu of a pairing is <x^mu, .> on the dual basis, so the pairing is in
+    particular a unit-preserving algebra isomorphism from H onto H* with the
+    convolution product; those come from ``isomorphisms`` in lexicographic
+    row order, and the first that passes ``pairing_ok`` is the answer.
     """
-    n = b.n
-    eps = b.coalg.eps
-    best = None
-    for m in enumerate_invertible(n):
-        if m.rows[0] != eps:
-            continue
-        col0 = 0
-        for i in range(n):
-            col0 |= (m.rows[i] & 1) << i
-        if col0 != eps:
-            continue
-        if pairing_ok(b, m):
-            key = m.rows
-            if best is None or key < best.rows:
-                best = m
-    return best
-
+    return next((p for p in isomorphisms(b.alg, dualize_coalgebra(b.coalg))
+                 if pairing_ok(b, p)), None)

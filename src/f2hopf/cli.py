@@ -43,7 +43,14 @@ from f2hopf.serialize import (
     tensor_from_hex,
     tensor_to_hex,
 )
-from f2hopf.structure import Bialgebra, CoalgebraSC, check_algebra, check_bialgebra, solve_antipode
+from f2hopf.structure import (
+    Bialgebra,
+    CoalgebraSC,
+    HopfAlgebra,
+    check_algebra,
+    check_bialgebra,
+    solve_antipode,
+)
 
 STAGES = ("algebras", "coproducts", "classify", "quiver", "fourier", "qtri", "reps", "all")
 
@@ -204,6 +211,47 @@ def quiver_payload(q: QuiverGraph) -> list[dict]:
     ]
 
 
+def _fourier_record(h, type_labels: list[str], dual_basis=None, name=None) -> dict:
+    """One fourier dataset record: the Fourier data of a Hopf algebra under
+    its (algebra, coalgebra type) labels, and the name of a golden fixture."""
+    from f2hopf.fourier import fourier_data
+
+    data = fourier_data(h, dual_basis)
+    rec = {
+        "type": type_labels,
+        "I": tensor_to_hex(data.integral.bits),
+        "F": mat_to_hex(data.f),
+        "F_sharp": mat_to_hex(data.f_sharp),
+        "identification": mat_to_hex(data.dual_identification),
+        "transport": mat_to_hex(data.transport),
+        "transport_order": data.transport.order(),
+    }
+    if name is not None:
+        rec["name"] = name
+    return rec
+
+
+def qt_payload(by_class) -> list[dict]:
+    """The qt dataset of a ``qtri.qt_by_class`` result: per Hopf class, every
+    R-matrix with its inverse, Killing form and class."""
+    return [
+        {
+            "type": [alg_label, typ],
+            "R": [
+                {
+                    "bits": tensor_to_hex(s.r.bits),
+                    "R_inv": tensor_to_hex(s.r_inv.bits),
+                    "Q": tensor_to_hex(s.q.bits),
+                    "klass": s.klass,
+                    "factorisable": s.factorisable,
+                }
+                for s in structures
+            ],
+        }
+        for (alg_label, typ), structures in sorted(by_class.items())
+    ]
+
+
 def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
                  use_cache: bool, mode: str) -> dict:
     """Execute the requested stages; returns the summary dictionary."""
@@ -239,69 +287,26 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
             (out_dir / f"quiver_n{n}.dot").write_text(q.to_dot())
 
         if stages & {"fourier", "all"}:
-            from f2hopf.fourier import fourier_data
-            from f2hopf.structure import HopfAlgebra
-
-            payload = []
             if n == 4 and mode == "fixture":
-                for fx in HOPF_FIXTURES_DIM4:
-                    h = fx.hopf()
-                    data = fourier_data(h, fx.dual_basis)
-                    payload.append(
-                        {
-                            "type": [fx.algebra_label, fx.coalgebra_type],
-                            "name": fx.name,
-                            "I": tensor_to_hex(data.integral.bits),
-                            "F": mat_to_hex(data.f),
-                            "F_sharp": mat_to_hex(data.f_sharp),
-                            "identification": mat_to_hex(data.dual_identification),
-                            "transport": mat_to_hex(data.transport),
-                            "transport_order": data.transport.order(),
-                        }
-                    )
+                payload = [_fourier_record(fx.hopf(), [fx.algebra_label, fx.coalgebra_type],
+                                           fx.dual_basis, name=fx.name)
+                           for fx in HOPF_FIXTURES_DIM4]
             else:
-                for cls in dim.hopf_classes():
-                    h = HopfAlgebra(
-                        Bialgebra(cat[cls.algebra_label].representative,
-                                  cls.representative.coalg),
-                        cls.representative.antipode,
-                    )
-                    data = fourier_data(h)
-                    payload.append(
-                        {
-                            "type": [cls.algebra_label, cls.coalgebra_type],
-                            "I": tensor_to_hex(data.integral.bits),
-                            "F": mat_to_hex(data.f),
-                            "F_sharp": mat_to_hex(data.f_sharp),
-                            "identification": mat_to_hex(data.dual_identification),
-                            "transport": mat_to_hex(data.transport),
-                            "transport_order": data.transport.order(),
-                        }
-                    )
+                payload = [
+                    _fourier_record(
+                        HopfAlgebra(Bialgebra(cat[cls.algebra_label].representative,
+                                              cls.representative.coalg),
+                                    cls.representative.antipode),
+                        [cls.algebra_label, cls.coalgebra_type])
+                    for cls in dim.hopf_classes()
+                ]
             _write(out_dir, f"fourier_n{n}.json", "fourier", payload)
 
         if stages & {"qtri", "all"}:
             from f2hopf.qtri import qt_by_class, qt_pairs
 
             by_class = qt_by_class(dim)
-            payload = []
-            for (alg_label, typ), structures in sorted(by_class.items()):
-                payload.append(
-                    {
-                        "type": [alg_label, typ],
-                        "R": [
-                            {
-                                "bits": tensor_to_hex(s.r.bits),
-                                "R_inv": tensor_to_hex(s.r_inv.bits),
-                                "Q": tensor_to_hex(s.q.bits),
-                                "klass": s.klass,
-                                "factorisable": s.factorisable,
-                            }
-                            for s in structures
-                        ],
-                    }
-                )
-            _write(out_dir, f"qt_n{n}.json", "qt", payload)
+            _write(out_dir, f"qt_n{n}.json", "qt", qt_payload(by_class))
             summary["qt_pairs"] = qt_pairs(by_class)
 
     if stages & {"reps", "all"} and n == 4:
@@ -355,7 +360,7 @@ def verify_dataset(path: Path) -> list[str]:
         problems.extend(_record_problems(payload, _fourier_record_problems))
     elif kind == "reps":
         problems.extend(_reps_problems(payload))
-    elif kind in ("classes", "quiver"):
+    elif kind in ("classes", "quiver", "qt"):
         problems.extend(_classification_problems(kind, payload))
     elif kind == "summary":
         problems.extend(_summary_problems(payload))
@@ -464,20 +469,26 @@ def _summary_problems(payload) -> list[str]:
 
 
 def _classification_problems(kind: str, payload) -> list[str]:
-    """Compare a classes or quiver dataset, record by record, with one derived
-    from a fresh solve (never from the cache).  The files do not record their
-    dimension; it is the smallest whose catalog names every algebra label in
-    the file, since each dimension's classification names an algebra that no
-    smaller dimension has."""
-    fields = ("algebra", "type") if kind == "classes" else ("source", "target")
+    """Compare a classes, quiver or qt dataset, record by record, with one
+    derived from a fresh solve (never from the cache).  The files do not
+    record their dimension; it is the smallest whose catalog names every
+    algebra label in the file, since each dimension's classification names an
+    algebra that no smaller dimension has."""
     if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
         return ["payload is not a list of records"]
-    labels = {str(rec.get(f)) for rec in payload for f in fields}
+    labels = {str(label) for rec in payload for label in _record_labels(kind, rec)}
     n = next((n for n in sorted(RELATIONS) if labels <= RELATIONS[n].keys()), None)
     if n is None:
         return ["algebra labels of no single dimension"]
     dim = classify_dimension(n)
-    want = classes_payload(dim) if kind == "classes" else quiver_payload(build_quiver(dim))
+    if kind == "classes":
+        want = classes_payload(dim)
+    elif kind == "quiver":
+        want = quiver_payload(build_quiver(dim))
+    else:
+        from f2hopf.qtri import qt_by_class
+
+        want = qt_payload(qt_by_class(dim))
     problems = []
     if len(payload) != len(want):
         problems.append(f"{len(payload)} records, the derived dataset of n={n} has {len(want)}")
@@ -486,6 +497,14 @@ def _classification_problems(kind: str, payload) -> list[str]:
             if got.get(key) != exp.get(key):
                 problems.append(f"{kind}[{i}] {key}: differs from the derived dataset of n={n}")
     return problems
+
+
+def _record_labels(kind: str, rec: dict) -> list:
+    """The algebra labels a classes, quiver or qt record names."""
+    if kind == "qt":
+        typ = rec.get("type")
+        return typ if isinstance(typ, list) else [typ]
+    return [rec.get(f) for f in (("algebra", "type") if kind == "classes" else ("source", "target"))]
 
 
 def cmd_verify(args) -> int:

@@ -21,6 +21,7 @@ from f2hopf.structure import (
     CoalgebraSC,
     dualize_coalgebra,
     solve_antipode,
+    tensor_product_algebra,
 )
 
 
@@ -88,28 +89,27 @@ def _coproduct_equations(a: AlgebraSC, eps: int) -> list[tuple[int, int, tuple]]
                         eq.add_pair(var(mu, alpha, rho), var(rho, beta, gamma))
                     equations.append(eq.emit())
 
-    # Compatibility: Delta(x^mu x^nu) = Delta(x^mu) Delta(x^nu), mu, nu >= 1.
+    # Compatibility: Delta(x^mu x^nu) = Delta(x^mu) Delta(x^nu), mu, nu >= 1,
+    # one equation per basis element t = lam*n + gamma of H (x) H.  The
+    # nonzero products e_p e_q in H (x) H are the same for every (mu, nu).
+    square = tensor_product_algebra(a, a)
+    products = [(divmod(p, n), divmod(q, n), tuple(bits_of(square.prod(p, q))))
+                for p in range(nn) for q in range(nn) if square.prod(p, q)]
     for mu in range(1, n):
         for nu in range(1, n):
             pv = a.prod(mu, nu)
-            for lam in range(n):
-                for gamma in range(n):
-                    # LHS sum_rho V[mu][nu][rho] C[rho][lam][gamma], where
-                    # row 0 is the constant Delta(1) = 1 (x) 1.
-                    eq = Equation(pv & 1 if lam == 0 and gamma == 0 else 0)
-                    for rho in bits_of(pv & ~1):
-                        eq.add_var(var(rho, lam, gamma))
-                    # RHS sum C[mu][a][b] C[nu][r][d] V[a][r][lam] V[b][d][gamma]
-                    for aa in range(n):
-                        for bb in range(n):
-                            for rr in range(n):
-                                if not (a.prod(aa, rr) >> lam) & 1:
-                                    continue
-                                for dd in range(n):
-                                    if not (a.prod(bb, dd) >> gamma) & 1:
-                                        continue
-                                    eq.add_pair(var(mu, aa, bb), var(nu, rr, dd))
-                    equations.append(eq.emit())
+            # LHS sum_rho V[mu][nu][rho] C[rho][t], where row 0 is the
+            # constant Delta(1) = 1 (x) 1.
+            eqs = [Equation(pv & 1 if t == 0 else 0) for t in range(nn)]
+            for t, eq in enumerate(eqs):
+                for rho in bits_of(pv & ~1):
+                    eq.add_var(var(rho, *divmod(t, n)))
+            # RHS sum_{p,q} C[mu][p] C[nu][q] (e_p e_q)[t].
+            for p, q, targets in products:
+                i, j = var(mu, *p), var(nu, *q)
+                for t in targets:
+                    eqs[t].add_pair(i, j)
+            equations += [eq.emit() for eq in eqs]
     return equations
 
 

@@ -7,8 +7,10 @@ R lives in H (x) H as an n^2-bit vector.  The defining hexagon identities
 are quadratic XOR equations in the bits of R, and the intertwiner and counit
 conditions are linear, so ``kernels.solve_quadratic``, the solve path that
 finds coproducts, enumerates all solutions: its elimination step removes the
-linear conditions and the backtracker searches what is left.  Invertibility
-is decided afterwards by an explicit linear solve in H (x) H.
+linear conditions and the backtracker searches what is left.  Every product,
+unit and inverse in H (x) H, H (x) H (x) H and (H (x) H)* is read from
+``structure.tensor_product_algebra``; invertibility is
+``structure.algebra_inverse`` there.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ from dataclasses import dataclass
 
 from f2hopf import kernels
 from f2hopf.classify import ClassifiedDimension
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, solve_linear
+from f2hopf.gf2 import bits_of
 from f2hopf.kernels import Equation
 from f2hopf.structure import (
     Bialgebra,
     HopfAlgebra,
     TensorSquareElement,
-    tensor_square_multiply,
-    unit_tensor_square,
+    algebra_inverse,
+    dualize_coalgebra,
+    opposite_coproduct,
+    tensor_product_algebra,
 )
 
 
@@ -51,24 +55,6 @@ class QuasiTriangularStructure:
     @property
     def triangular(self) -> bool:
         return self.klass in ("trivial", "triangular")
-
-
-def _mult_table(b: Bialgebra) -> list[int]:
-    """table[p * n^2 + q] = packed product of tensor-square basis elements."""
-    a = b.alg
-    n = b.n
-    nn = n * n
-    table = [0] * (nn * nn)
-    for p in range(nn):
-        n1, r1 = divmod(p, n)
-        for q in range(nn):
-            n2, r2 = divmod(q, n)
-            acc = 0
-            for al in bits_of(a.prod(n1, n2)):
-                for be in bits_of(a.prod(r1, r2)):
-                    acc ^= 1 << (al * n + be)
-            table[p * nn + q] = acc
-    return table
 
 
 def _equations(b: Bialgebra):
@@ -115,71 +101,22 @@ def _equations(b: Bialgebra):
                         if (a.prod(nu, rho) >> mu) & 1:
                             eq.add_pair(var(rho, al), var(nu, be))
                 equations.append(eq.emit())
-    # Intertwiner: R Delta(h) = Delta^cop(h) R, linear in R.
+    # Intertwiner: R Delta(h) = Delta^cop(h) R, linear in R.  Column
+    # var(mu, nu) of the block for h = x^rho is the coefficient vector of
+    # (x^mu (x) x^nu) Delta(h) + Delta^cop(h) (x^mu (x) x^nu).
+    square = tensor_product_algebra(a, a)
+    cop = opposite_coproduct(c)
     for rho in range(n):
-        for sg in range(n):
-            for ta in range(n):
-                eq = Equation()
-                for mu in range(n):
-                    for nu in range(n):
-                        coef = 0
-                        for t in bits_of(c.cop(rho)):
-                            al, be = divmod(t, n)
-                            coef ^= ((a.prod(mu, al) >> sg) & 1) & (
-                                (a.prod(nu, be) >> ta) & 1
-                            )
-                            coef ^= ((a.prod(be, mu) >> sg) & 1) & (
-                                (a.prod(al, nu) >> ta) & 1
-                            )
-                        if coef:
-                            eq.add_var(var(mu, nu))
-                if eq.lin:
-                    equations.append(eq.emit())
+        cols = [square.mul_vec(1 << v, c.cop(rho)) ^ square.mul_vec(cop.cop(rho), 1 << v)
+                for v in range(n * n)]
+        for t in range(n * n):
+            eq = Equation()
+            for v in range(n * n):
+                if (cols[v] >> t) & 1:
+                    eq.add_var(v)
+            if eq.lin:
+                equations.append(eq.emit())
     return equations
-
-
-def invert_tensor_square(b: Bialgebra, r_bits: int, table=None) -> int | None:
-    """Two-sided inverse of an element of H (x) H, or None."""
-    n = b.n
-    nn = n * n
-    if table is None:
-        table = _mult_table(b)
-    unit = unit_tensor_square(b.alg).bits
-    rows = []
-    rhs = 0
-    # For each target coefficient, one equation from R X = 1 and one from X R.
-    left = [0] * nn  # left[q] = packed product R . e_q
-    right = [0] * nn
-    for q in range(nn):
-        acc_l = 0
-        acc_r = 0
-        for p in bits_of(r_bits):
-            acc_l ^= table[p * nn + q]
-            acc_r ^= table[q * nn + p]
-        left[q] = acc_l
-        right[q] = acc_r
-    idx = 0
-    for target in range(nn):
-        row = 0
-        for q in range(nn):
-            if (left[q] >> target) & 1:
-                row |= 1 << q
-        rows.append(row)
-        if (unit >> target) & 1:
-            rhs |= 1 << idx
-        idx += 1
-        row = 0
-        for q in range(nn):
-            if (right[q] >> target) & 1:
-                row |= 1 << q
-        rows.append(row)
-        if (unit >> target) & 1:
-            rhs |= 1 << idx
-        idx += 1
-    sol = solve_linear(Gf2Mat(tuple(rows), nn), Gf2Vec(len(rows), rhs))
-    if sol is None:
-        return None
-    return sol.particular.bits
 
 
 def swap_legs(r: TensorSquareElement) -> TensorSquareElement:
@@ -192,7 +129,8 @@ def swap_legs(r: TensorSquareElement) -> TensorSquareElement:
 
 
 def killing_form(b: Bialgebra, r: TensorSquareElement) -> TensorSquareElement:
-    return tensor_square_multiply(swap_legs(r), r, b.alg)
+    square = tensor_product_algebra(b.alg, b.alg)
+    return TensorSquareElement(r.n, square.mul_vec(swap_legs(r).bits, r.bits))
 
 
 def classify_r(b: Bialgebra, r: TensorSquareElement, r_inv: TensorSquareElement):
@@ -200,7 +138,7 @@ def classify_r(b: Bialgebra, r: TensorSquareElement, r_inv: TensorSquareElement)
     strict otherwise) and whether it is factorisable: Q nondegenerate as a
     map H* -> H, i.e. its coefficient matrix invertible."""
     q = killing_form(b, r)
-    unit = unit_tensor_square(b.alg).bits
+    unit = tensor_product_algebra(b.alg, b.alg).eta
     if r.bits == unit:
         klass = "trivial"
     elif q.bits == unit:
@@ -214,10 +152,10 @@ def classify_r(b: Bialgebra, r: TensorSquareElement, r_inv: TensorSquareElement)
 def enumerate_quasitriangular(b: Bialgebra) -> list[QuasiTriangularStructure]:
     """All quasitriangular structures, ascending by R bit pattern."""
     n = b.n
-    table = _mult_table(b)
+    square = tensor_product_algebra(b.alg, b.alg)
     out = []
     for bits in kernels.solve_quadratic(n * n, _equations(b)):
-        inv = invert_tensor_square(b, bits, table)
+        inv = algebra_inverse(square, bits)
         if inv is None:
             continue
         r = TensorSquareElement(n, bits)
@@ -251,26 +189,12 @@ def both_legs_antipode(h: HopfAlgebra, r: TensorSquareElement) -> TensorSquareEl
 # --- Yang-Baxter in H (x) H (x) H ------------------------------------------------
 
 
-def _triple_multiply(alg, a_bits: int, b_bits: int) -> int:
-    n = alg.n
-    acc = 0
-    for p in bits_of(a_bits):
-        a1, rest = divmod(p, n * n)
-        b1, c1 = divmod(rest, n)
-        for q in bits_of(b_bits):
-            a2, rest2 = divmod(q, n * n)
-            b2, c2 = divmod(rest2, n)
-            for i in bits_of(alg.prod(a1, a2)):
-                for j in bits_of(alg.prod(b1, b2)):
-                    for k in bits_of(alg.prod(c1, c2)):
-                        acc ^= 1 << (i * n * n + j * n + k)
-    return acc
-
-
 def yang_baxter_ok(b: Bialgebra, r: TensorSquareElement) -> bool:
-    """R12 R13 R23 == R23 R13 R12 in the triple tensor power (standard form
-    assumed, so the unit is basis element 0)."""
+    """R12 R13 R23 == R23 R13 R12 in H (x) H (x) H, whose basis element
+    (i*n + j)*n + k is x^i (x) x^j (x) x^k (standard form assumed, so the
+    unit is basis element 0)."""
     n = b.n
+    cube = tensor_product_algebra(tensor_product_algebra(b.alg, b.alg), b.alg)
     r12 = 0
     r13 = 0
     r23 = 0
@@ -279,9 +203,8 @@ def yang_baxter_ok(b: Bialgebra, r: TensorSquareElement) -> bool:
         r12 |= 1 << (mu * n * n + nu * n)
         r13 |= 1 << (mu * n * n + nu)
         r23 |= 1 << (mu * n + nu)
-    lhs = _triple_multiply(b.alg, _triple_multiply(b.alg, r12, r13), r23)
-    rhs = _triple_multiply(b.alg, _triple_multiply(b.alg, r23, r13), r12)
-    return lhs == rhs
+    return (cube.mul_vec(cube.mul_vec(r12, r13), r23)
+            == cube.mul_vec(cube.mul_vec(r23, r13), r12))
 
 
 # --- census and the dual picture ---------------------------------------------
@@ -359,47 +282,13 @@ def _cqt_equations(b: Bialgebra):
     return equations
 
 
-def _convolution_invertible(b: Bialgebra, rf_bits: int) -> bool:
-    """Whether the bilinear form has a convolution inverse on H (x) H."""
-    c = b.coalg
-    n = b.n
-    nn = n * n
-    rows = []
-    rhs = 0
-    idx = 0
-    eps2 = 0
-    for al in range(n):
-        for be in range(n):
-            if ((c.eps >> al) & 1) and ((c.eps >> be) & 1):
-                eps2 |= 1 << (al * n + be)
-    for al in range(n):
-        for be in range(n):
-            row_l = 0
-            row_r = 0
-            for ta in bits_of(c.cop(al)):
-                a1, a2 = divmod(ta, n)
-                for tb in bits_of(c.cop(be)):
-                    b1, b2 = divmod(tb, n)
-                    if (rf_bits >> (a1 * n + b1)) & 1:
-                        row_l ^= 1 << (a2 * n + b2)
-                    if (rf_bits >> (a2 * n + b2)) & 1:
-                        row_r ^= 1 << (a1 * n + b1)
-            want = (eps2 >> (al * n + be)) & 1
-            rows.append(row_l)
-            rhs |= want << idx
-            idx += 1
-            rows.append(row_r)
-            rhs |= want << idx
-            idx += 1
-    return solve_linear(Gf2Mat(tuple(rows), nn), Gf2Vec(len(rows), rhs)) is not None
-
-
 def coquasitriangular_direct(b: Bialgebra) -> list[int]:
     """All coquasitriangular forms by direct evaluation of the axioms,
-    ascending as packed functionals Rf[mu][nu] at bit mu*n + nu."""
-    n = b.n
-    out = []
-    for bits in kernels.solve_quadratic(n * n, _cqt_equations(b)):
-        if _convolution_invertible(b, bits):
-            out.append(bits)
-    return out
+    ascending as packed functionals Rf[mu][nu] at bit mu*n + nu.
+
+    A form must be convolution-invertible on H (x) H; convolution on
+    (H (x) H)* is the product of H* (x) H*, on the dual basis."""
+    dual = dualize_coalgebra(b.coalg)
+    square = tensor_product_algebra(dual, dual)
+    return [bits for bits in kernels.solve_quadratic(b.n * b.n, _cqt_equations(b))
+            if algebra_inverse(square, bits) is not None]

@@ -11,7 +11,7 @@ whose bit nu*n + rho stands for x^nu (x) x^rho.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, mat_inv_rows, parity, solve_linear
 
@@ -124,10 +124,6 @@ class TensorSquareElement:
         if self.bits >> self.n**2:
             raise ValueError("bits outside n^2 range")
 
-    @classmethod
-    def unit(cls, n: int) -> "TensorSquareElement":
-        return cls(n, 1)
-
     def matrix(self) -> Gf2Mat:
         n = self.n
         return Gf2Mat(
@@ -221,34 +217,45 @@ def check_coalgebra(c: CoalgebraSC) -> AxiomReport:
     return _PASS
 
 
-def tensor_square_multiply(
-    a: TensorSquareElement, b: TensorSquareElement, alg: AlgebraSC
-) -> TensorSquareElement:
-    """Componentwise product on H (x) H induced by the algebra product."""
-    if not (a.n == b.n == alg.n):
-        raise ValueError("dimension mismatch")
-    n = alg.n
-    acc = 0
-    for p in bits_of(a.bits):
-        n1, r1 = divmod(p, n)
-        for q in bits_of(b.bits):
-            n2, r2 = divmod(q, n)
-            left = alg.prod(n1, n2)
-            right = alg.prod(r1, r2)
-            for al in bits_of(left):
-                for be in bits_of(right):
-                    acc ^= 1 << (al * n + be)
-    return TensorSquareElement(n, acc)
+@lru_cache(maxsize=None)
+def tensor_product_algebra(a: AlgebraSC, b: AlgebraSC) -> AlgebraSC:
+    """The tensor product algebra a (x) b on the product basis.
+
+    x^i (x) y^j is basis element i*b.n + j, so (x^i (x) y^j)(x^k (x) y^l)
+    = x^i x^k (x) y^j y^l, and the unit is eta_a (x) eta_b.  Memoised: the
+    square of an algebra serves every product, unit and inverse in H (x) H.
+    """
+    n = a.n * b.n
+    rows = []
+    for i1 in range(a.n):
+        for j1 in range(b.n):
+            # One basis row of products, assembled before shifting into place,
+            # so the n^3-bit tensor is not rebuilt once per product.
+            row = 0
+            for i2 in reversed(range(a.n)):
+                pa = a.prod(i1, i2)
+                for j2 in reversed(range(b.n)):
+                    pb = b.prod(j1, j2)
+                    row = (row << n) | sum(pb << (r * b.n) for r in bits_of(pa))
+            rows.append(row)
+    v = 0
+    for row in reversed(rows):
+        v = (v << (n * n)) | row
+    eta = sum(b.eta << (i * b.n) for i in bits_of(a.eta))
+    return AlgebraSC(n, v, eta)
 
 
-def unit_tensor_square(alg: AlgebraSC) -> TensorSquareElement:
-    """1 (x) 1 for the algebra's unit (eta (x) eta in coefficients)."""
+def algebra_inverse(alg: AlgebraSC, x: int) -> int | None:
+    """The two-sided inverse of a packed element, or None if it has none.
+
+    x y = 1 and y x = 1 form one linear system in the coefficients of y,
+    with at most one solution."""
     n = alg.n
-    bits = 0
-    for i in bits_of(alg.eta):
-        for j in bits_of(alg.eta):
-            bits ^= 1 << (i * n + j)
-    return TensorSquareElement(n, bits)
+    left = Gf2Mat(tuple(alg.mul_vec(x, 1 << q) for q in range(n)), n).transpose()
+    right = Gf2Mat(tuple(alg.mul_vec(1 << q, x) for q in range(n)), n).transpose()
+    sol = solve_linear(Gf2Mat(left.rows + right.rows, n),
+                       Gf2Vec(2 * n, alg.eta | alg.eta << n))
+    return None if sol is None else sol.particular.bits
 
 
 def check_bialgebra(b: Bialgebra) -> AxiomReport:
@@ -262,10 +269,11 @@ def check_bialgebra(b: Bialgebra) -> AxiomReport:
     # eps(1) = 1 and Delta(1) = 1 (x) 1.
     if parity(a.eta & c.eps) != 1:
         return AxiomReport(False, "counit-of-unit", ())
+    square = tensor_product_algebra(a, a)
     delta_unit = 0
     for mu in bits_of(a.eta):
         delta_unit ^= c.cop(mu)
-    if delta_unit != unit_tensor_square(a).bits:
+    if delta_unit != square.eta:
         return AxiomReport(False, "coproduct-of-unit", ())
     for mu in range(n):
         for nu in range(n):
@@ -278,12 +286,7 @@ def check_bialgebra(b: Bialgebra) -> AxiomReport:
             left = 0
             for rho in bits_of(a.prod(mu, nu)):
                 left ^= c.cop(rho)
-            right = tensor_square_multiply(
-                TensorSquareElement(n, c.cop(mu)),
-                TensorSquareElement(n, c.cop(nu)),
-                a,
-            ).bits
-            if left != right:
+            if left != square.mul_vec(c.cop(mu), c.cop(nu)):
                 return AxiomReport(False, "coproduct-multiplicative", (mu, nu))
     return _PASS
 

@@ -3,8 +3,9 @@
 Everything here works on unpacked tensors (nested tuples of 0/1) with plain
 modular arithmetic, deliberately sharing no code with the packed evaluators.
 The exceptions are at the end: the GL(n) searches enumerate the whole group
-with gf2's packed matrices, as the engine did before it read conjugations and
-algebra isomorphisms off linear and quadratic solves;
+with gf2's packed matrices, as the engine did before it read conjugations,
+algebra isomorphisms and self-duality pairings off linear and quadratic
+solves;
 ``brute_force_coproducts`` scans every coproduct candidate through the
 bialgebra checker, and ``brute_force_coproduct_set`` memoises it, since its
 dimension-3 scan is the slowest check in the suite;
@@ -220,6 +221,22 @@ def naive_identification(coalg, target):
         if apply_basis_change_algebra(dual, m.inverse()).v == target.v:
             return m
     return None
+
+
+def naive_self_duality_pairing(b):
+    """The lexicographically smallest invertible matrix of
+    gf2.enumerate_invertible(n) that passes classify.pairing_ok, or None;
+    only matrices whose first row and column are the counit are tried, as
+    the unit axioms of a pairing force for a standard-form bialgebra."""
+    from f2hopf.classify import pairing_ok
+    from f2hopf.gf2 import enumerate_invertible
+
+    eps = b.coalg.eps
+    found = [m for m in enumerate_invertible(b.n)
+             if m.rows[0] == eps
+             and sum((row & 1) << i for i, row in enumerate(m.rows)) == eps
+             and pairing_ok(b, m)]
+    return min(found, key=lambda m: m.rows, default=None)
 
 
 def brute_force_coproducts(a: AlgebraSC) -> list[CoalgebraSC]:

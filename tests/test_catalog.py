@@ -16,11 +16,15 @@ from f2hopf.catalog import (
     isomorphisms,
     quartic_algebra,
     standardize_unit,
-    tensor_product_algebra,
 )
 from f2hopf.gf2 import enumerate_invertible, mat_inv_rows
 from f2hopf.golden import COPRODUCTS_DIM3
-from f2hopf.structure import apply_basis_change_algebra, check_algebra, dualize_coalgebra
+from f2hopf.structure import (
+    apply_basis_change_algebra,
+    check_algebra,
+    dualize_coalgebra,
+    tensor_product_algebra,
+)
 
 
 def test_catalog_sizes():

@@ -27,7 +27,7 @@ from f2hopf.golden import (
     dsl2_presentation,
 )
 from f2hopf.structure import Bialgebra, check_bialgebra
-from reference import classify_bialgebras_pairwise
+from reference import classify_bialgebras_pairwise, naive_self_duality_pairing
 
 
 def named3(name):
@@ -336,6 +336,18 @@ def test_dim3_self_dual_classes():
     assert self_duality_pairing(Bialgebra(alg_c, named3("C.3").coalg)) is None
     alg_b = catalog(3)["B"].representative
     assert self_duality_pairing(Bialgebra(alg_b, named3("B.19").coalg)) is not None
+
+
+def test_pairing_search_matches_gl_scan():
+    cases = []
+    for n in (2, 3, 4):
+        dim = classify_dimension(n)
+        classes = dim.all_classes() if n < 4 else dim.hopf_classes()
+        cases += [Bialgebra(dim.cat[c.algebra_label].representative, c.representative.coalg)
+                  for c in classes]
+    found = [self_duality_pairing(bi) for bi in cases]
+    assert found == [naive_self_duality_pairing(bi) for bi in cases]
+    assert None in found and any(p is not None for p in found)
 
 
 def test_antipode_orders():

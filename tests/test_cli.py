@@ -329,6 +329,53 @@ def test_verify_rejects_malformed_classification(tmp_path, capsys, kind, payload
     assert capsys.readouterr().out == f"{target}: FAIL {problem}\n"
 
 
+@pytest.fixture(scope="module")
+def qt_n2(tmp_path_factory):
+    out = tmp_path_factory.mktemp("qt")
+    assert run_cli(["run", "--dim", "2", "--stage", "qtri", "--out", str(out)]) == 0
+    assert run_cli(["verify", str(out / "qt_n2.json")]) == 0
+    return out / "qt_n2.json"
+
+
+QT_EDITS = {
+    "bits": "qt[0] R: differs from the derived dataset of n=2",
+    "R_inv": "qt[0] R: differs",
+    "Q": "qt[0] R: differs",
+    "klass": "qt[0] R: differs",
+    "factorisable": "qt[0] R: differs",
+    "type": "qt[0] type: differs from the derived dataset of n=2",
+    "type-not-a-list": "algebra labels of no single dimension",
+}
+
+
+@pytest.mark.parametrize("field", list(QT_EDITS))
+def test_verify_rederives_qt(tmp_path, qt_n2, field):
+    _, payload = load_dataset(qt_n2.read_text(), "qt")
+    rec = payload[0]
+    r = rec["R"][1]  # the triangular R = 1.1 + x.x on (A, A)
+    if field in ("bits", "R_inv", "Q"):
+        r[field] = format(int(r[field], 16) ^ 2, "x")
+    elif field == "klass":
+        r["klass"] = "strict"
+    elif field == "factorisable":
+        r["factorisable"] = not r["factorisable"]
+    elif field == "type":
+        rec["type"] = ["A", "B"]
+    else:
+        rec["type"] = None
+    target = tmp_path / "qt_n2.json"
+    target.write_text(dump_dataset("qt", payload))
+    proc = subprocess.run(
+        [sys.executable, "-m", "f2hopf.cli", "verify", str(target)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # no traceback
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.startswith(f"{target}: FAIL ") for line in lines)
+    assert any(QT_EDITS[field] in line for line in lines)
+
+
 @pytest.mark.parametrize("field", ["counts", "image", "tensor_table", "duals"])
 def test_verify_rederives_reps(tmp_path, capsys, field):
     out = tmp_path / "out"

@@ -14,7 +14,7 @@ from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
     CoalgebraSC,
-    TensorSquareElement,
+    algebra_inverse,
     apply_basis_change,
     apply_basis_change_algebra,
     apply_basis_change_coalgebra,
@@ -27,13 +27,15 @@ from f2hopf.structure import (
     HopfAlgebra,
     opposite,
     solve_antipode,
-    tensor_square_multiply,
-    unit_tensor_square,
+    tensor_bit,
+    tensor_product_algebra,
 )
 from reference import (
     naive_check_algebra,
     naive_check_bialgebra,
     naive_check_coalgebra,
+    naive_tensor_square_product,
+    unpack_square,
     unpack_tensor,
     unpack_vec,
 )
@@ -215,15 +217,16 @@ def test_opposite_involution():
 
 def test_tensor_square_unit_neutral():
     a = catalog(2)["A"].representative
-    unit = unit_tensor_square(a)
-    x_x = TensorSquareElement(2, parse_tensor_terms("x.x", BASIS_NAMES[2]))
-    assert tensor_square_multiply(unit, x_x, a).bits == x_x.bits
+    square = tensor_product_algebra(a, a)
+    x_x = parse_tensor_terms("x.x", BASIS_NAMES[2])
+    assert square.mul_vec(square.eta, x_x) == x_x
 
 
 def test_tensor_square_grassmann_self_inverse():
     a = catalog(2)["A"].representative  # x^2 = 0
-    r = TensorSquareElement(2, parse_tensor_terms("1.1 x.x", BASIS_NAMES[2]))
-    assert tensor_square_multiply(r, r, a).bits == unit_tensor_square(a).bits
+    square = tensor_product_algebra(a, a)
+    r = parse_tensor_terms("1.1 x.x", BASIS_NAMES[2])
+    assert square.mul_vec(r, r) == square.eta
 
 
 def test_tensor_square_mixed_product():
@@ -231,20 +234,72 @@ def test_tensor_square_mixed_product():
     # (1.1 + y.x)(1.1 + x.y) = 1.1 + y.x + x.y + yx.xy = ... + z.z.
     a = catalog(4)["D"].representative
     names = BASIS_NAMES[4]
-    lhs = TensorSquareElement(4, parse_tensor_terms("1.1 y.x", names))
-    rhs = TensorSquareElement(4, parse_tensor_terms("1.1 x.y", names))
-    out = tensor_square_multiply(lhs, rhs, a)
-    assert out.bits == parse_tensor_terms("1.1 y.x x.y z.z", names)
+    lhs = parse_tensor_terms("1.1 y.x", names)
+    rhs = parse_tensor_terms("1.1 x.y", names)
+    out = tensor_product_algebra(a, a).mul_vec(lhs, rhs)
+    assert out == parse_tensor_terms("1.1 y.x x.y z.z", names)
 
 
 def test_tensor_square_associative():
     rng = random.Random(29)
     a = catalog(3)["B"].representative
+    square = tensor_product_algebra(a, a)
     for _ in range(50):
-        xs = [TensorSquareElement(3, rng.getrandbits(9)) for _ in range(3)]
-        left = tensor_square_multiply(tensor_square_multiply(xs[0], xs[1], a), xs[2], a)
-        right = tensor_square_multiply(xs[0], tensor_square_multiply(xs[1], xs[2], a), a)
-        assert left.bits == right.bits
+        xs = [rng.getrandbits(9) for _ in range(3)]
+        left = square.mul_vec(square.mul_vec(xs[0], xs[1]), xs[2])
+        right = square.mul_vec(xs[0], square.mul_vec(xs[1], xs[2]))
+        assert left == right
+
+
+def test_tensor_square_matches_naive_product():
+    # Every catalog algebra of dimension 2..4, and one moved by a basis
+    # change so that its unit is not basis element 0.
+    algebras = [c.representative for n in (2, 3, 4) for c in catalog(n).classes]
+    p = next(m for m in enumerate_invertible(3) if m.rows[0] != 1)
+    moved = apply_basis_change_algebra(catalog(3)["G"].representative, p)
+    assert moved.eta != 1
+    rng = random.Random(31)
+    for a in algebras + [moved]:
+        n = a.n
+        square = tensor_product_algebra(a, a)
+        assert check_algebra(square), a
+        unit = sum(a.eta << (i * n) for i in range(n) if (a.eta >> i) & 1)
+        assert square.eta == unit
+        v = unpack_tensor(a.v, n)
+        for _ in range(20):
+            x, y = rng.getrandbits(n * n), rng.getrandbits(n * n)
+            want = naive_tensor_square_product(v, unpack_square(x, n), unpack_square(y, n), n)
+            assert unpack_square(square.mul_vec(x, y), n) == want, (a, x, y)
+
+
+def _brute_force_inverse(alg, x):
+    found = [y for y in range(1 << alg.n)
+             if alg.mul_vec(x, y) == alg.eta == alg.mul_vec(y, x)]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def test_algebra_inverse_matches_brute_force():
+    algebras = [c.representative for n in (1, 2, 3, 4) for c in catalog(n).classes]
+    algebras += [tensor_product_algebra(c.representative, c.representative)
+                 for c in catalog(2).classes]
+    for a in algebras:
+        for x in range(1 << a.n):
+            assert algebra_inverse(a, x) == _brute_force_inverse(a, x), (a, x)
+
+
+def test_algebra_inverse_is_two_sided():
+    # In a finite-dimensional associative algebra a one-sided inverse is
+    # two-sided, so only a non-associative table tells the two systems
+    # apart: on basis 1, x, y let x y = 1 and every other product of x and y
+    # be 0, so x has a right inverse but no left one.
+    v = 1 << tensor_bit(3, 1, 2, 0)
+    for mu in range(3):
+        v |= 1 << tensor_bit(3, 0, mu, mu) | 1 << tensor_bit(3, mu, 0, mu)
+    magma = AlgebraSC(3, v)
+    assert magma.mul_vec(0b010, 0b100) == 1
+    assert algebra_inverse(magma, 0b010) is None
+    assert _brute_force_inverse(magma, 0b010) is None
 
 
 # --- basis change ----------------------------------------------------------------

@@ -4,8 +4,9 @@ the pipeline: the dimension-4 algebra enumeration, the heaviest coproduct
 solve (algebra P), and a full R-matrix scan.
 
 Each suite times the systems the backtracker receives in the engine: the
-builders' systems after ``kernels.eliminate`` has removed the product-free
-equations (the elimination is timed separately).  The backtracker is timed
+builders' systems, each given as (number of variables, equations), after
+``kernels.eliminate`` has removed the product-free equations (the
+elimination is timed separately).  The backtracker is timed
 twice per suite: in plain index order (``kernels.backtrack``), and in the
 greedy search order every engine search uses (``kernels.solve_ordered``).
 Both orders must return identical solutions.
@@ -32,18 +33,18 @@ from f2hopf.qtri import _equations as qt_equations
 
 
 def workload_algebras():
-    return [(36, _algebra_equations(4))]
+    return [_algebra_equations(4)]
 
 
 def workload_coproducts():
     a = catalog(4)["P"].representative
-    return [(48, _coproduct_equations(a, eps)) for eps in enumerate_counits(a)]
+    return [_coproduct_equations(a, eps) for eps in enumerate_counits(a)]
 
 
 def workload_qt():
     from f2hopf.golden import HOPF_FIXTURES_DIM4
 
-    return [(16, qt_equations(fx.bialgebra())) for fx in HOPF_FIXTURES_DIM4]
+    return [qt_equations(fx.bialgebra()) for fx in HOPF_FIXTURES_DIM4]
 
 
 def timed(solve, jobs, runs=3, budget_s=10.0):

@@ -23,7 +23,7 @@ from functools import lru_cache
 from f2hopf import kernels
 from f2hopf.gf2 import Gf2Mat, bits_of, gl_order, rank_rows
 from f2hopf.kernels import Equation
-from f2hopf.structure import AlgebraSC, check_algebra
+from f2hopf.structure import AlgebraSC, check_algebra, homomorphism_equations
 
 BASIS_NAMES = {1: ("1",), 2: ("1", "x"), 3: ("1", "x", "y"), 4: ("1", "x", "y", "z")}
 
@@ -236,38 +236,15 @@ def isomorphisms(a: AlgebraSC, b: AlgebraSC) -> list[Gf2Mat]:
     rows tuple (the order of gf2.enumerate_invertible).
 
     Row i of a matrix is the image of basis element i of a in the basis of
-    b.  The maps sending a's unit to b's unit with
-    phi(e_p) phi(e_q) = phi(e_p e_q) for all p, q are the solutions of a
-    quadratic XOR system in the n^2 entries; the invertible ones are kept.
-    Entry (i, j) is variable n*(n-1-i) + j, so row 0 takes the highest
-    bits and ascending masks are in lexicographic row order.
+    b.  The unital algebra maps are the solutions of
+    ``homomorphism_equations``; the invertible ones are kept.  Entry (i, j)
+    is variable n*(n-1-i) + j, so row 0 takes the highest bits and ascending
+    masks are in lexicographic row order.
     """
     n = a.n
     if b.n != n:
         return []
-
-    def var(i: int, j: int) -> int:
-        return n * (n - 1 - i) + j
-
-    equations = []
-    for j in range(n):
-        # Unit: sum over the unit's terms i of phi[i][j] = eta_b[j].
-        eq = Equation((b.eta >> j) & 1)
-        for i in bits_of(a.eta):
-            eq.add_var(var(i, j))
-        equations.append(eq.emit())
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                # sum_{j,k} phi[p][j] phi[q][k] V_b[j][k][r] = sum_s V_a[p][q][s] phi[s][r]
-                eq = Equation()
-                for s in bits_of(a.prod(p, q)):
-                    eq.add_var(var(s, r))
-                for j in range(n):
-                    for k in range(n):
-                        if (b.prod(j, k) >> r) & 1:
-                            eq.add_pair(var(p, j), var(q, k))
-                equations.append(eq.emit())
+    equations = homomorphism_equations(a, b, lambda i, j: n * (n - 1 - i) + j)
     row_mask = (1 << n) - 1
     out = []
     for mask in kernels.solve_quadratic(n * n, equations):
@@ -341,8 +318,9 @@ def _catalog_label(n: int, v: int, eta: int) -> str:
 # --- exhaustive enumeration ---------------------------------------------------
 
 
-def _algebra_equations(n: int):
-    """Associativity as a quadratic XOR system over the free product bits.
+def _algebra_equations(n: int) -> tuple[int, list[tuple]]:
+    """Associativity as a quadratic XOR system over the free product bits,
+    as (number of variables, equations).
 
     Variable layout: bit of V[mu][nu][rho] for mu, nu >= 1 at index
     ((mu-1)*(n-1) + (nu-1))*n + rho, i.e. products filled in lexicographic
@@ -369,7 +347,7 @@ def _algebra_equations(n: int):
                     for lam in range(1, n):
                         eq.add_pair(var(b, c, lam), var(a, lam, g))
                     equations.append(eq.emit())
-    return equations
+    return (n - 1) * (n - 1) * n, equations
 
 
 @lru_cache(maxsize=None)
@@ -380,8 +358,7 @@ def enumerate_algebras(n: int) -> tuple[AlgebraSC, ...]:
         raise ValueError("dimension out of range")
     if n == 1:
         return (AlgebraSC(1, 1),)
-    nvars = (n - 1) * (n - 1) * n
-    sols = kernels.solve_quadratic(nvars, _algebra_equations(n))
+    sols = kernels.solve_quadratic(*_algebra_equations(n))
     out = []
     for mask in sols:
         v = 0

@@ -211,6 +211,12 @@ def quiver_payload(q: QuiverGraph) -> list[dict]:
     ]
 
 
+def algebras_payload(n: int) -> list[dict]:
+    """The algebras dataset: every catalog class of dimension n."""
+    return [serialize.algebra_record(c.label, c.representative, c.relations_doc)
+            for c in catalog(n).classes]
+
+
 def _fourier_record(h, type_labels: list[str], dual_basis=None, name=None) -> dict:
     """One fourier dataset record: the Fourier data of a Hopf algebra under
     its (algebra, coalgebra type) labels, and the name of a golden fixture."""
@@ -229,6 +235,24 @@ def _fourier_record(h, type_labels: list[str], dual_basis=None, name=None) -> di
     if name is not None:
         rec["name"] = name
     return rec
+
+
+def fourier_payload(dim: ClassifiedDimension, mode: str) -> list[dict]:
+    """The fourier dataset: the Fourier data of every Hopf class, or in
+    fixture mode at n = 4 of every golden fixture under its frozen dual-basis
+    identification."""
+    if dim.n == 4 and mode == "fixture":
+        return [_fourier_record(fx.hopf(), [fx.algebra_label, fx.coalgebra_type],
+                                fx.dual_basis, name=fx.name)
+                for fx in HOPF_FIXTURES_DIM4]
+    return [
+        _fourier_record(
+            HopfAlgebra(Bialgebra(dim.cat[cls.algebra_label].representative,
+                                  cls.representative.coalg),
+                        cls.representative.antipode),
+            [cls.algebra_label, cls.coalgebra_type])
+        for cls in dim.hopf_classes()
+    ]
 
 
 def qt_payload(by_class) -> list[dict]:
@@ -259,11 +283,7 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
     summary: dict = {"dim": n}
 
     if stages & {"algebras", "all"}:
-        payload = [
-            serialize.algebra_record(c.label, c.representative, c.relations_doc)
-            for c in cat.classes
-        ]
-        _write(out_dir, f"algebras_n{n}.json", "algebras", payload)
+        _write(out_dir, f"algebras_n{n}.json", "algebras", algebras_payload(n))
     summary["algebras"] = len(cat.classes)
 
     need_raw = stages & {"coproducts", "classify", "quiver", "fourier", "qtri", "all"}
@@ -287,20 +307,7 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
             (out_dir / f"quiver_n{n}.dot").write_text(q.to_dot())
 
         if stages & {"fourier", "all"}:
-            if n == 4 and mode == "fixture":
-                payload = [_fourier_record(fx.hopf(), [fx.algebra_label, fx.coalgebra_type],
-                                           fx.dual_basis, name=fx.name)
-                           for fx in HOPF_FIXTURES_DIM4]
-            else:
-                payload = [
-                    _fourier_record(
-                        HopfAlgebra(Bialgebra(cat[cls.algebra_label].representative,
-                                              cls.representative.coalg),
-                                    cls.representative.antipode),
-                        [cls.algebra_label, cls.coalgebra_type])
-                    for cls in dim.hopf_classes()
-                ]
-            _write(out_dir, f"fourier_n{n}.json", "fourier", payload)
+            _write(out_dir, f"fourier_n{n}.json", "fourier", fourier_payload(dim, mode))
 
         if stages & {"qtri", "all"}:
             from f2hopf.qtri import qt_by_class, qt_pairs
@@ -349,33 +356,31 @@ def cmd_run(args) -> int:
 
 
 def verify_dataset(path: Path) -> list[str]:
-    """Re-validate one emitted dataset through the axiom evaluators."""
+    """Re-validate one emitted dataset against a fresh derivation.
+
+    The records of algebras, raw and fourier files are first checked on
+    their own (axioms, antipode, the identities of the Fourier data); when
+    they pass, every list dataset is compared with the one derived afresh.
+    """
     kind, payload = load_dataset(path.read_text())
-    problems: list[str] = []
-    if kind == "algebras":
-        problems.extend(_record_problems(payload, _algebra_record_problems))
-    elif kind == "raw":
-        problems.extend(_record_problems(payload, _raw_record_problems))
-    elif kind == "fourier":
-        problems.extend(_record_problems(payload, _fourier_record_problems))
-    elif kind == "reps":
-        problems.extend(_reps_problems(payload))
-    elif kind in ("classes", "quiver", "qt"):
-        problems.extend(_classification_problems(kind, payload))
-    elif kind == "summary":
-        problems.extend(_summary_problems(payload))
-    else:
-        # Schema-conformant but with no deeper re-check implemented.
-        pass
-    return problems
-
-
-def _record_problems(payload, check) -> list[str]:
-    """Run ``check(i, record)`` on every record of a list payload.  A record
-    that cannot be read (a missing field, a malformed value) is reported as
-    a problem like any other, never raised."""
+    if kind == "reps":
+        return _reps_problems(payload)
+    if kind == "summary":
+        return _summary_problems(payload)
+    if kind not in ("algebras", "raw", "fourier", "classes", "quiver", "qt"):
+        return []  # schema-conformant, with no deeper re-check implemented
     if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
         return ["payload is not a list of records"]
+    check = {"algebras": _algebra_record_problems, "raw": _raw_record_problems,
+             "fourier": _fourier_identity_problems}.get(kind)
+    problems = _record_problems(payload, check) if check else []
+    return problems or _derived_problems(kind, payload)
+
+
+def _record_problems(payload: list[dict], check) -> list[str]:
+    """Run ``check(i, record)`` on every record.  A record that cannot be
+    read (a missing field, a malformed value) is reported as a problem like
+    any other, never raised."""
     problems = []
     for i, rec in enumerate(payload):
         try:
@@ -408,21 +413,20 @@ def _raw_record_problems(i: int, rec: dict) -> list[str]:
     return []
 
 
-def _fourier_record_problems(i: int, rec: dict) -> list[str]:
-    """Re-derive a fixture record (one named after a golden fixture); other
-    records are not checked yet."""
-    from f2hopf.fourier import fourier_matrices
-
-    fx = next((fx for fx in HOPF_FIXTURES_DIM4 if fx.name == rec.get("name")), None)
-    if fx is None:
-        return []
-    integral, f, _ = fourier_matrices(fx.hopf())
-    problems = []
-    if tensor_to_hex(integral.bits) != rec["I"]:
-        problems.append(f"{fx.name}: integral mismatch")
-    if mat_to_hex(f) != rec["F"]:
-        problems.append(f"{fx.name}: Fourier matrix mismatch")
-    return problems
+def _fourier_identity_problems(i: int, rec: dict) -> list[str]:
+    """The identities that hold within one fourier record.  The unit is the
+    basis element x^0 and F[mu][nu] = I(x^nu x^mu), so row 0 of F is the
+    integral I and F# is F transposed; the transport is F times the
+    identification and has order transport_order."""
+    integral = tensor_from_hex(rec["I"])
+    n = len(rec["F"].split(","))
+    f, f_sharp, ident, transport = (mat_from_hex(rec[key], n) for key in
+                                    ("F", "F_sharp", "identification", "transport"))
+    if f.rows[0] != integral or f_sharp != f.transpose():
+        return [f"record {i}: F and F_sharp are not the pairings of I"]
+    if f * ident != transport or transport.order() != rec["transport_order"]:
+        return [f"record {i}: transport is not F * identification of its order"]
+    return []
 
 
 def _reps_problems(payload) -> list[str]:
@@ -468,27 +472,52 @@ def _summary_problems(payload) -> list[str]:
     return problems
 
 
-def _classification_problems(kind: str, payload) -> list[str]:
-    """Compare a classes, quiver or qt dataset, record by record, with one
-    derived from a fresh solve (never from the cache).  The files do not
-    record their dimension; it is the smallest whose catalog names every
-    algebra label in the file, since each dimension's classification names an
-    algebra that no smaller dimension has."""
-    if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
-        return ["payload is not a list of records"]
-    labels = {str(label) for rec in payload for label in _record_labels(kind, rec)}
-    n = next((n for n in sorted(RELATIONS) if labels <= RELATIONS[n].keys()), None)
-    if n is None:
-        return ["algebra labels of no single dimension"]
-    dim = classify_dimension(n)
-    if kind == "classes":
-        want = classes_payload(dim)
-    elif kind == "quiver":
-        want = quiver_payload(build_quiver(dim))
-    else:
-        from f2hopf.qtri import qt_by_class
+def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
+    """Compare a list dataset, record by record, with the one ``run`` writes
+    for the dimension its records name, derived from a fresh solve (never
+    from the cache).
 
-        want = qt_payload(qt_by_class(dim))
+    algebras and raw records carry their dimension, and raw records their
+    algebra: a raw file holds the solutions of one algebra, and an empty one
+    names none and is left unchecked.  classes, quiver, qt and fourier files
+    do not record their dimension; it is the smallest whose catalog names
+    every algebra label in the file, since each dimension's classification
+    names an algebra that no smaller dimension has.  Fourier records that
+    carry a fixture name belong to the fixture-mode file of n = 4.
+    """
+    # The records of algebras and raw files passed their own checks, so
+    # each names a catalog dimension and algebra.
+    if kind == "algebras":
+        dims = {rec["dim"] for rec in payload}
+        if len(dims) != 1:
+            return ["records of no single dimension"]
+        n = dims.pop()
+        want = algebras_payload(n)
+    elif kind == "raw":
+        names = {(rec["dim"], rec["algebra"]) for rec in payload}
+        if len(names) != 1:
+            return ["records of more than one algebra"] if names else []
+        n, label = names.pop()
+        want = _raw_payload(solve_coproducts(catalog(n)[label].representative, label))
+    elif kind == "fourier" and any("name" in rec for rec in payload):
+        n = 4
+        want = fourier_payload(classify_dimension(n), "fixture")
+    else:
+        labels = {str(label) for rec in payload for label in _record_labels(kind, rec)}
+        n = next((n for n in sorted(RELATIONS) if labels <= RELATIONS[n].keys()), None)
+        if n is None:
+            return ["algebra labels of no single dimension"]
+        dim = classify_dimension(n)
+        if kind == "classes":
+            want = classes_payload(dim)
+        elif kind == "quiver":
+            want = quiver_payload(build_quiver(dim))
+        elif kind == "fourier":
+            want = fourier_payload(dim, "computed")
+        else:
+            from f2hopf.qtri import qt_by_class
+
+            want = qt_payload(qt_by_class(dim))
     problems = []
     if len(payload) != len(want):
         problems.append(f"{len(payload)} records, the derived dataset of n={n} has {len(want)}")
@@ -500,8 +529,8 @@ def _classification_problems(kind: str, payload) -> list[str]:
 
 
 def _record_labels(kind: str, rec: dict) -> list:
-    """The algebra labels a classes, quiver or qt record names."""
-    if kind == "qt":
+    """The algebra labels a classes, quiver, qt or fourier record names."""
+    if kind in ("qt", "fourier"):
         typ = rec.get("type")
         return typ if isinstance(typ, list) else [typ]
     return [rec.get(f) for f in (("algebra", "type") if kind == "classes" else ("source", "target"))]

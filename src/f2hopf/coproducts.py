@@ -1,10 +1,11 @@
 """For a fixed algebra, every coalgebra structure making it a bialgebra.
 
-For each multiplicative counit, the counit identities, coassociativity and
-compatibility with the product are one quadratic XOR system in the free
-coproduct bits, solved by ``kernels.solve_quadratic``.  The counit
-identities are linear, so its elimination step removes them before the
-backtracker searches the remaining bits.
+The counits are the unital algebra maps H -> F2.  For each, the counit
+identities, coassociativity and compatibility (Delta an algebra map
+H -> H (x) H, stated by ``structure.homomorphism_equations``) are one
+quadratic XOR system in the bits of the coproduct tensor, solved by
+``kernels.solve_quadratic``.  Its elimination step removes the linear
+equations before the backtracker searches the remaining bits.
 """
 
 from __future__ import annotations
@@ -20,45 +21,37 @@ from f2hopf.structure import (
     Bialgebra,
     CoalgebraSC,
     dualize_coalgebra,
+    homomorphism_equations,
     solve_antipode,
     tensor_product_algebra,
 )
 
 
 def enumerate_counits(a: AlgebraSC) -> list[int]:
-    """All multiplicative counit vectors with eps(1) = 1, ascending."""
+    """All counit vectors, ascending: the unital algebra maps a -> F2."""
     if not a.is_standard:
         raise ValueError("expects standard form")
-    n = a.n
-    out = []
-    for rest in range(1 << (n - 1)):
-        eps = 1 | (rest << 1)
-        if all(
-            ((eps >> mu) & 1) & ((eps >> nu) & 1)
-            == (a.prod(mu, nu) & eps).bit_count() & 1
-            for mu in range(n)
-            for nu in range(n)
-        ):
-            out.append(eps)
-    return out
+    return kernels.solve_quadratic(
+        a.n, homomorphism_equations(a, AlgebraSC(1, 1), lambda i, j: i))
 
 
-def _coproduct_equations(a: AlgebraSC, eps: int) -> list[tuple[int, int, tuple]]:
-    """Bialgebra constraints as XOR equations over the free coproduct bits.
+def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
+    """Bialgebra constraints as XOR equations over the coproduct tensor, as
+    (number of variables, equations).
 
-    Variables are the bits of the coproduct rows for mu >= 1 (the row of the
-    unit is forced to 1 (x) 1), numbered (mu-1)*n^2 + nu*n + rho, so
-    variable v is bit n^2 + v of the packed coproduct tensor.
+    Variable mu*n^2 + nu*n + rho is bit C[mu][nu][rho] of the packed
+    coproduct tensor, so a solution mask is the tensor.  Delta(1) = 1 (x) 1
+    and compatibility say that Delta: a -> a (x) a is a unital algebra map.
     """
     n = a.n
     nn = n * n
 
     def var(mu: int, nu: int, rho: int) -> int:
-        return (mu - 1) * nn + nu * n + rho
+        return mu * nn + nu * n + rho
 
     equations = []
-
-    # Counit identities, linear in the coproduct.
+    # Counit identities, linear in the coproduct.  The row of the unit is
+    # pinned to 1 (x) 1, where they hold since eps(1) = 1.
     for mu in range(1, n):
         for rho in range(n):
             eq = Equation(1 if mu == rho else 0)
@@ -77,40 +70,16 @@ def _coproduct_equations(a: AlgebraSC, eps: int) -> list[tuple[int, int, tuple]]
             for beta in range(n):
                 for gamma in range(n):
                     eq = Equation()
-                    # sum_nu C[mu][nu][gamma] C[nu][alpha][beta]
-                    if alpha == 0 and beta == 0:
-                        eq.add_var(var(mu, 0, gamma))
-                    for nu in range(1, n):
+                    for nu in range(n):
+                        # C[mu][nu][gamma] C[nu][alpha][beta]
                         eq.add_pair(var(mu, nu, gamma), var(nu, alpha, beta))
-                    # sum_rho C[mu][alpha][rho] C[rho][beta][gamma]
-                    if beta == 0 and gamma == 0:
-                        eq.add_var(var(mu, alpha, 0))
-                    for rho in range(1, n):
-                        eq.add_pair(var(mu, alpha, rho), var(rho, beta, gamma))
+                        # C[mu][alpha][nu] C[nu][beta][gamma]
+                        eq.add_pair(var(mu, alpha, nu), var(nu, beta, gamma))
                     equations.append(eq.emit())
 
-    # Compatibility: Delta(x^mu x^nu) = Delta(x^mu) Delta(x^nu), mu, nu >= 1,
-    # one equation per basis element t = lam*n + gamma of H (x) H.  The
-    # nonzero products e_p e_q in H (x) H are the same for every (mu, nu).
-    square = tensor_product_algebra(a, a)
-    products = [(divmod(p, n), divmod(q, n), tuple(bits_of(square.prod(p, q))))
-                for p in range(nn) for q in range(nn) if square.prod(p, q)]
-    for mu in range(1, n):
-        for nu in range(1, n):
-            pv = a.prod(mu, nu)
-            # LHS sum_rho V[mu][nu][rho] C[rho][t], where row 0 is the
-            # constant Delta(1) = 1 (x) 1.
-            eqs = [Equation(pv & 1 if t == 0 else 0) for t in range(nn)]
-            for t, eq in enumerate(eqs):
-                for rho in bits_of(pv & ~1):
-                    eq.add_var(var(rho, *divmod(t, n)))
-            # RHS sum_{p,q} C[mu][p] C[nu][q] (e_p e_q)[t].
-            for p, q, targets in products:
-                i, j = var(mu, *p), var(nu, *q)
-                for t in targets:
-                    eqs[t].add_pair(i, j)
-            equations += [eq.emit() for eq in eqs]
-    return equations
+    equations += homomorphism_equations(a, tensor_product_algebra(a, a),
+                                        lambda mu, t: mu * nn + t)
+    return n * nn, equations
 
 
 @dataclass(frozen=True)
@@ -154,10 +123,7 @@ def coalgebra_type(c: CoalgebraSC) -> str:
 def solve_coproduct_tensors(a: AlgebraSC, eps: int) -> list[int]:
     """All coproduct tensors compatible with the algebra and counit,
     ascending as packed tensors."""
-    n = a.n
-    nn = n * n
-    masks = kernels.solve_quadratic((n - 1) * nn, _coproduct_equations(a, eps))
-    return [1 | (mask << nn) for mask in masks]  # Delta(1) = 1 (x) 1
+    return kernels.solve_quadratic(*_coproduct_equations(a, eps))
 
 
 def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:

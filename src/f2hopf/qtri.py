@@ -3,11 +3,12 @@ on each bialgebra, quantum Killing forms, triangular/factorisable
 classification, the Yang-Baxter check, and the dual (coquasitriangular)
 picture.
 
-R lives in H (x) H as an n^2-bit vector.  The defining hexagon identities
-are quadratic XOR equations in the bits of R, and the intertwiner and counit
-conditions are linear, so ``kernels.solve_quadratic``, the solve path that
-finds coproducts, enumerates all solutions: its elimination step removes the
-linear conditions and the backtracker searches what is left.  Every product,
+R lives in H (x) H as an n^2-bit vector.  The counit and hexagon
+identities say that its legs are algebra maps (``_equations``), quadratic
+XOR equations in the bits of R, and the intertwiner conditions are linear,
+so ``kernels.solve_quadratic``, the solve path that finds coproducts,
+enumerates all solutions: its elimination step removes the linear
+conditions and the backtracker searches what is left.  Every product,
 unit and inverse in H (x) H, H (x) H (x) H and (H (x) H)* is read from
 ``structure.tensor_product_algebra``; invertibility is
 ``structure.algebra_inverse`` there.
@@ -27,7 +28,9 @@ from f2hopf.structure import (
     TensorSquareElement,
     algebra_inverse,
     dualize_coalgebra,
+    homomorphism_equations,
     opposite_coproduct,
+    opposite_product,
     tensor_product_algebra,
 )
 
@@ -57,50 +60,22 @@ class QuasiTriangularStructure:
         return self.klass in ("trivial", "triangular")
 
 
-def _equations(b: Bialgebra):
-    """The hexagon, intertwiner and counit conditions as XOR equations over
-    the n^2 bits of R (variable mu*n + nu for the x^mu (x) x^nu term)."""
+def _equations(b: Bialgebra) -> tuple[int, list[tuple]]:
+    """The counit, hexagon and intertwiner conditions as (number of
+    variables, equations) over the n^2 bits of R, variable mu*n + nu for the
+    x^mu (x) x^nu term.  With D = H* on the dual basis, the counit conditions
+    and hexagons say that f |-> (f (x) id) R is an algebra map D -> H
+    ((Delta (x) id) R = R13 R23) and g |-> (id (x) g) R an anti-algebra map
+    ((id (x) Delta) R = R13 R12)."""
     a, c = b.alg, b.coalg
     n = b.n
 
     def var(mu, nu):
         return mu * n + nu
 
-    equations = []
-    # Counit conditions: eps applied to either leg collapses R to 1.
-    for nu in range(n):
-        left = Equation(1 if nu == 0 else 0)
-        right = Equation(1 if nu == 0 else 0)
-        for mu in bits_of(c.eps):
-            left.add_var(var(mu, nu))
-            right.add_var(var(nu, mu))
-        equations += [left.emit(), right.emit()]
-    # Hexagon 1: (Delta (x) id) R = R13 R23.
-    for al in range(n):
-        for be in range(n):
-            for rho in range(n):
-                eq = Equation()
-                for mu in range(n):
-                    if (c.cop(mu) >> (al * n + be)) & 1:
-                        eq.add_var(var(mu, rho))
-                for m in range(n):
-                    for v in range(n):
-                        if (a.prod(m, v) >> rho) & 1:
-                            eq.add_pair(var(al, m), var(be, v))
-                equations.append(eq.emit())
-    # Hexagon 2: (id (x) Delta) R = R13 R12.
-    for mu in range(n):
-        for al in range(n):
-            for be in range(n):
-                eq = Equation()
-                for nu in range(n):
-                    if (c.cop(nu) >> (al * n + be)) & 1:
-                        eq.add_var(var(mu, nu))
-                for rho in range(n):
-                    for nu in range(n):
-                        if (a.prod(nu, rho) >> mu) & 1:
-                            eq.add_pair(var(rho, al), var(nu, be))
-                equations.append(eq.emit())
+    dual = dualize_coalgebra(c)
+    equations = homomorphism_equations(dual, a, var)
+    equations += homomorphism_equations(dual, opposite_product(a), lambda i, j: var(j, i))
     # Intertwiner: R Delta(h) = Delta^cop(h) R, linear in R.  Column
     # var(mu, nu) of the block for h = x^rho is the coefficient vector of
     # (x^mu (x) x^nu) Delta(h) + Delta^cop(h) (x^mu (x) x^nu).
@@ -110,13 +85,10 @@ def _equations(b: Bialgebra):
         cols = [square.mul_vec(1 << v, c.cop(rho)) ^ square.mul_vec(cop.cop(rho), 1 << v)
                 for v in range(n * n)]
         for t in range(n * n):
-            eq = Equation()
-            for v in range(n * n):
-                if (cols[v] >> t) & 1:
-                    eq.add_var(v)
-            if eq.lin:
-                equations.append(eq.emit())
-    return equations
+            lin = sum(((col >> t) & 1) << v for v, col in enumerate(cols))
+            if lin:
+                equations.append((0, lin, ()))
+    return n * n, equations
 
 
 def swap_legs(r: TensorSquareElement) -> TensorSquareElement:
@@ -154,7 +126,7 @@ def enumerate_quasitriangular(b: Bialgebra) -> list[QuasiTriangularStructure]:
     n = b.n
     square = tensor_product_algebra(b.alg, b.alg)
     out = []
-    for bits in kernels.solve_quadratic(n * n, _equations(b)):
+    for bits in kernels.solve_quadratic(*_equations(b)):
         inv = algebra_inverse(square, bits)
         if inv is None:
             continue
@@ -231,39 +203,22 @@ def qt_pairs(by_class: dict[tuple[str, str], list[QuasiTriangularStructure]]) ->
 # the two routes below must agree.
 
 
-def _cqt_equations(b: Bialgebra):
+def _cqt_equations(b: Bialgebra) -> tuple[int, list[tuple]]:
     """Direct evaluation of the coquasitriangular axioms for the functional
-    with values Rf[mu][nu] = R(x^mu (x) x^nu)."""
+    with values Rf[mu][nu] = R(x^mu (x) x^nu), as (number of variables,
+    equations).  With D = H* on the dual basis, the unit conditions say
+    with R(fg (x) h) = R(f (x) h1) R(g (x) h2) that h |-> R(h (x) -) is an
+    algebra map H -> D, and with R(f (x) gh) = R(f1 (x) h) R(f2 (x) g) that
+    h |-> R(- (x) h) is an anti-algebra map."""
     a, c = b.alg, b.coalg
     n = b.n
 
     def var(mu, nu):
         return mu * n + nu
 
-    equations = []
-    for mu in range(n):
-        # R(x^mu (x) 1) = eps = R(1 (x) x^mu)
-        equations.append((((c.eps >> mu) & 1), 1 << var(mu, 0), ()))
-        equations.append((((c.eps >> mu) & 1), 1 << var(0, mu), ()))
-    for al in range(n):
-        for be in range(n):
-            for ga in range(n):
-                # R(fg (x) h) = R(f (x) h1) R(g (x) h2)
-                eq = Equation()
-                for tau in bits_of(a.prod(al, be)):
-                    eq.add_var(var(tau, ga))
-                for t in bits_of(c.cop(ga)):
-                    rho, sg = divmod(t, n)
-                    eq.add_pair(var(al, rho), var(be, sg))
-                equations.append(eq.emit())
-                # R(f (x) gh) = R(f1 (x) h) R(f2 (x) g)
-                eq = Equation()
-                for tau in bits_of(a.prod(be, ga)):
-                    eq.add_var(var(al, tau))
-                for t in bits_of(c.cop(al)):
-                    rho, sg = divmod(t, n)
-                    eq.add_pair(var(rho, ga), var(sg, be))
-                equations.append(eq.emit())
+    dual = dualize_coalgebra(c)
+    equations = homomorphism_equations(a, dual, var)
+    equations += homomorphism_equations(a, opposite_product(dual), lambda i, j: var(j, i))
     # Quasi-commutativity: g1 h1 R(h2 (x) g2) = R(h1 (x) g1) h2 g2.
     for be in range(n):
         for ga in range(n):
@@ -279,7 +234,7 @@ def _cqt_equations(b: Bialgebra):
                             eq.add_var(var(g1, b1))
                 if eq.lin:
                     equations.append(eq.emit())
-    return equations
+    return n * n, equations
 
 
 def coquasitriangular_direct(b: Bialgebra) -> list[int]:
@@ -290,5 +245,5 @@ def coquasitriangular_direct(b: Bialgebra) -> list[int]:
     (H (x) H)* is the product of H* (x) H*, on the dual basis."""
     dual = dualize_coalgebra(b.coalg)
     square = tensor_product_algebra(dual, dual)
-    return [bits for bits in kernels.solve_quadratic(b.n * b.n, _cqt_equations(b))
+    return [bits for bits in kernels.solve_quadratic(*_cqt_equations(b))
             if algebra_inverse(square, bits) is not None]

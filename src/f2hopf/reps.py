@@ -1,7 +1,7 @@
 """Matrix representations of the classified algebras: exhaustive enumeration
-in sizes k <= 3, equivalence classes under conjugation, duals and tensor
-products through the Hopf structure, and decomposition into named
-representations.
+in sizes k <= 3 (the unital algebra maps into ``structure.matrix_algebra``),
+equivalence classes under conjugation, duals and tensor products through the
+Hopf structure, and decomposition into named representations.
 
 Equivalence is decided by linear algebra: the matrices P with
 P r1(x) = r2(x) P for every basis element x form the intertwiner space, and
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from f2hopf import kernels
 from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows, solve_linear
-from f2hopf.kernels import Equation
-from f2hopf.structure import AlgebraSC, HopfAlgebra
+from f2hopf.structure import AlgebraSC, HopfAlgebra, homomorphism_equations, matrix_algebra
 
 
 @dataclass(frozen=True)
@@ -51,55 +50,21 @@ def is_representation(a: AlgebraSC, rep: Representation) -> bool:
     return True
 
 
-def _rep_equations(a: AlgebraSC, k: int):
-    """Multiplicativity as a quadratic XOR system over the generator images.
-
-    Variable layout: entry (i, j) of the image of basis element mu >= 1 at
-    index (mu-1)*k^2 + i*k + j.
-    """
-    n = a.n
-    kk = k * k
-
-    def var(mu, i, j):
-        return (mu - 1) * kk + i * k + j
-
-    equations = []
-    for mu in range(1, n):
-        for nu in range(1, n):
-            pv = a.prod(mu, nu)
-            for i in range(k):
-                for j in range(k):
-                    eq = Equation((pv & 1) if i == j else 0)
-                    for l in range(k):
-                        eq.add_pair(var(mu, i, l), var(nu, l, j))
-                    for rho in bits_of(pv & ~1):
-                        eq.add_var(var(rho, i, j))
-                    equations.append(eq.emit())
-    return equations
-
-
 def enumerate_reps(a: AlgebraSC, k: int) -> list[Representation]:
     """All unital algebra maps into k x k matrices, ascending in the packed
-    generator-image bits."""
+    image bits: entry (i, j) of the image of basis element mu is bit
+    mu*k^2 + i*k + j, the matrix unit E_ij of ``matrix_algebra(k)``."""
     if not a.is_standard:
         raise ValueError("expects standard form")
     if not 1 <= k <= 3:
         raise ValueError("matrix size out of supported range")
-    n = a.n
     kk = k * k
-    nvars = (n - 1) * kk
+    equations = homomorphism_equations(a, matrix_algebra(k), lambda mu, t: mu * kk + t)
+    row_mask = (1 << k) - 1
     out = []
-    for mask in kernels.solve_quadratic(nvars, _rep_equations(a, k)):
-        images = [Gf2Mat.identity(k)]
-        for mu in range(1, n):
-            rows = []
-            for i in range(k):
-                row = 0
-                for j in range(k):
-                    if (mask >> ((mu - 1) * kk + i * k + j)) & 1:
-                        row |= 1 << j
-                rows.append(row)
-            images.append(Gf2Mat(tuple(rows), k))
+    for mask in kernels.solve_quadratic(a.n * kk, equations):
+        images = [Gf2Mat(tuple((mask >> (mu * kk + i * k)) & row_mask for i in range(k)), k)
+                  for mu in range(a.n)]
         out.append(Representation(k, tuple(images)))
     return out
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, mat_inv_rows, parity, solve_linear
+from f2hopf.kernels import Equation, transform_coproduct, transform_product
 
 
 def tensor_bit(n: int, mu: int, nu: int, rho: int) -> int:
@@ -258,6 +259,53 @@ def algebra_inverse(alg: AlgebraSC, x: int) -> int | None:
     return None if sol is None else sol.particular.bits
 
 
+@lru_cache(maxsize=None)
+def matrix_algebra(k: int) -> AlgebraSC:
+    """M_k(F2) on the matrix units: E_ij is basis element i*k + j,
+    E_ij E_jl = E_il and every other product vanishes."""
+    n = k * k
+    v = 0
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                v |= 1 << tensor_bit(n, i * k + j, j * k + l, i * k + l)
+    return AlgebraSC(n, v, sum(1 << (i * k + i) for i in range(k)))
+
+
+def homomorphism_equations(a: AlgebraSC, b: AlgebraSC, var) -> list[tuple]:
+    """The XOR equations stating that phi: a -> b is a unital algebra map.
+
+    Entry phi[i][j], coefficient j of phi(e_i) in b's basis, is variable
+    var(i, j).  First come the unit equations phi(eta_a) = eta_b, one per
+    coefficient j; then phi(e_p e_q) = phi(e_p) phi(e_q), one equation per
+    (p, q, r) in lexicographic order for coefficient r.
+    """
+    equations = []
+    for j in range(b.n):
+        eq = Equation((b.eta >> j) & 1)
+        for i in bits_of(a.eta):
+            eq.add_var(var(i, j))
+        equations.append(eq.emit())
+    products = [(j, k, tuple(bits_of(b.prod(j, k))))
+                for j in range(b.n) for k in range(b.n) if b.prod(j, k)]
+    # When a's unit is e_0, the unit equations pin phi(e_0) = eta_b, so
+    # phi(e_0 e_q) = phi(e_q) = eta_b phi(e_q) and its mirror hold by the unit
+    # laws of a and b: products with e_0 add nothing and are not emitted.
+    first = 1 if a.eta == 1 else 0
+    for p in range(first, a.n):
+        for q in range(first, a.n):
+            eqs = [Equation() for _ in range(b.n)]
+            for s in bits_of(a.prod(p, q)):
+                for r, eq in enumerate(eqs):
+                    eq.add_var(var(s, r))
+            for j, k, targets in products:
+                x, y = var(p, j), var(q, k)
+                for r in targets:
+                    eqs[r].add_pair(x, y)
+            equations += [eq.emit() for eq in eqs]
+    return equations
+
+
 def check_bialgebra(b: Bialgebra) -> AxiomReport:
     """Coalgebra axioms plus compatibility: Delta and eps are algebra maps,
     Delta(1) = 1 (x) 1 and eps(1) = 1."""
@@ -434,8 +482,6 @@ def opposite(b: Bialgebra, which: str) -> Bialgebra:
 
 def apply_basis_change_algebra(a: AlgebraSC, p: Gf2Mat) -> AlgebraSC:
     """Structure constants in the new basis z_a = sum_m P[a][m] x^m."""
-    from f2hopf.kernels import transform_product
-
     n = a.n
     pinv = mat_inv_rows(p.rows, n)
     if pinv is None:
@@ -448,8 +494,6 @@ def apply_basis_change_algebra(a: AlgebraSC, p: Gf2Mat) -> AlgebraSC:
 
 
 def apply_basis_change_coalgebra(c: CoalgebraSC, p: Gf2Mat) -> CoalgebraSC:
-    from f2hopf.kernels import transform_coproduct
-
     n = c.n
     pinv = mat_inv_rows(p.rows, n)
     if pinv is None:

@@ -151,6 +151,31 @@ def naive_killing_form(v, r, n):
     return naive_tensor_square_product(v, r21, r, n)
 
 
+def naive_algebra_maps(a, b) -> list[int]:
+    """Every unital algebra map a -> b, found by trying all a.n x b.n 0/1
+    matrices.  phi[i][j], coefficient j of the image of basis element i, is
+    bit i*b.n + j of the returned masks, which ascend."""
+    m, n = a.n, b.n
+    va, vb = unpack_tensor(a.v, m), unpack_tensor(b.v, n)
+    eta_a, eta_b = unpack_vec(a.eta, m), list(unpack_vec(b.eta, n))
+    out = []
+    for mask in range(1 << (m * n)):
+        phi = [[(mask >> (i * n + j)) & 1 for j in range(n)] for i in range(m)]
+
+        def image(x):
+            return [sum(x[i] * phi[i][j] for i in range(m)) % 2 for j in range(n)]
+
+        def product(x, y):
+            return [sum(x[j] * y[k] * vb[j][k][r] for j in range(n) for k in range(n)) % 2
+                    for r in range(n)]
+
+        if image(eta_a) == eta_b and all(
+            image(va[p][q]) == product(phi[p], phi[q]) for p in range(m) for q in range(m)
+        ):
+            out.append(mask)
+    return out
+
+
 def naive_rank(m):
     """Rank over GF(2) of a 0/1 matrix, by row reduction on plain lists."""
     rows = [list(row) for row in m]

@@ -348,6 +348,20 @@ QT_EDITS = {
 }
 
 
+def verify_failures(target) -> list[str]:
+    """Run ``verify`` on one file in a fresh process and return its output
+    lines, which must all be FAIL lines, with exit 1 and no traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "f2hopf.cli", "verify", str(target)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # no traceback
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.startswith(f"{target}: FAIL ") for line in lines)
+    return lines
+
+
 @pytest.mark.parametrize("field", list(QT_EDITS))
 def test_verify_rederives_qt(tmp_path, qt_n2, field):
     _, payload = load_dataset(qt_n2.read_text(), "qt")
@@ -365,15 +379,63 @@ def test_verify_rederives_qt(tmp_path, qt_n2, field):
         rec["type"] = None
     target = tmp_path / "qt_n2.json"
     target.write_text(dump_dataset("qt", payload))
-    proc = subprocess.run(
-        [sys.executable, "-m", "f2hopf.cli", "verify", str(target)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr == ""  # no traceback
-    lines = proc.stdout.splitlines()
-    assert lines and all(line.startswith(f"{target}: FAIL ") for line in lines)
-    assert any(QT_EDITS[field] in line for line in lines)
+    assert any(QT_EDITS[field] in line for line in verify_failures(target))
+
+
+@pytest.fixture(scope="module")
+def datasets_n3(tmp_path_factory):
+    """The computed datasets of n = 3 and the fixture-mode fourier file of
+    n = 4, each checked by verify before any edit."""
+    out = tmp_path_factory.mktemp("n3")
+    assert run_cli(["run", "--dim", "3", "--mode", "computed", "--out", str(out)]) == 0
+    assert run_cli(["run", "--dim", "4", "--stage", "fourier", "--out", str(out)]) == 0
+    for name in ("algebras_n3", "raw_n3_B", "fourier_n3", "fourier_n4"):
+        assert run_cli(["verify", str(out / f"{name}.json")]) == 0
+    return out
+
+
+def _edit(records: list, field: str) -> None:
+    """Apply one named edit to a list of dataset records in place."""
+    if field == "swap-labels":
+        records[0]["label"], records[1]["label"] = records[1]["label"], records[0]["label"]
+    elif field == "relations":
+        records[3]["relations"] = "x*x=y; y*y=x"
+    elif field == "product":
+        records[2]["product"] = format(int(records[2]["product"], 16) ^ (1 << 13), "x")
+    elif field == "drop":
+        del records[-1]
+    elif field == "swap-records":
+        records[0], records[1] = records[1], records[0]
+    elif field == "transport_order":
+        records[0]["transport_order"] += 1
+    elif field == "F_sharp":
+        records[0]["F_sharp"] = "7,3,4"
+    else:
+        records[0]["type"], records[1]["type"] = records[1]["type"], records[0]["type"]
+
+
+DATASET_EDITS = {
+    ("algebras_n3", "swap-labels"): "algebras[0] label: differs from the derived dataset of n=3",
+    ("algebras_n3", "relations"): "algebras[3] relations: differs",
+    ("algebras_n3", "product"): "algebras[2] product: differs from the derived dataset of n=3",
+    ("algebras_n3", "drop"): "6 records, the derived dataset of n=3 has 7",
+    ("raw_n3_B", "drop"): "32 records, the derived dataset of n=3 has 33",
+    ("raw_n3_B", "swap-records"): "raw[0] C: differs from the derived dataset of n=3",
+    ("fourier_n3", "transport_order"): "record 0: transport is not F * identification",
+    ("fourier_n3", "F_sharp"): "record 0: F and F_sharp are not the pairings of I",
+    ("fourier_n3", "type"): "fourier[0] type: differs from the derived dataset of n=3",
+    ("fourier_n4", "transport_order"): "record 0: transport is not F * identification",
+    ("fourier_n4", "type"): "fourier[0] type: differs from the derived dataset of n=4",
+}
+
+
+@pytest.mark.parametrize("name, field", list(DATASET_EDITS))
+def test_verify_rederives_algebras_raw_and_fourier(tmp_path, datasets_n3, name, field):
+    kind, payload = load_dataset((datasets_n3 / f"{name}.json").read_text())
+    _edit(payload, field)
+    target = tmp_path / f"{name}.json"
+    target.write_text(dump_dataset(kind, payload))
+    assert any(DATASET_EDITS[name, field] in line for line in verify_failures(target))
 
 
 @pytest.mark.parametrize("field", ["counts", "image", "tensor_table", "duals"])
@@ -477,12 +539,5 @@ MALFORMED = {
 def test_verify_reports_malformed_records(tmp_path, kind, case):
     target = tmp_path / f"{kind}.json"
     target.write_text(dump_dataset(kind, _malformed(kind, case)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "f2hopf.cli", "verify", str(target)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stderr == ""  # no traceback
-    lines = proc.stdout.splitlines()
-    assert lines and all(line.startswith(f"{target}: FAIL ") for line in lines)
+    lines = verify_failures(target)
     assert lines[0].startswith(f"{target}: FAIL {MALFORMED[kind, case]}")

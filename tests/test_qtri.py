@@ -221,16 +221,20 @@ def test_intertwiner_vacuous_when_commutative_and_cocommutative():
     # For commutative algebras with cocommutative coproducts the
     # quasi-commutativity condition contributes no equations at all.
     from f2hopf.qtri import _equations
+    from f2hopf.structure import dualize_coalgebra, homomorphism_equations, opposite_product
 
     nvars = 16
     for fx in HOPF_FIXTURES_DIM4:
         bi = fx.bialgebra()
         comm = catalog(4)[fx.algebra_label].commutative
         cocomm = catalog(4)[fx.coalgebra_type].commutative
-        eqs = _equations(bi)
+        count, eqs = _equations(bi)
+        assert count == nvars
         # the intertwiner block is the tail of purely linear equations past
-        # the counit and hexagon blocks
-        n_structural = 2 * 4 + 2 * 4**3
+        # the two homomorphism blocks (counit conditions and hexagons)
+        dual = dualize_coalgebra(bi.coalg)
+        n_structural = sum(len(homomorphism_equations(dual, target, lambda i, j: 4 * i + j))
+                           for target in (bi.alg, opposite_product(bi.alg)))
         intertwiner = eqs[n_structural:]
         if comm and cocomm:
             assert intertwiner == [], fx.name

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from f2hopf import kernels
 from f2hopf.catalog import BASIS_NAMES, catalog
+from f2hopf.coproducts import solve_coproducts
 from f2hopf.gf2 import Gf2Mat, enumerate_invertible
 from f2hopf.golden import (
     COPRODUCTS_DIM3,
@@ -24,13 +26,16 @@ from f2hopf.structure import (
     check_coalgebra,
     dualize_algebra,
     dualize_coalgebra,
+    homomorphism_equations,
     HopfAlgebra,
+    matrix_algebra,
     opposite,
     solve_antipode,
     tensor_bit,
     tensor_product_algebra,
 )
 from reference import (
+    naive_algebra_maps,
     naive_check_algebra,
     naive_check_bialgebra,
     naive_check_coalgebra,
@@ -300,6 +305,68 @@ def test_algebra_inverse_is_two_sided():
     assert magma.mul_vec(0b010, 0b100) == 1
     assert algebra_inverse(magma, 0b010) is None
     assert _brute_force_inverse(magma, 0b010) is None
+
+
+# --- algebra maps ----------------------------------------------------------------
+
+
+def _builder_maps(a, b):
+    """The solutions of the homomorphism equations, phi[i][j] at bit i*b.n + j."""
+    return kernels.solve_quadratic(
+        a.n * b.n, homomorphism_equations(a, b, lambda i, j: i * b.n + j))
+
+
+def _catalog_algebras(dims):
+    return [c.representative for n in dims for c in catalog(n).classes]
+
+
+def test_matrix_algebra_is_the_matrix_product():
+    rng = random.Random(5)
+    for k in (1, 2, 3):
+        m = matrix_algebra(k)
+
+        def mat(x):
+            return Gf2Mat(tuple((x >> (i * k)) & ((1 << k) - 1) for i in range(k)), k)
+
+        assert check_algebra(m) and mat(m.eta).is_identity()
+        for _ in range(50):
+            x, y = rng.getrandbits(k * k), rng.getrandbits(k * k)
+            assert mat(m.mul_vec(x, y)) == mat(x) * mat(y)
+
+
+def test_homomorphism_equations_between_catalog_algebras():
+    # every same-dimension pair of n <= 3, both orders
+    for n in (1, 2, 3):
+        algebras = _catalog_algebras([n])
+        for a in algebras:
+            for b in algebras:
+                assert _builder_maps(a, b) == naive_algebra_maps(a, b)
+
+
+def test_homomorphism_equations_into_f2_and_m2():
+    f2 = AlgebraSC(1, 1)
+    for a in _catalog_algebras([1, 2, 3, 4]):
+        assert _builder_maps(a, f2) == naive_algebra_maps(a, f2)
+    m2 = matrix_algebra(2)
+    for a in _catalog_algebras([1, 2, 3]):
+        assert _builder_maps(a, m2) == naive_algebra_maps(a, m2)
+
+
+def test_homomorphism_equations_from_nonstandard_sources():
+    # Duals of coalgebras whose counit is not x^0*, so their unit is not
+    # basis element 0 and the products with e_0 are stated too.  While e_0
+    # is a term of the unit they follow from the others by linearity; after
+    # swapping x^0 and x^2 it is not, and only the stated products pin
+    # phi(e_0) down.
+    coalg = next(s.coalg for s in solve_coproducts(catalog(3)["B"].representative).solutions
+                 if s.coalg.eps != 1)
+    swap = Gf2Mat((0b100, 0b010, 0b001), 3)
+    sources = [dualize_coalgebra(coalg),
+               dualize_coalgebra(apply_basis_change_coalgebra(coalg, swap))]
+    assert [d.eta & 1 for d in sources] == [1, 0]
+    for source in sources:
+        for b in _catalog_algebras([1, 3]) + [matrix_algebra(2)]:
+            assert _builder_maps(source, b) == naive_algebra_maps(source, b)
 
 
 # --- basis change ----------------------------------------------------------------

@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark ``f2hopf run --dim 2 --dim 3 --dim 4 --stage all``, cold and warm.
+"""Benchmark ``f2hopf run --dim 2 --dim 3 --dim 4 --stage all``, cold and
+warm, and ``f2hopf verify`` on every file the cold run wrote.
 
 Each round runs the command twice into one new temporary output directory:
 
 - cold: empty output directory and raw-solution cache;
 - warm: the same command again, so every raw solution set comes from the
-  cache the cold run wrote.
+  cache the cold run wrote;
+- verify: ``f2hopf verify`` on every JSON file of the cold run.
 
 Every run is a fresh interpreter, so no in-process cache of an earlier run
 is reused.  A run imports the engine and builds the algebra catalogs
 (``setup_s``), then times ``cli.main`` (``wall_s``) and counts the calls of
-``coproducts.solve_coproducts`` made through any ``f2hopf`` module.  The
-command must exit 0, which means the census matched ``golden.CENSUS``.
+``coproducts.solve_coproducts`` made through any ``f2hopf`` module.  Every
+command must exit 0: the census matched ``golden.CENSUS`` and every file
+verified.
 
 The medians over the rounds, every run's numbers, the core count, the Python
 version and the kernel backend go to benchmarks/BENCH_pipeline.json (or the
@@ -24,6 +27,8 @@ Run:  PYTHONPATH=src python benchmarks/bench_pipeline.py
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -38,8 +43,8 @@ DIMS = (2, 3, 4)
 ROUNDS = 3
 
 
-def child(out_dir: str) -> None:
-    """One timed run in this process; prints a JSON line."""
+def child(out_dir: str, verify: bool) -> None:
+    """One timed run (or verify) in this process; prints a JSON line."""
     t0 = time.perf_counter()
     from f2hopf import cli, coproducts, kernels
     from f2hopf.catalog import catalog
@@ -61,25 +66,29 @@ def child(out_dir: str) -> None:
                 if value is solve:
                     setattr(mod, attr, counted)
 
-    argv = ["run", "--stage", "all", "--jobs", "1", "--out", out_dir]
-    for n in DIMS:
-        argv += ["--dim", str(n)]
+    if verify:
+        argv = ["verify", *sorted(str(p) for p in Path(out_dir).glob("*.json"))]
+    else:
+        argv = ["run", "--stage", "all", "--jobs", "1", "--out", out_dir]
+        for n in DIMS:
+            argv += ["--dim", str(n)]
     t1 = time.perf_counter()
-    rc = cli.main(argv)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
     wall_s = time.perf_counter() - t1
     print(json.dumps({"rc": rc, "setup_s": setup_s, "wall_s": wall_s,
                       "solve_coproducts_calls": len(calls), "backend": kernels.BACKEND}))
 
 
-def run_child(out_dir: Path) -> dict:
+def run_child(out_dir: Path, mode: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "F2HOPF_CACHE_ROOT"}
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(out_dir)],
-        env=env, capture_output=True, text=True, check=True,
-    )
+    argv = [sys.executable, __file__, "--child", str(out_dir)]
+    if mode == "verify":
+        argv.append("--verify")
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if result["rc"] != 0:
-        raise SystemExit(f"f2hopf run exited {result['rc']}: census mismatch")
+        raise SystemExit(f"f2hopf {mode} exited {result['rc']}")
     return result
 
 
@@ -87,16 +96,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(Path(__file__).with_name("BENCH_pipeline.json")))
     parser.add_argument("--child", metavar="DIR", help=argparse.SUPPRESS)
+    parser.add_argument("--verify", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child)
+        child(args.child, args.verify)
         return
 
-    runs: dict[str, list[dict]] = {"cold": [], "warm": []}
+    runs: dict[str, list[dict]] = {"cold": [], "warm": [], "verify": []}
     for _ in range(ROUNDS):
         with tempfile.TemporaryDirectory(prefix="bench-pipeline-") as tmp:
-            for mode in ("cold", "warm"):
-                result = run_child(Path(tmp) / "out")
+            for mode in runs:
+                result = run_child(Path(tmp) / "out", mode)
                 runs[mode].append(result)
                 print(f"{mode}: wall {result['wall_s']:.3f}s, "
                       f"{result['solve_coproducts_calls']} solves", flush=True)
@@ -107,6 +117,7 @@ def main(argv=None):
         "cores": os.cpu_count(),
         "backend": runs["cold"][0]["backend"],
         "command": "f2hopf run --dim 2 --dim 3 --dim 4 --stage all --jobs 1",
+        "verify_command": "f2hopf verify <every JSON file of the cold run>",
         "rounds": ROUNDS,
     }
     for mode, results in runs.items():

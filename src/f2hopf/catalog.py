@@ -298,21 +298,25 @@ def standardize_unit(a: AlgebraSC) -> tuple[AlgebraSC, Gf2Mat]:
 
 @lru_cache(maxsize=None)
 def identify_algebra(a: AlgebraSC) -> str:
-    """Catalog label of the class the algebra belongs to, memoised per tensor.
+    """Catalog label of the class of an algebra or tensor product, memoised.
     The unit may sit anywhere: the invariant does not depend on the basis."""
     rep = check_algebra(a)
     if not rep:
         raise ValueError(f"not a unital associative algebra: {rep}")
-    return _catalog_label(a.n, a.v, a.eta)
+    return _invariant_label(a)
+
+
+def _invariant_label(a) -> str:
+    try:
+        return catalog(a.n).invariant_label[algebra_invariant(a)]
+    except KeyError:
+        raise RuntimeError("algebra not in catalog (catalog incomplete?)") from None
 
 
 @lru_cache(maxsize=None)
 def _catalog_label(n: int, v: int, eta: int) -> str:
     # Keyed by plain integers: a hit costs about as much as one dict lookup.
-    try:
-        return catalog(n).invariant_label[algebra_invariant(AlgebraSC(n, v, eta))]
-    except KeyError:
-        raise RuntimeError("algebra not in catalog (catalog incomplete?)") from None
+    return _invariant_label(AlgebraSC(n, v, eta))
 
 
 # --- exhaustive enumeration ---------------------------------------------------

@@ -178,10 +178,17 @@ def classify_raw(n: int, raw: dict[str, RawSolutionSet]) -> ClassifiedDimension:
 
 
 @lru_cache(maxsize=None)
+def solve_catalog_algebra(n: int, label: str) -> RawSolutionSet:
+    """The raw solutions of one catalog algebra, solved once per process
+    (never read from the run cache)."""
+    return solve_coproducts(catalog(n)[label].representative, label)
+
+
+@lru_cache(maxsize=None)
 def classify_dimension(n: int) -> ClassifiedDimension:
     """Solve every algebra of dimension n, then classify (cached)."""
-    return classify_raw(n, {c.label: solve_coproducts(c.representative, c.label)
-                            for c in catalog(n).classes})
+    return classify_raw(n, {label: solve_catalog_algebra(n, label)
+                            for label in catalog(n).labels})
 
 
 def hopf_census(n: int) -> tuple[int, int, int]:

@@ -31,6 +31,7 @@ from f2hopf.classify import (
     build_quiver,
     classify_dimension,
     classify_raw,
+    solve_catalog_algebra,
 )
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
 from f2hopf.golden import CENSUS, HOPF_FIXTURES_DIM4, REP_COUNTS
@@ -237,14 +238,17 @@ def _fourier_record(h, type_labels: list[str], dual_basis=None, name=None) -> di
     return rec
 
 
-def fourier_payload(dim: ClassifiedDimension, mode: str) -> list[dict]:
-    """The fourier dataset: the Fourier data of every Hopf class, or in
-    fixture mode at n = 4 of every golden fixture under its frozen dual-basis
-    identification."""
-    if dim.n == 4 and mode == "fixture":
-        return [_fourier_record(fx.hopf(), [fx.algebra_label, fx.coalgebra_type],
-                                fx.dual_basis, name=fx.name)
-                for fx in HOPF_FIXTURES_DIM4]
+def fixture_fourier_payload() -> list[dict]:
+    """The fourier dataset of n = 4 in fixture mode: the Fourier data of
+    every golden fixture under its frozen dual-basis identification."""
+    return [_fourier_record(fx.hopf(), [fx.algebra_label, fx.coalgebra_type],
+                            fx.dual_basis, name=fx.name)
+            for fx in HOPF_FIXTURES_DIM4]
+
+
+def fourier_payload(dim: ClassifiedDimension) -> list[dict]:
+    """The fourier dataset in computed mode: the Fourier data of every Hopf
+    class."""
     return [
         _fourier_record(
             HopfAlgebra(Bialgebra(dim.cat[cls.algebra_label].representative,
@@ -307,7 +311,9 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
             (out_dir / f"quiver_n{n}.dot").write_text(q.to_dot())
 
         if stages & {"fourier", "all"}:
-            _write(out_dir, f"fourier_n{n}.json", "fourier", fourier_payload(dim, mode))
+            payload = (fixture_fourier_payload() if n == 4 and mode == "fixture"
+                       else fourier_payload(dim))
+            _write(out_dir, f"fourier_n{n}.json", "fourier", payload)
 
         if stages & {"qtri", "all"}:
             from f2hopf.qtri import qt_by_class, qt_pairs
@@ -498,10 +504,10 @@ def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
         if len(names) != 1:
             return ["records of more than one algebra"] if names else []
         n, label = names.pop()
-        want = _raw_payload(solve_coproducts(catalog(n)[label].representative, label))
+        want = _raw_payload(solve_catalog_algebra(n, label))
     elif kind == "fourier" and any("name" in rec for rec in payload):
         n = 4
-        want = fourier_payload(classify_dimension(n), "fixture")
+        want = fixture_fourier_payload()
     else:
         labels = {str(label) for rec in payload for label in _record_labels(kind, rec)}
         n = next((n for n in sorted(RELATIONS) if labels <= RELATIONS[n].keys()), None)
@@ -513,7 +519,7 @@ def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
         elif kind == "quiver":
             want = quiver_payload(build_quiver(dim))
         elif kind == "fourier":
-            want = fourier_payload(dim, "computed")
+            want = fourier_payload(dim)
         else:
             from f2hopf.qtri import qt_by_class
 

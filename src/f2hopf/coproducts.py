@@ -5,7 +5,8 @@ identities, coassociativity and compatibility (Delta an algebra map
 H -> H (x) H, stated by ``structure.homomorphism_equations``) are one
 quadratic XOR system in the bits of the coproduct tensor, solved by
 ``kernels.solve_quadratic``.  Its elimination step removes the linear
-equations before the backtracker searches the remaining bits.
+equations before the backtracker searches the remaining bits.  Each solution
+is annotated with its coalgebra type and its antipode (or None).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
     CoalgebraSC,
+    TensorProductAlgebra,
     dualize_coalgebra,
     homomorphism_equations,
     solve_antipode,
-    tensor_product_algebra,
 )
 
 
@@ -77,7 +78,7 @@ def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
                         eq.add_pair(var(mu, alpha, nu), var(nu, beta, gamma))
                     equations.append(eq.emit())
 
-    equations += homomorphism_equations(a, tensor_product_algebra(a, a),
+    equations += homomorphism_equations(a, TensorProductAlgebra(a, a),
                                         lambda mu, t: mu * nn + t)
     return n * nn, equations
 

@@ -83,26 +83,22 @@ class FourierData:
 
 def fourier_matrices(h: HopfAlgebra) -> tuple[Gf2Vec, Gf2Mat, Gf2Mat]:
     """(integral, F, F#) with F[mu][nu] = integral of x^nu x^mu and the
-    adjoint integrating x^mu x^nu; F is checked invertible."""
+    adjoint F#[mu][nu] = integral of x^mu x^nu, which is F transposed; F is
+    checked invertible."""
     a = h.alg
     n = h.n
     i = right_integral(h)
     f_rows = []
-    fs_rows = []
     for mu in range(n):
         row = 0
-        srow = 0
         for nu in range(n):
             if (a.prod(nu, mu) & i.bits).bit_count() & 1:
                 row |= 1 << nu
-            if (a.prod(mu, nu) & i.bits).bit_count() & 1:
-                srow |= 1 << nu
         f_rows.append(row)
-        fs_rows.append(srow)
     f = Gf2Mat(tuple(f_rows), n)
     if f.inverse() is None:
         raise IntegralError("Fourier matrix is singular")
-    return i, f, Gf2Mat(tuple(fs_rows), n)
+    return i, f, f.transpose()
 
 
 def computed_identification(coalg: CoalgebraSC, target: AlgebraSC) -> Gf2Mat:
@@ -181,21 +177,9 @@ def canonical_round_trip(h: HopfAlgebra) -> Gf2Mat:
 
 def adjoint_dual_transport_back(h: HopfAlgebra) -> Gf2Mat:
     """The adjoint Fourier transform of the dual (reversed multiplication
-    order in the integrand), as a map from the dual basis back to H."""
-    c = h.coalg
-    n = h.n
-    lam = right_cointegral(h)
-    rows = []
-    for mu in range(n):
-        row = 0
-        for nu in range(n):
-            acc = 0
-            for gamma in bits_of(lam.bits):
-                acc ^= (c.cop(gamma) >> (mu * n + nu)) & 1
-            if acc:
-                row |= 1 << nu
-        rows.append(row)
-    return Gf2Mat(tuple(rows), n)
+    order in the integrand), as a map from the dual basis back to H: the
+    transpose of ``dual_transport_back``."""
+    return dual_transport_back(h).transpose()
 
 
 def adjoint_round_trip(h: HopfAlgebra) -> Gf2Mat:

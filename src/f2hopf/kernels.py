@@ -36,7 +36,7 @@ packed structure tensor.
 
 from __future__ import annotations
 
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, solve_linear
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, solve_linear
 
 # The kernel implementation, as benchmark records name it.
 BACKEND = "python"
@@ -102,7 +102,7 @@ def eliminate(nvars: int, equations):
     # subst[v]: the free variables whose direction sets variable v.
     subst = [0] * nvars
     for k, d in enumerate(directions):
-        for v in _bits(d):
+        for v in bits_of(d):
             subst[v] |= 1 << k
     reduced = []
     seen = set()
@@ -110,7 +110,7 @@ def eliminate(nvars: int, equations):
         if not pairs:
             continue
         eq = Equation(const ^ ((lin & particular).bit_count() & 1))
-        for v in _bits(lin):
+        for v in bits_of(lin):
             eq.lin ^= subst[v]
         for i, j in pairs:
             ci = (particular >> i) & 1
@@ -120,8 +120,8 @@ def eliminate(nvars: int, equations):
                 eq.lin ^= subst[j]
             if cj:
                 eq.lin ^= subst[i]
-            for fi in _bits(subst[i]):
-                for fj in _bits(subst[j]):
+            for fi in bits_of(subst[i]):
+                for fj in bits_of(subst[j]):
                     eq.add_pair(fi, fj)
         e = eq.emit()
         if not e[1] and not e[2]:
@@ -172,7 +172,7 @@ def search_order(nvars: int, equations) -> list[int]:
     containing: list[list[int]] = [[] for _ in range(nvars)]
     for e, s in enumerate(supports):
         w = weight[min(s.bit_count(), 3)]
-        for v in _bits(s):
+        for v in bits_of(s):
             score[v] += w
             containing[v].append(e)
     order = []
@@ -187,16 +187,9 @@ def search_order(nvars: int, equations) -> list[int]:
             c = s.bit_count()
             if c < 3:  # weights of three or more open variables are equal
                 delta = weight[c] - weight[c + 1]
-                for v in _bits(s):
+                for v in bits_of(s):
                     score[v] += delta
     return order
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def solve_ordered(nvars: int, equations) -> list[int]:
@@ -262,8 +255,6 @@ def backtrack(nvars: int, equations) -> list[int]:
     each equation is checked as soon as its highest variable is assigned.
     The returned packed assignment masks are sorted ascending.
     """
-    if nvars > 63:
-        raise ValueError("kernel supports at most 63 variables")
     by_last: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [
         [] for _ in range(nvars)
     ]

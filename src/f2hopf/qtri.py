@@ -9,8 +9,9 @@ XOR equations in the bits of R, and the intertwiner conditions are linear,
 so ``kernels.solve_quadratic``, the solve path that finds coproducts,
 enumerates all solutions: its elimination step removes the linear
 conditions and the backtracker searches what is left.  Every product,
-unit and inverse in H (x) H, H (x) H (x) H and (H (x) H)* is read from
-``structure.tensor_product_algebra``; invertibility is
+unit and inverse in H (x) H, H (x) H (x) H and (H (x) H)* is read from a
+``structure.TensorProductAlgebra``, multiplied factorwise from its legs
+(the cube is the square tensored with H); invertibility is
 ``structure.algebra_inverse`` there.
 """
 
@@ -25,13 +26,13 @@ from f2hopf.kernels import Equation
 from f2hopf.structure import (
     Bialgebra,
     HopfAlgebra,
+    TensorProductAlgebra,
     TensorSquareElement,
     algebra_inverse,
     dualize_coalgebra,
     homomorphism_equations,
     opposite_coproduct,
     opposite_product,
-    tensor_product_algebra,
 )
 
 
@@ -79,7 +80,7 @@ def _equations(b: Bialgebra) -> tuple[int, list[tuple]]:
     # Intertwiner: R Delta(h) = Delta^cop(h) R, linear in R.  Column
     # var(mu, nu) of the block for h = x^rho is the coefficient vector of
     # (x^mu (x) x^nu) Delta(h) + Delta^cop(h) (x^mu (x) x^nu).
-    square = tensor_product_algebra(a, a)
+    square = TensorProductAlgebra(a, a)
     cop = opposite_coproduct(c)
     for rho in range(n):
         cols = [square.mul_vec(1 << v, c.cop(rho)) ^ square.mul_vec(cop.cop(rho), 1 << v)
@@ -101,7 +102,7 @@ def swap_legs(r: TensorSquareElement) -> TensorSquareElement:
 
 
 def killing_form(b: Bialgebra, r: TensorSquareElement) -> TensorSquareElement:
-    square = tensor_product_algebra(b.alg, b.alg)
+    square = TensorProductAlgebra(b.alg, b.alg)
     return TensorSquareElement(r.n, square.mul_vec(swap_legs(r).bits, r.bits))
 
 
@@ -110,7 +111,7 @@ def classify_r(b: Bialgebra, r: TensorSquareElement, r_inv: TensorSquareElement)
     strict otherwise) and whether it is factorisable: Q nondegenerate as a
     map H* -> H, i.e. its coefficient matrix invertible."""
     q = killing_form(b, r)
-    unit = tensor_product_algebra(b.alg, b.alg).eta
+    unit = TensorProductAlgebra(b.alg, b.alg).eta
     if r.bits == unit:
         klass = "trivial"
     elif q.bits == unit:
@@ -124,7 +125,7 @@ def classify_r(b: Bialgebra, r: TensorSquareElement, r_inv: TensorSquareElement)
 def enumerate_quasitriangular(b: Bialgebra) -> list[QuasiTriangularStructure]:
     """All quasitriangular structures, ascending by R bit pattern."""
     n = b.n
-    square = tensor_product_algebra(b.alg, b.alg)
+    square = TensorProductAlgebra(b.alg, b.alg)
     out = []
     for bits in kernels.solve_quadratic(*_equations(b)):
         inv = algebra_inverse(square, bits)
@@ -166,7 +167,7 @@ def yang_baxter_ok(b: Bialgebra, r: TensorSquareElement) -> bool:
     (i*n + j)*n + k is x^i (x) x^j (x) x^k (standard form assumed, so the
     unit is basis element 0)."""
     n = b.n
-    cube = tensor_product_algebra(tensor_product_algebra(b.alg, b.alg), b.alg)
+    cube = TensorProductAlgebra(TensorProductAlgebra(b.alg, b.alg), b.alg)
     r12 = 0
     r13 = 0
     r23 = 0
@@ -244,6 +245,6 @@ def coquasitriangular_direct(b: Bialgebra) -> list[int]:
     A form must be convolution-invertible on H (x) H; convolution on
     (H (x) H)* is the product of H* (x) H*, on the dual basis."""
     dual = dualize_coalgebra(b.coalg)
-    square = tensor_product_algebra(dual, dual)
+    square = TensorProductAlgebra(dual, dual)
     return [bits for bits in kernels.solve_quadratic(*_cqt_equations(b))
             if algebra_inverse(square, bits) is not None]

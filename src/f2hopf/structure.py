@@ -5,7 +5,9 @@ Rank-3 tensors are packed flat into one integer with index
 (mu, nu, rho) -> bit mu*n*n + nu*n + rho.  For a product tensor V the n-bit
 slice at (mu, nu) is the coefficient vector of x^mu * x^nu; for a coproduct
 tensor C the n^2-bit slice at mu is Delta(x^mu) as an element of H (x) H,
-whose bit nu*n + rho stands for x^nu (x) x^rho.
+whose bit nu*n + rho stands for x^nu (x) x^rho.  Tensor products of
+algebras (``TensorProductAlgebra``) are never packed but multiply factorwise;
+the antipode is an inverse in one, the convolution algebra H* (x) H.
 """
 
 from __future__ import annotations
@@ -218,45 +220,73 @@ def check_coalgebra(c: CoalgebraSC) -> AxiomReport:
     return _PASS
 
 
-@lru_cache(maxsize=None)
-def tensor_product_algebra(a: AlgebraSC, b: AlgebraSC) -> AlgebraSC:
-    """The tensor product algebra a (x) b on the product basis.
+@dataclass(frozen=True)
+class TensorProductAlgebra:
+    """The tensor product algebra a (x) b on the product basis, computed
+    factorwise from its two factors, which may be tensor products too.
 
     x^i (x) y^j is basis element i*b.n + j, so (x^i (x) y^j)(x^k (x) y^l)
-    = x^i x^k (x) y^j y^l, and the unit is eta_a (x) eta_b.  Memoised: the
-    square of an algebra serves every product, unit and inverse in H (x) H.
+    = x^i x^k (x) y^j y^l, and the unit is eta_a (x) eta_b.  It is read
+    wherever an ``AlgebraSC`` is, through n, eta, prod and mul_vec.
     """
-    n = a.n * b.n
-    rows = []
-    for i1 in range(a.n):
-        for j1 in range(b.n):
-            # One basis row of products, assembled before shifting into place,
-            # so the n^3-bit tensor is not rebuilt once per product.
-            row = 0
-            for i2 in reversed(range(a.n)):
-                pa = a.prod(i1, i2)
-                for j2 in reversed(range(b.n)):
-                    pb = b.prod(j1, j2)
-                    row = (row << n) | sum(pb << (r * b.n) for r in bits_of(pa))
-            rows.append(row)
-    v = 0
-    for row in reversed(rows):
-        v = (v << (n * n)) | row
-    eta = sum(b.eta << (i * b.n) for i in bits_of(a.eta))
-    return AlgebraSC(n, v, eta)
+
+    a: AlgebraSC | TensorProductAlgebra
+    b: AlgebraSC | TensorProductAlgebra
+
+    @property
+    def n(self) -> int:
+        return self.a.n * self.b.n
+
+    @property
+    def eta(self) -> int:
+        return sum(self.b.eta << (i * self.b.n) for i in bits_of(self.a.eta))
+
+    def prod(self, mu: int, nu: int) -> int:
+        return self.mul_vec(1 << mu, 1 << nu)
+
+    def mul_vec(self, x: int, y: int) -> int:
+        """Product of two packed vectors, term by term and factorwise; bits
+        are walked inline, since this runs for every column of an inverse."""
+        m = self.b.n
+        a_prod, b_prod = self.a.prod, self.b.prod
+        ys = []
+        while y:
+            low = y & -y
+            ys.append(divmod(low.bit_length() - 1, m))
+            y ^= low
+        acc = 0
+        while x:
+            low = x & -x
+            i, j = divmod(low.bit_length() - 1, m)
+            x ^= low
+            for k, l in ys:
+                pa = a_prod(i, k)
+                if pa:
+                    pb = b_prod(j, l)
+                    # pa (x) pb: a copy of pb in the slice of each term of pa.
+                    while pa:
+                        term = pa & -pa
+                        acc ^= pb << ((term.bit_length() - 1) * m)
+                        pa ^= term
+        return acc
 
 
-def algebra_inverse(alg: AlgebraSC, x: int) -> int | None:
+def algebra_inverse(alg: AlgebraSC | TensorProductAlgebra, x: int) -> int | None:
     """The two-sided inverse of a packed element, or None if it has none.
 
-    x y = 1 and y x = 1 form one linear system in the coefficients of y,
-    with at most one solution."""
-    n = alg.n
-    left = Gf2Mat(tuple(alg.mul_vec(x, 1 << q) for q in range(n)), n).transpose()
-    right = Gf2Mat(tuple(alg.mul_vec(1 << q, x) for q in range(n)), n).transpose()
-    sol = solve_linear(Gf2Mat(left.rows + right.rows, n),
-                       Gf2Vec(2 * n, alg.eta | alg.eta << n))
-    return None if sol is None else sol.particular.bits
+    x y = 1 and y x = 1 form one linear system in the coefficients of y.
+    In an associative algebra it has at most one solution; more than one
+    raises ``ValueError``, since the product cannot be associative."""
+    n, eta = alg.n, alg.eta
+    # Column q holds the coefficients of x e_q, then those of e_q x.
+    cols = Gf2Mat(tuple(alg.mul_vec(x, 1 << q) | alg.mul_vec(1 << q, x) << n
+                        for q in range(n)), 2 * n)
+    sol = solve_linear(cols.transpose(), Gf2Vec(2 * n, eta | eta << n))
+    if sol is None:
+        return None
+    if sol.nullspace:
+        raise ValueError("inverse is not unique: the product is not associative")
+    return sol.particular.bits
 
 
 @lru_cache(maxsize=None)
@@ -286,12 +316,14 @@ def homomorphism_equations(a: AlgebraSC, b: AlgebraSC, var) -> list[tuple]:
         for i in bits_of(a.eta):
             eq.add_var(var(i, j))
         equations.append(eq.emit())
-    products = [(j, k, tuple(bits_of(b.prod(j, k))))
-                for j in range(b.n) for k in range(b.n) if b.prod(j, k)]
-    # When a's unit is e_0, the unit equations pin phi(e_0) = eta_b, so
-    # phi(e_0 e_q) = phi(e_q) = eta_b phi(e_q) and its mirror hold by the unit
-    # laws of a and b: products with e_0 add nothing and are not emitted.
-    first = 1 if a.eta == 1 else 0
+    products = [(j, k, targets) for j in range(b.n) for k in range(b.n)
+                if (targets := tuple(bits_of(b.prod(j, k))))]
+    # When e_0 is a term of a's unit, e_0 = eta_a + u with u a sum of other
+    # basis elements, and phi(eta_a) = eta_b by the unit equations, so by the
+    # unit laws of a and b each product with e_0 reduces to products of u's
+    # terms with e_1..e_(n-1), which are stated: products with e_0 add
+    # nothing and are not emitted.
+    first = a.eta & 1
     for p in range(first, a.n):
         for q in range(first, a.n):
             eqs = [Equation() for _ in range(b.n)]
@@ -317,7 +349,7 @@ def check_bialgebra(b: Bialgebra) -> AxiomReport:
     # eps(1) = 1 and Delta(1) = 1 (x) 1.
     if parity(a.eta & c.eps) != 1:
         return AxiomReport(False, "counit-of-unit", ())
-    square = tensor_product_algebra(a, a)
+    square = TensorProductAlgebra(a, a)
     delta_unit = 0
     for mu in bits_of(a.eta):
         delta_unit ^= c.cop(mu)
@@ -342,47 +374,17 @@ def check_bialgebra(b: Bialgebra) -> AxiomReport:
 # --- antipode ----------------------------------------------------------------
 
 
-class AntipodeError(RuntimeError):
-    """The antipode system is consistent but not unique (never happens for a
-    genuine bialgebra; kept as a hard internal check)."""
-
-
 def solve_antipode(b: Bialgebra) -> Gf2Mat | None:
-    """The unique antipode matrix when one exists, else None.
+    """The antipode matrix when one exists, else None; row mu is S(x^mu).
 
-    Solves m(S (x) id)Delta = eta.eps = m(id (x) S)Delta as a linear system
-    in the n^2 entries of S and asserts the solution is unique.
+    S is the two-sided inverse of id in the convolution algebra
+    Hom(C, A) = C* (x) A, where a map f is sum_mu e^mu (x) f(x^mu) and id is
+    sum_mu e^mu (x) x^mu.  ``algebra_inverse`` checks that it is unique.
     """
-    a, c = b.alg, b.coalg
     n = b.n
-    nvar = n * n  # unknown s[nu][alpha] at column nu*n + alpha
-    rows: list[int] = []
-    rhs_bits: list[int] = []
-    for mu in range(n):
-        for beta in range(n):
-            target = ((c.eps >> mu) & 1) & ((a.eta >> beta) & 1)
-            row1 = 0
-            row2 = 0
-            for t in bits_of(c.cop(mu)):
-                nu, rho = divmod(t, n)
-                for alpha in range(n):
-                    if (a.prod(alpha, rho) >> beta) & 1:
-                        row1 ^= 1 << (nu * n + alpha)
-                    if (a.prod(nu, alpha) >> beta) & 1:
-                        row2 ^= 1 << (rho * n + alpha)
-            rows.append(row1)
-            rhs_bits.append(target)
-            rows.append(row2)
-            rhs_bits.append(target)
-    mat = Gf2Mat(tuple(rows), nvar)
-    rhs = Gf2Vec(len(rows), sum(bit << i for i, bit in enumerate(rhs_bits)))
-    sol = solve_linear(mat, rhs)
-    if sol is None:
-        return None
-    if sol.nullspace:
-        raise AntipodeError("antipode system has positive nullity")
-    s = sol.particular.bits
-    return Gf2Mat(tuple((s >> (nu * n)) & ((1 << n) - 1) for nu in range(n)), n)
+    conv = TensorProductAlgebra(dualize_coalgebra(b.coalg), b.alg)
+    s = algebra_inverse(conv, sum(1 << (mu * n + mu) for mu in range(n)))
+    return None if s is None else TensorSquareElement(n, s).matrix()
 
 
 def check_antipode_identities(h: HopfAlgebra) -> AxiomReport:

@@ -111,6 +111,36 @@ def naive_check_bialgebra(v, eta, c, eps, n):
     return (True, None, None)
 
 
+def naive_antipode_law(v, eta, c, eps, s, n) -> bool:
+    """Whether s, with s[mu][al] the coefficient of x^al in S(x^mu), satisfies
+    m(S (x) id)Delta = eta eps = m(id (x) S)Delta on every basis element."""
+    for mu in range(n):
+        for beta in range(n):
+            want = eps[mu] * eta[beta]
+            left = right = 0
+            for nu in range(n):
+                for rho in range(n):
+                    if c[mu][nu][rho]:
+                        left += sum(s[nu][al] * v[al][rho][beta] for al in range(n))
+                        right += sum(s[rho][al] * v[nu][al][beta] for al in range(n))
+            if left % 2 != want or right % 2 != want:
+                return False
+    return True
+
+
+def naive_antipode(v, eta, c, eps, n):
+    """The antipode found by trying all 2^(n^2) 0/1 matrices against
+    ``naive_antipode_law``, as a tuple of rows (row mu is S(x^mu)), or None
+    when none satisfies it; asserts that at most one does."""
+    found = []
+    for mask in range(1 << (n * n)):
+        s = tuple(tuple((mask >> (mu * n + al)) & 1 for al in range(n)) for mu in range(n))
+        if naive_antipode_law(v, eta, c, eps, s, n):
+            found.append(s)
+    assert len(found) <= 1, "antipode is not unique"
+    return found[0] if found else None
+
+
 def naive_mat_mul(a, b):
     rows = len(a)
     inner = len(b)

@@ -20,10 +20,10 @@ from f2hopf.catalog import (
 from f2hopf.gf2 import enumerate_invertible, mat_inv_rows
 from f2hopf.golden import COPRODUCTS_DIM3
 from f2hopf.structure import (
+    TensorProductAlgebra,
     apply_basis_change_algebra,
     check_algebra,
     dualize_coalgebra,
-    tensor_product_algebra,
 )
 
 
@@ -210,12 +210,12 @@ def test_tensor_product_identifications():
     f2z2 = catalog(2)["A"].representative
     f2_z2 = catalog(2)["B"].representative
     f4 = catalog(2)["C"].representative
-    assert identify_algebra(tensor_product_algebra(f2_z2, f2z2)) == "D"
-    assert identify_algebra(tensor_product_algebra(f2z2, f2z2)) == "E"
-    assert identify_algebra(tensor_product_algebra(f4, f2z2)) == "H"
-    assert identify_algebra(tensor_product_algebra(f4, f4)) == "N"
-    assert identify_algebra(tensor_product_algebra(f2_z2, f4)) == "N"
-    assert identify_algebra(tensor_product_algebra(f2_z2, f2_z2)) == "P"
+    assert identify_algebra(TensorProductAlgebra(f2_z2, f2z2)) == "D"
+    assert identify_algebra(TensorProductAlgebra(f2z2, f2z2)) == "E"
+    assert identify_algebra(TensorProductAlgebra(f4, f2z2)) == "H"
+    assert identify_algebra(TensorProductAlgebra(f4, f4)) == "N"
+    assert identify_algebra(TensorProductAlgebra(f2_z2, f4)) == "N"
+    assert identify_algebra(TensorProductAlgebra(f2_z2, f2_z2)) == "P"
 
 
 def test_identify_duals():

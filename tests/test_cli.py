@@ -175,10 +175,10 @@ def test_parallel_jobs_identical(tmp_path):
         assert path.read_bytes() == (parallel / path.name).read_bytes(), path.name
 
 
-def count_solves(monkeypatch) -> list:
-    """Count solve_coproducts calls made through any f2hopf module, and fail
-    on any call of the cached classify_dimension (whose cache could hide a
-    solve)."""
+def count_solves(monkeypatch, forbid_classify=True) -> list:
+    """Count solve_coproducts calls made through any f2hopf module, and
+    unless told otherwise fail on any call of the cached classify_dimension
+    (whose cache could hide a solve)."""
     from f2hopf import classify, coproducts
 
     calls = []
@@ -196,7 +196,7 @@ def count_solves(monkeypatch) -> list:
             for attr, value in list(vars(mod).items()):
                 if value is solve:
                     monkeypatch.setattr(mod, attr, counted)
-                elif value is classify_dimension:
+                elif value is classify_dimension and forbid_classify:
                     monkeypatch.setattr(mod, attr, forbidden)
     return calls
 
@@ -232,6 +232,29 @@ def test_fourier_fixture_mode(tmp_path):
     _, payload = load_dataset((out / "fourier_n4.json").read_text(), "fourier")
     assert len(payload) == 20
     assert run_cli(["verify", str(out / "fourier_n4.json")]) == 0
+
+
+def test_verify_solves_each_algebra_once(tmp_path, monkeypatch):
+    # The raw files and the classification of one dimension share a single
+    # fresh solve of each algebra.
+    from f2hopf import classify
+    from f2hopf.catalog import catalog
+
+    out = tmp_path / "out"
+    assert run_cli(["run", "--dim", "3", "--stage", "all", "--out", str(out)]) == 0
+    classify.solve_catalog_algebra.cache_clear()
+    classify.classify_dimension.cache_clear()
+    calls = count_solves(monkeypatch, forbid_classify=False)
+    assert run_cli(["verify", *sorted(str(p) for p in out.glob("*.json"))]) == 0
+    assert sorted(args[1] for args in calls) == sorted(catalog(3).labels)
+
+
+def test_verify_fixture_fourier_does_not_classify(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert run_cli(["run", "--dim", "4", "--stage", "fourier", "--out", str(out)]) == 0
+    calls = count_solves(monkeypatch)  # and fails on any classify_dimension call
+    assert run_cli(["verify", str(out / "fourier_n4.json")]) == 0
+    assert calls == []
 
 
 def test_reps_stage_tensor_table(tmp_path):

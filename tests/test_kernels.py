@@ -50,6 +50,15 @@ def test_solver_contradiction():
     assert kernels.backtrack(3, [(1, 0, ())]) == []
 
 
+def test_backtrack_beyond_63_variables():
+    # x_i = x_(i+1) along x_0..x_69 and x_70 = x_0 x_69: exactly the
+    # all-zero and all-one assignments of 71 variables.
+    nvars = 71
+    eqs = [(0, 0b11 << i, ()) for i in range(69)] + [(0, 1 << 70, ((0, 69),))]
+    assert kernels.backtrack(nvars, eqs) == [0, (1 << nvars) - 1]
+    assert kernels.solve_quadratic(nvars, eqs) == [0, (1 << nvars) - 1]
+
+
 @st.composite
 def quadratic_systems(draw, plant=True):
     """Random systems of up to 14 variables.  Quadratic terms are drawn on

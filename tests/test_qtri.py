@@ -207,11 +207,11 @@ def test_antipode_leg_identities():
 
 
 def test_inverse_is_two_sided():
-    from f2hopf.structure import tensor_product_algebra
+    from f2hopf.structure import TensorProductAlgebra
 
     for name in ("E.1", "D.2", "NF.2"):
         bi = fixture(name).bialgebra()
-        square = tensor_product_algebra(bi.alg, bi.alg)
+        square = TensorProductAlgebra(bi.alg, bi.alg)
         for s in enumerate_quasitriangular(bi):
             assert square.mul_vec(s.r.bits, s.r_inv.bits) == square.eta
             assert square.mul_vec(s.r_inv.bits, s.r.bits) == square.eta

@@ -4,6 +4,7 @@ import pytest
 
 from f2hopf import kernels
 from f2hopf.catalog import BASIS_NAMES, catalog
+from f2hopf.classify import classify_dimension
 from f2hopf.coproducts import solve_coproducts
 from f2hopf.gf2 import Gf2Mat, enumerate_invertible
 from f2hopf.golden import (
@@ -32,10 +33,12 @@ from f2hopf.structure import (
     opposite,
     solve_antipode,
     tensor_bit,
-    tensor_product_algebra,
+    TensorProductAlgebra,
 )
 from reference import (
     naive_algebra_maps,
+    naive_antipode,
+    naive_antipode_law,
     naive_check_algebra,
     naive_check_bialgebra,
     naive_check_coalgebra,
@@ -155,6 +158,24 @@ def test_antipode_dsl2():
     assert check_antipode_identities(HopfAlgebra(h.bi, s))
 
 
+def test_antipode_matches_naive_oracle():
+    # Every raw solution of n <= 3 against the brute-force antipode.  At
+    # n = 4, where the brute force has 2^16 candidates, every antipode found
+    # satisfies the naive law.
+    for n in (2, 3, 4):
+        for label, rs in classify_dimension(n).raw.items():
+            a = rs.algebra
+            v, eta = unpack_tensor(a.v, n), unpack_vec(a.eta, n)
+            for sol in rs.solutions:
+                c, eps = unpack_tensor(sol.coalg.c, n), unpack_vec(sol.coalg.eps, n)
+                s = solve_antipode(Bialgebra(a, sol.coalg))
+                got = None if s is None else tuple(map(tuple, s.to_lists()))
+                if n <= 3:
+                    assert got == naive_antipode(v, eta, c, eps, n), (label, sol.coalg)
+                elif got is not None:
+                    assert naive_antipode_law(v, eta, c, eps, got, n), (label, sol.coalg)
+
+
 def test_antipode_identities_all_named_hopf():
     for e in COPRODUCTS_DIM3 + TABLES_DIM4:
         if e.antipode is None:
@@ -222,14 +243,14 @@ def test_opposite_involution():
 
 def test_tensor_square_unit_neutral():
     a = catalog(2)["A"].representative
-    square = tensor_product_algebra(a, a)
+    square = TensorProductAlgebra(a, a)
     x_x = parse_tensor_terms("x.x", BASIS_NAMES[2])
     assert square.mul_vec(square.eta, x_x) == x_x
 
 
 def test_tensor_square_grassmann_self_inverse():
     a = catalog(2)["A"].representative  # x^2 = 0
-    square = tensor_product_algebra(a, a)
+    square = TensorProductAlgebra(a, a)
     r = parse_tensor_terms("1.1 x.x", BASIS_NAMES[2])
     assert square.mul_vec(r, r) == square.eta
 
@@ -241,14 +262,14 @@ def test_tensor_square_mixed_product():
     names = BASIS_NAMES[4]
     lhs = parse_tensor_terms("1.1 y.x", names)
     rhs = parse_tensor_terms("1.1 x.y", names)
-    out = tensor_product_algebra(a, a).mul_vec(lhs, rhs)
+    out = TensorProductAlgebra(a, a).mul_vec(lhs, rhs)
     assert out == parse_tensor_terms("1.1 y.x x.y z.z", names)
 
 
 def test_tensor_square_associative():
     rng = random.Random(29)
     a = catalog(3)["B"].representative
-    square = tensor_product_algebra(a, a)
+    square = TensorProductAlgebra(a, a)
     for _ in range(50):
         xs = [rng.getrandbits(9) for _ in range(3)]
         left = square.mul_vec(square.mul_vec(xs[0], xs[1]), xs[2])
@@ -266,7 +287,7 @@ def test_tensor_square_matches_naive_product():
     rng = random.Random(31)
     for a in algebras + [moved]:
         n = a.n
-        square = tensor_product_algebra(a, a)
+        square = TensorProductAlgebra(a, a)
         assert check_algebra(square), a
         unit = sum(a.eta << (i * n) for i in range(n) if (a.eta >> i) & 1)
         assert square.eta == unit
@@ -286,7 +307,7 @@ def _brute_force_inverse(alg, x):
 
 def test_algebra_inverse_matches_brute_force():
     algebras = [c.representative for n in (1, 2, 3, 4) for c in catalog(n).classes]
-    algebras += [tensor_product_algebra(c.representative, c.representative)
+    algebras += [TensorProductAlgebra(c.representative, c.representative)
                  for c in catalog(2).classes]
     for a in algebras:
         for x in range(1 << a.n):
@@ -305,6 +326,20 @@ def test_algebra_inverse_is_two_sided():
     assert magma.mul_vec(0b010, 0b100) == 1
     assert algebra_inverse(magma, 0b010) is None
     assert _brute_force_inverse(magma, 0b010) is None
+
+
+def test_algebra_inverse_must_be_unique():
+    # On basis 1, x, y let x x = 1 and x y = y x = y y = 0: x and x + y
+    # are both inverses of x, which only a non-associative table allows
+    # ((y x) x = 0, y (x x) = y).
+    v = 1 << tensor_bit(3, 1, 1, 0)
+    for mu in range(3):
+        v |= 1 << tensor_bit(3, 0, mu, mu) | 1 << tensor_bit(3, mu, 0, mu)
+    magma = AlgebraSC(3, v)
+    assert [y for y in range(8) if magma.mul_vec(0b010, y) == 1 == magma.mul_vec(y, 0b010)] \
+        == [0b010, 0b110]
+    with pytest.raises(ValueError, match="not unique"):
+        algebra_inverse(magma, 0b010)
 
 
 # --- algebra maps ----------------------------------------------------------------
@@ -354,18 +389,21 @@ def test_homomorphism_equations_into_f2_and_m2():
 
 def test_homomorphism_equations_from_nonstandard_sources():
     # Duals of coalgebras whose counit is not x^0*, so their unit is not
-    # basis element 0 and the products with e_0 are stated too.  While e_0
-    # is a term of the unit they follow from the others by linearity; after
-    # swapping x^0 and x^2 it is not, and only the stated products pin
-    # phi(e_0) down.
+    # basis element 0.  While e_0 is a term of the unit the products with
+    # e_0 follow from the others by linearity and are not stated; after
+    # swapping x^0 and x^2 it is not, and all n^2 products are stated, since
+    # only they pin phi(e_0) down.
     coalg = next(s.coalg for s in solve_coproducts(catalog(3)["B"].representative).solutions
                  if s.coalg.eps != 1)
     swap = Gf2Mat((0b100, 0b010, 0b001), 3)
     sources = [dualize_coalgebra(coalg),
                dualize_coalgebra(apply_basis_change_coalgebra(coalg, swap))]
     assert [d.eta & 1 for d in sources] == [1, 0]
-    for source in sources:
+    for source, products in zip(sources, (2 * 2, 3 * 3)):
         for b in _catalog_algebras([1, 3]) + [matrix_algebra(2)]:
+            # one equation per unit coefficient and per (p, q, r)
+            assert len(homomorphism_equations(source, b, lambda i, j: i * b.n + j)) \
+                == b.n + products * b.n
             assert _builder_maps(source, b) == naive_algebra_maps(source, b)
 
 

@@ -10,6 +10,10 @@ elimination is timed separately).  The backtracker is timed
 twice per suite: in plain index order (``kernels.backtrack``), and in the
 greedy search order every engine search uses (``kernels.solve_ordered``).
 Both orders must return identical solutions.
+The algebra P suite times all four of P's counit systems, although the
+engine searches only eps = 0001 and transports the other three counits'
+solutions along automorphisms; the dense eps = 1111 system stays in the
+suite as a stress test of the kernel.
 Times are the best of up to three runs, fewer when a run is slow.  The
 numbers, the core count and the Python version go to
 benchmarks/BENCH_kernel.json (or the path given with --out).

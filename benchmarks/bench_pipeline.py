@@ -12,9 +12,10 @@ Each round runs the command twice into one new temporary output directory:
 Every run is a fresh interpreter, so no in-process cache of an earlier run
 is reused.  A run imports the engine and builds the algebra catalogs
 (``setup_s``), then times ``cli.main`` (``wall_s``) and counts the calls of
-``coproducts.solve_coproducts`` made through any ``f2hopf`` module.  Every
-command must exit 0: the census matched ``golden.CENSUS`` and every file
-verified.
+``coproducts.solve_coproducts`` (one per algebra solved) and of
+``coproducts.solve_coproduct_tensors`` (one per counit system searched) made
+through any ``f2hopf`` module.  Every command must exit 0: the census matched
+``golden.CENSUS`` and every file verified.
 
 The medians over the rounds, every run's numbers, the core count, the Python
 version and the kernel backend go to benchmarks/BENCH_pipeline.json (or the
@@ -41,6 +42,8 @@ from pathlib import Path
 
 DIMS = (2, 3, 4)
 ROUNDS = 3
+# coproducts functions whose calls each run counts.
+COUNTED = ("solve_coproducts", "solve_coproduct_tensors")
 
 
 def child(out_dir: str, verify: bool) -> None:
@@ -53,18 +56,22 @@ def child(out_dir: str, verify: bool) -> None:
         catalog(n)
     setup_s = time.perf_counter() - t0
 
-    calls = []
-    solve = coproducts.solve_coproducts
+    calls = {name: 0 for name in COUNTED}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("f2hopf") and mod is not None:
-            for attr, value in list(vars(mod).items()):
-                if value is solve:
-                    setattr(mod, attr, counted)
+    for name in COUNTED:
+        fn = getattr(coproducts, name)
+        wrapper = counted(name, fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("f2hopf") and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        setattr(mod, attr, wrapper)
 
     if verify:
         argv = ["verify", *sorted(str(p) for p in Path(out_dir).glob("*.json"))]
@@ -77,7 +84,8 @@ def child(out_dir: str, verify: bool) -> None:
         rc = cli.main(argv)
     wall_s = time.perf_counter() - t1
     print(json.dumps({"rc": rc, "setup_s": setup_s, "wall_s": wall_s,
-                      "solve_coproducts_calls": len(calls), "backend": kernels.BACKEND}))
+                      **{f"{name}_calls": calls[name] for name in COUNTED},
+                      "backend": kernels.BACKEND}))
 
 
 def run_child(out_dir: Path, mode: str) -> dict:
@@ -109,7 +117,9 @@ def main(argv=None):
                 result = run_child(Path(tmp) / "out", mode)
                 runs[mode].append(result)
                 print(f"{mode}: wall {result['wall_s']:.3f}s, "
-                      f"{result['solve_coproducts_calls']} solves", flush=True)
+                      f"{result['solve_coproducts_calls']} solves, "
+                      f"{result['solve_coproduct_tensors_calls']} counit systems",
+                      flush=True)
 
     record = {
         "python": platform.python_version(),
@@ -124,7 +134,8 @@ def main(argv=None):
         record[mode] = {
             "wall_s_median": round(statistics.median(r["wall_s"] for r in results), 3),
             "setup_s_median": round(statistics.median(r["setup_s"] for r in results), 3),
-            "solve_coproducts_calls": sorted({r["solve_coproducts_calls"] for r in results}),
+            **{f"{name}_calls": sorted({r[f"{name}_calls"] for r in results})
+               for name in COUNTED},
             "wall_s": [round(r["wall_s"], 3) for r in results],
         }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")

@@ -7,6 +7,14 @@ quadratic XOR system in the bits of the coproduct tensor, solved by
 ``kernels.solve_quadratic``.  Its elimination step removes the linear
 equations before the backtracker searches the remaining bits.  Each solution
 is annotated with its coalgebra type and its antipode (or None).
+
+Only the smallest counit of each orbit of the algebra's automorphism group
+is searched.  An automorphism p carrying that counit to another one of its
+orbit is a basis change that leaves the algebra unchanged, so it carries the
+searched solutions one to one onto those of the other counit: the coproduct
+by ``structure.apply_basis_change_coalgebra``, the antipode S to
+p S p^-1, and the coalgebra type unchanged.  On algebra P (F2^4) the four
+counits form one orbit, and the densest of their systems is never searched.
 """
 
 from __future__ import annotations
@@ -14,14 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from f2hopf import kernels
-from f2hopf.catalog import identify_algebra
-from f2hopf.gf2 import Gf2Mat, bits_of
+from f2hopf.catalog import automorphism_group, identify_algebra
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of
 from f2hopf.kernels import Equation
 from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
     CoalgebraSC,
     TensorProductAlgebra,
+    apply_basis_change_coalgebra,
     dualize_coalgebra,
     homomorphism_equations,
     solve_antipode,
@@ -34,6 +43,30 @@ def enumerate_counits(a: AlgebraSC) -> list[int]:
         raise ValueError("expects standard form")
     return kernels.solve_quadratic(
         a.n, homomorphism_equations(a, AlgebraSC(1, 1), lambda i, j: i))
+
+
+def counit_orbits(a: AlgebraSC) -> list[tuple[int, list[Gf2Mat]]]:
+    """The Aut(a)-orbits of the counits, ascending by their smallest counit,
+    as (smallest counit, moves): for each other counit of the orbit, in
+    ascending order, the lexicographically first automorphism carrying the
+    smallest one to it.
+
+    The basis change p carries the counit eps to P eps: the new basis
+    element z_i = sum_m P[i][m] x^m has counit parity(P[i] & eps).
+    """
+    autos = automorphism_group(a)
+    orbits = []
+    seen: set[int] = set()
+    for eps in enumerate_counits(a):
+        if eps in seen:
+            continue
+        moves: dict[int, Gf2Mat] = {}
+        for p in autos:
+            moves.setdefault(p.mul_vec(Gf2Vec(a.n, eps)).bits, p)
+        seen.update(moves)
+        del moves[eps]
+        orbits.append((eps, [moves[e] for e in sorted(moves)]))
+    return orbits
 
 
 def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
@@ -129,22 +162,37 @@ def solve_coproduct_tensors(a: AlgebraSC, eps: int) -> list[int]:
 
 def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
     """The complete raw solution set for one algebra, deterministically
-    ordered by the packed coproduct tensor."""
+    ordered by the packed coproduct tensor.
+
+    The smallest counit of each automorphism orbit is searched and its
+    solutions annotated; those of the other counits are transported to them
+    by automorphisms (see the module docstring)."""
     if not a.is_standard:
         raise ValueError("expects standard form")
     if label is None:
         label = identify_algebra(a)
     found: list[RawSolution] = []
-    for eps in enumerate_counits(a):
+    for eps, moves in counit_orbits(a):
+        searched = []
         for c in solve_coproduct_tensors(a, eps):
             coalg = CoalgebraSC(a.n, c, eps)
-            bi = Bialgebra(a, coalg)
-            found.append(
+            searched.append(
                 RawSolution(
                     coalg=coalg,
                     type_label=coalgebra_type(coalg),
-                    antipode=solve_antipode(bi),
+                    antipode=solve_antipode(Bialgebra(a, coalg)),
                 )
             )
+        found += searched
+        for p in moves:
+            pinv = p.inverse()
+            found += [
+                RawSolution(
+                    coalg=apply_basis_change_coalgebra(s.coalg, p),
+                    type_label=s.type_label,
+                    antipode=None if s.antipode is None else p * s.antipode * pinv,
+                )
+                for s in searched
+            ]
     found.sort(key=lambda s: s.coalg.c)
     return RawSolutionSet(label, a, tuple(found))

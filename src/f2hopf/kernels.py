@@ -149,11 +149,14 @@ def search_order(nvars: int, equations) -> list[int]:
     equation scores 0 throughout and so comes last.
 
     The rules were chosen by timing the pure-Python backtracker on the 102
-    systems of a ``run --dim 2 --dim 3 --dim 4`` census (2-core x86-64,
-    Python 3.11): index order 16.9 s; rule 1 alone 5.1 s; rules 1 and 2
-    3.4 s; rules 1 and 3 4.0 s; rules 1 to 3 1.8 s.  The tie-breaks matter
-    most on algebra P's two 240-equation counit systems, which rule 1 alone
-    searches about 3.5 times longer.
+    systems a ``run --dim 2 --dim 3 --dim 4`` census then searched (2-core
+    x86-64, Python 3.11): index order 16.9 s; rule 1 alone 5.1 s; rules 1
+    and 2 3.4 s; rules 1 and 3 4.0 s; rules 1 to 3 1.8 s.  At that time
+    every counit of algebra P was searched, and the tie-breaks mattered
+    most on its densest counit system (eps = 1111, 240 reduced equations),
+    which rule 1 alone searched about 3.5 times longer.  The engine no
+    longer searches that system: ``coproducts.solve_coproducts`` transports
+    its solutions from eps = 0001 along an automorphism.
     """
     supports = []
     for _, lin, pairs in equations:

@@ -9,6 +9,8 @@ solves;
 ``brute_force_coproducts`` scans every coproduct candidate through the
 bialgebra checker, and ``brute_force_coproduct_set`` memoises it, since its
 dimension-3 scan is the slowest check in the suite;
+``coproducts_per_counit`` solves and annotates every counit's coproducts
+afresh, with no transport along automorphisms;
 ``classify_bialgebras_pairwise`` and ``coquasitriangular_via_dual`` reach
 the engine's bialgebra classes and coquasitriangular forms by other routes.
 """
@@ -323,6 +325,30 @@ def brute_force_coproduct_set(n: int, label: str) -> frozenset:
     return frozenset(
         (c.c, c.eps) for c in brute_force_coproducts(catalog(n)[label].representative)
     )
+
+
+def coproducts_per_counit(a: AlgebraSC) -> RawSolutionSet:
+    """The raw solution set of ``coproducts.solve_coproducts``, reached by
+    searching every counit's system and annotating each solution with its
+    own ``coalgebra_type`` and ``solve_antipode``."""
+    from f2hopf.catalog import identify_algebra
+    from f2hopf.coproducts import (
+        RawSolution,
+        RawSolutionSet,
+        coalgebra_type,
+        enumerate_counits,
+        solve_coproduct_tensors,
+    )
+    from f2hopf.structure import Bialgebra, CoalgebraSC, solve_antipode
+
+    found = []
+    for eps in enumerate_counits(a):
+        for c in solve_coproduct_tensors(a, eps):
+            coalg = CoalgebraSC(a.n, c, eps)
+            found.append(RawSolution(coalg, coalgebra_type(coalg),
+                                     solve_antipode(Bialgebra(a, coalg))))
+    found.sort(key=lambda s: s.coalg.c)
+    return RawSolutionSet(identify_algebra(a), a, tuple(found))
 
 
 def classify_bialgebras_pairwise(a: AlgebraSC, raw: RawSolutionSet) -> list[set[int]]:

@@ -2,16 +2,30 @@ import random
 
 import pytest
 
-from f2hopf.catalog import BASIS_NAMES, catalog
+from f2hopf import coproducts
+from f2hopf.catalog import BASIS_NAMES, automorphism_group, catalog
 from f2hopf.coproducts import (
     coalgebra_type,
+    counit_orbits,
     enumerate_counits,
     solve_coproduct_tensors,
     solve_coproducts,
 )
+from f2hopf.gf2 import Gf2Mat
 from f2hopf.golden import HOPF_RAW_COUNTS, RAW_COUNTS, RAW_TYPE_COUNTS
-from f2hopf.structure import Bialgebra, CoalgebraSC, check_bialgebra
-from reference import brute_force_coproduct_set
+from f2hopf.structure import (
+    Bialgebra,
+    CoalgebraSC,
+    apply_basis_change_algebra,
+    check_bialgebra,
+)
+from reference import (
+    brute_force_coproduct_set,
+    coproducts_per_counit,
+    naive_antipode_law,
+    unpack_tensor,
+    unpack_vec,
+)
 
 
 def test_counits_dim2():
@@ -109,3 +123,66 @@ def test_coalgebra_types_examples():
         BASIS_NAMES[4], "1", x="1.x x.1", y="1.y y.1", z="1.z x.y y.x z.1"
     )
     assert coalgebra_type(grass) == "E"
+
+
+def _assert_transport_matches_per_counit_solve(a):
+    rs = solve_coproducts(a)
+    assert rs == coproducts_per_counit(a)
+    searched = {eps for eps, _ in counit_orbits(a)}
+    v, eta = unpack_tensor(a.v, a.n), unpack_vec(a.eta, a.n)
+    for s in rs.solutions:
+        if s.antipode is not None and s.coalg.eps not in searched:
+            assert naive_antipode_law(v, eta, unpack_tensor(s.coalg.c, a.n),
+                                      unpack_vec(s.coalg.eps, a.n),
+                                      s.antipode.to_lists(), a.n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transported_solutions_match_a_search_of_every_counit(n):
+    # Every annotated solution reached along an automorphism is the one a
+    # search of its own counit's system finds, and every transported
+    # antipode satisfies the naive antipode law.
+    for cls in catalog(n).classes:
+        _assert_transport_matches_per_counit_solve(cls.representative)
+
+
+def test_transport_on_a_non_representative_algebra():
+    # P in the basis 1, 1 + x, y, z: still in standard form, but the change
+    # is not an automorphism, so the algebra is not the catalog's tensor.
+    p_rep = catalog(4)["P"].representative
+    a = apply_basis_change_algebra(p_rep, Gf2Mat((0b0001, 0b0011, 0b0100, 0b1000), 4))
+    assert a.is_standard and a != p_rep
+    assert len(counit_orbits(a)) == 1
+    _assert_transport_matches_per_counit_solve(a)
+
+
+def _naive_counit_orbits(a) -> set[frozenset]:
+    def image(p, eps):
+        return sum((sum(p[i, m] * ((eps >> m) & 1) for m in range(a.n)) % 2) << i
+                   for i in range(a.n))
+
+    autos = automorphism_group(a)
+    return {frozenset(image(p, eps) for p in autos) for eps in enumerate_counits(a)}
+
+
+def test_one_search_per_counit_orbit(monkeypatch):
+    searched = []
+    solve = coproducts.solve_coproduct_tensors
+
+    def counted(a, eps):
+        searched.append((a, eps))
+        return solve(a, eps)
+
+    monkeypatch.setattr(coproducts, "solve_coproduct_tensors", counted)
+    counits = orbits = 0
+    for n in (2, 3, 4):
+        for cls in catalog(n).classes:
+            a = cls.representative
+            searched.clear()
+            solve_coproducts(a, cls.label)
+            want = _naive_counit_orbits(a)
+            assert len(searched) == len(want), (n, cls.label)
+            assert {eps for _, eps in searched} == {min(o) for o in want}
+            counits += len(enumerate_counits(a))
+            orbits += len(want)
+    assert (counits, orbits) == (48, 38)

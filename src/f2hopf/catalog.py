@@ -18,12 +18,17 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from f2hopf import kernels
 from f2hopf.gf2 import Gf2Mat, bits_of, gl_order, rank_rows
-from f2hopf.kernels import Equation
-from f2hopf.structure import AlgebraSC, check_algebra, homomorphism_equations
+from f2hopf.structure import (
+    AlgebraSC,
+    algebra_equations,
+    check_algebra,
+    homomorphism_equations,
+    tensor_bit,
+)
 
 BASIS_NAMES = {1: ("1",), 2: ("1", "x"), 3: ("1", "x", "y"), 4: ("1", "x", "y", "z")}
 
@@ -323,60 +328,20 @@ def _catalog_label(n: int, v: int, eta: int) -> str:
 
 
 def _algebra_equations(n: int) -> tuple[int, list[tuple]]:
-    """Associativity as a quadratic XOR system over the free product bits,
-    as (number of variables, equations).
-
-    Variable layout: bit of V[mu][nu][rho] for mu, nu >= 1 at index
-    ((mu-1)*(n-1) + (nu-1))*n + rho, i.e. products filled in lexicographic
-    (mu, nu) order.
-    """
-
-    def var(mu: int, nu: int, rho: int) -> int:
-        return ((mu - 1) * (n - 1) + (nu - 1)) * n + rho
-
-    equations = []
-    for a in range(1, n):
-        for b in range(1, n):
-            for c in range(1, n):
-                for g in range(n):
-                    eq = Equation()
-                    # (x^a x^b) x^c : sum_lam V[a][b][lam] V[lam][c][g]
-                    if c == g:
-                        eq.add_var(var(a, b, 0))
-                    for lam in range(1, n):
-                        eq.add_pair(var(a, b, lam), var(lam, c, g))
-                    # x^a (x^b x^c) : sum_lam V[b][c][lam] V[a][lam][g]
-                    if a == g:
-                        eq.add_var(var(b, c, 0))
-                    for lam in range(1, n):
-                        eq.add_pair(var(b, c, lam), var(a, lam, g))
-                    equations.append(eq.emit())
-    return (n - 1) * (n - 1) * n, equations
+    """The standard-form algebras as a quadratic XOR system, as (number of
+    variables, equations): unit x^0 and associativity, stated by
+    ``structure.algebra_equations`` with coefficient rho of x^mu x^nu at
+    variable mu*n*n + nu*n + rho, so a solution mask is the product tensor."""
+    return n**3, algebra_equations(n, 1, partial(tensor_bit, n))
 
 
 @lru_cache(maxsize=None)
 def enumerate_algebras(n: int) -> tuple[AlgebraSC, ...]:
     """Every standard-form unital associative algebra tensor, exactly once,
-    in ascending order of the packed free bits."""
+    ascending by packed tensor."""
     if not 1 <= n <= 4:
         raise ValueError("dimension out of range")
-    if n == 1:
-        return (AlgebraSC(1, 1),)
-    sols = kernels.solve_quadratic(*_algebra_equations(n))
-    out = []
-    for mask in sols:
-        v = 0
-        for mu in range(n):
-            for nu in range(n):
-                if mu == 0:
-                    vec = 1 << nu
-                elif nu == 0:
-                    vec = 1 << mu
-                else:
-                    vec = (mask >> (((mu - 1) * (n - 1) + (nu - 1)) * n)) & ((1 << n) - 1)
-                v |= vec << ((mu * n + nu) * n)
-        out.append(AlgebraSC(n, v))
-    return tuple(out)
+    return tuple(AlgebraSC(n, v) for v in kernels.solve_quadratic(*_algebra_equations(n)))
 
 
 def classify_algebras(algebras) -> dict[str, list[AlgebraSC]]:

@@ -1,9 +1,10 @@
 """For a fixed algebra, every coalgebra structure making it a bialgebra.
 
 The counits are the unital algebra maps H -> F2.  For each, the counit
-identities, coassociativity and compatibility (Delta an algebra map
-H -> H (x) H, stated by ``structure.homomorphism_equations``) are one
-quadratic XOR system in the bits of the coproduct tensor, solved by
+identities and coassociativity (the dual H* an algebra with unit the
+counit, stated by ``structure.algebra_equations``) and compatibility (Delta
+an algebra map H -> H (x) H, stated by ``structure.homomorphism_equations``)
+are one quadratic XOR system in the bits of the coproduct tensor, solved by
 ``kernels.solve_quadratic``.  Its elimination step removes the linear
 equations before the backtracker searches the remaining bits.  Each solution
 is annotated with its coalgebra type and its antipode (or None).
@@ -23,13 +24,13 @@ from dataclasses import dataclass
 
 from f2hopf import kernels
 from f2hopf.catalog import automorphism_group, identify_algebra
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of
-from f2hopf.kernels import Equation
+from f2hopf.gf2 import Gf2Mat, Gf2Vec
 from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
     CoalgebraSC,
     TensorProductAlgebra,
+    algebra_equations,
     apply_basis_change_coalgebra,
     dualize_coalgebra,
     homomorphism_equations,
@@ -74,46 +75,17 @@ def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
     (number of variables, equations).
 
     Variable mu*n^2 + nu*n + rho is bit C[mu][nu][rho] of the packed
-    coproduct tensor, so a solution mask is the tensor.  Delta(1) = 1 (x) 1
-    and compatibility say that Delta: a -> a (x) a is a unital algebra map.
+    coproduct tensor, so a solution mask is the tensor.  It is also
+    coefficient mu of e^nu e^rho in the dual algebra, and the counit laws and
+    coassociativity say that the dual is an algebra with unit eps.
+    Delta(1) = 1 (x) 1 and compatibility say that Delta: a -> a (x) a is a
+    unital algebra map.
     """
     n = a.n
     nn = n * n
-
-    def var(mu: int, nu: int, rho: int) -> int:
-        return mu * nn + nu * n + rho
-
-    equations = []
-    # Counit identities, linear in the coproduct.  The row of the unit is
-    # pinned to 1 (x) 1, where they hold since eps(1) = 1.
-    for mu in range(1, n):
-        for rho in range(n):
-            eq = Equation(1 if mu == rho else 0)
-            for nu in bits_of(eps):
-                eq.add_var(var(mu, nu, rho))
-            equations.append(eq.emit())
-        for nu in range(n):
-            eq = Equation(1 if mu == nu else 0)
-            for rho in bits_of(eps):
-                eq.add_var(var(mu, nu, rho))
-            equations.append(eq.emit())
-
-    # Coassociativity: for mu >= 1 and every (alpha, beta, gamma).
-    for mu in range(1, n):
-        for alpha in range(n):
-            for beta in range(n):
-                for gamma in range(n):
-                    eq = Equation()
-                    for nu in range(n):
-                        # C[mu][nu][gamma] C[nu][alpha][beta]
-                        eq.add_pair(var(mu, nu, gamma), var(nu, alpha, beta))
-                        # C[mu][alpha][nu] C[nu][beta][gamma]
-                        eq.add_pair(var(mu, alpha, nu), var(nu, beta, gamma))
-                    equations.append(eq.emit())
-
-    equations += homomorphism_equations(a, TensorProductAlgebra(a, a),
-                                        lambda mu, t: mu * nn + t)
-    return n * nn, equations
+    return n * nn, (
+        algebra_equations(n, eps, lambda p, q, r: r * nn + p * n + q)
+        + homomorphism_equations(a, TensorProductAlgebra(a, a), lambda mu, t: mu * nn + t))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ quadratic XOR system.  An equation is a triple (const, lin, pairs):
 and states  const ^ XOR(lin bits) ^ XOR(x_i & x_j) == 0.
 Over F2 squares are linear (x*x = x), so i == j never appears in pairs.
 
-Each builder states its system with ``Equation``, every algebra map in it
+Each builder states its system with ``Equation``: every algebra map in it
 (coproduct, counit, representation, isomorphism, the legs of an R-matrix or
-form) through ``structure.homomorphism_equations``, and passes it,
+form) through ``structure.homomorphism_equations``, and the unit and
+associativity laws of a product (an enumerated algebra, the dual algebra of
+a coproduct) through ``structure.algebra_equations``.  It passes the system,
 unreduced, to ``solve_quadratic``, which runs one path:
 
 1. Elimination.  ``eliminate`` row-reduces the product-free equations with

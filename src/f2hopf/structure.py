@@ -8,6 +8,10 @@ tensor C the n^2-bit slice at mu is Delta(x^mu) as an element of H (x) H,
 whose bit nu*n + rho stands for x^nu (x) x^rho.  Tensor products of
 algebras (``TensorProductAlgebra``) are never packed but multiply factorwise;
 the antipode is an inverse in one, the convolution algebra H* (x) H.
+
+The axioms searched for are stated as XOR equations by two builders:
+``algebra_equations`` (a product has a given unit and is associative) and
+``homomorphism_equations`` (a linear map is a unital algebra map).
 """
 
 from __future__ import annotations
@@ -300,6 +304,39 @@ def matrix_algebra(k: int) -> AlgebraSC:
             for l in range(k):
                 v |= 1 << tensor_bit(n, i * k + j, j * k + l, i * k + l)
     return AlgebraSC(n, v, sum(1 << (i * k + i) for i in range(k)))
+
+
+def algebra_equations(n: int, eta: int, var) -> list[tuple]:
+    """The XOR equations stating that a product on n basis elements has unit
+    eta and is associative.
+
+    Coefficient r of e_p e_q is variable var(p, q, r).  First come the unit
+    laws eta e_q = e_q and e_q eta = e_q, linear, one equation per (q, r)
+    for each side; then (e_a e_b) e_c = e_a (e_b e_c), one equation per
+    (a, b, c, g) in lexicographic order for coefficient g.
+    """
+    equations = []
+    for side in (var, lambda i, q, r: var(q, i, r)):
+        for q in range(n):
+            for r in range(n):
+                eq = Equation(int(q == r))
+                for i in bits_of(eta):
+                    eq.add_var(side(i, q, r))
+                equations.append(eq.emit())
+    # When the unit is e_0 itself, the unit laws pin every product with e_0,
+    # and associativity at a triple containing 0 reads 0 = 0 once they are
+    # substituted: it is not emitted.
+    first = int(eta == 1)
+    for a in range(first, n):
+        for b in range(first, n):
+            for c in range(first, n):
+                for g in range(n):
+                    eq = Equation()
+                    for lam in range(n):
+                        eq.add_pair(var(a, b, lam), var(lam, c, g))
+                        eq.add_pair(var(b, c, lam), var(a, lam, g))
+                    equations.append(eq.emit())
+    return equations
 
 
 def homomorphism_equations(a: AlgebraSC, b: AlgebraSC, var) -> list[tuple]:

@@ -146,17 +146,24 @@ def test_enumerate_counts():
 
 
 def test_enumerate_dim2_brute_force():
-    # All four candidate x*x vectors with the unit rows forced, filtered by
-    # the full axiom checker; every one is associative, giving 4 tensors.
+    # Every standard-form tensor (unit rows forced, the (n-1)^2 products of
+    # x^1..x^(n-1) free) filtered by the full axiom checker: all 4 of n = 2
+    # are associative, and 76 of the 4,096 of n = 3.  The enumeration lists
+    # each once, strictly ascending by packed tensor.
     from f2hopf.structure import AlgebraSC
 
-    found = set()
-    for bits in range(4):
-        alg = AlgebraSC(2, 1 | (2 << 2) | (2 << 4) | (bits << 6))
-        if check_algebra(alg):
-            found.add(alg.v)
-    assert found == {a.v for a in enumerate_algebras(2)}
-    assert len(found) == 4
+    for n, count in ((2, 4), (3, 76)):
+        fixed = sum((1 << i) << (i * n) | (1 << i) << (i * n * n) for i in range(n))
+        found = []
+        for bits in range(1 << ((n - 1) ** 2 * n)):
+            v = fixed
+            for k, (mu, nu) in enumerate((mu, nu) for mu in range(1, n) for nu in range(1, n)):
+                v |= ((bits >> (k * n)) & ((1 << n) - 1)) << ((mu * n + nu) * n)
+            if check_algebra(alg := AlgebraSC(n, v)):
+                found.append(alg.v)
+        algebras = [a.v for a in enumerate_algebras(n)]
+        assert sorted(found) == algebras and len(algebras) == count
+        assert all(x < y for x, y in zip(algebras, algebras[1:]))
 
 
 def test_enumerate_all_valid_and_classified():

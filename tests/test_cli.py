@@ -433,6 +433,17 @@ def _edit(records: list, field: str) -> None:
         records[0]["transport_order"] += 1
     elif field == "F_sharp":
         records[0]["F_sharp"] = "7,3,4"
+    elif field in ("hopf", "antipode-bit", "no-antipode", "not-hopf"):
+        hopf = next(rec for rec in records if rec["hopf"])
+        if field == "antipode-bit":
+            rows = hopf["antipode"].split(",")
+            rows[1] = format(int(rows[1], 16) ^ 1, "x")
+            hopf["antipode"] = ",".join(rows)
+        else:
+            if field != "no-antipode":
+                hopf["hopf"] = False
+            if field != "hopf":
+                del hopf["antipode"]
     else:
         records[0]["type"], records[1]["type"] = records[1]["type"], records[0]["type"]
 
@@ -444,6 +455,11 @@ DATASET_EDITS = {
     ("algebras_n3", "drop"): "6 records, the derived dataset of n=3 has 7",
     ("raw_n3_B", "drop"): "32 records, the derived dataset of n=3 has 33",
     ("raw_n3_B", "swap-records"): "raw[0] C: differs from the derived dataset of n=3",
+    # record 10 is the first Hopf record of algebra B
+    ("raw_n3_B", "hopf"): "B[10]: hopf flag mismatch",
+    ("raw_n3_B", "antipode-bit"): "B[10]: antipode law fails",
+    ("raw_n3_B", "no-antipode"): "B[10]: hopf flag mismatch",
+    ("raw_n3_B", "not-hopf"): "raw[10] antipode: differs from the derived dataset of n=3",
     ("fourier_n3", "transport_order"): "record 0: transport is not F * identification",
     ("fourier_n3", "F_sharp"): "record 0: F and F_sharp are not the pairings of I",
     ("fourier_n3", "type"): "fourier[0] type: differs from the derived dataset of n=3",

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -17,6 +18,7 @@ from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
     CoalgebraSC,
+    algebra_equations,
     algebra_inverse,
     apply_basis_change,
     apply_basis_change_algebra,
@@ -405,6 +407,37 @@ def test_homomorphism_equations_from_nonstandard_sources():
             assert len(homomorphism_equations(source, b, lambda i, j: i * b.n + j)) \
                 == b.n + products * b.n
             assert _builder_maps(source, b) == naive_algebra_maps(source, b)
+
+
+def _satisfies(equations, mask):
+    return all(not (const ^ (lin & mask).bit_count() ^ sum((mask >> i) & (mask >> j) & 1
+                                                          for i, j in pairs)) & 1
+               for const, lin, pairs in equations)
+
+
+def test_algebra_equations_are_the_algebra_axioms():
+    # A product tensor solves the equations for its unit exactly when it is a
+    # unital associative algebra: every tensor of n = 2 with each unit, then
+    # the duals of the n = 3 coalgebras whose counit is not x^0*, as they are
+    # and with x^0 and x^2 swapped (so e_0 is no term of the unit and the
+    # triples containing 0 must be stated), each also with any one bit
+    # flipped.
+    for eta in (1, 2, 3):
+        equations = algebra_equations(2, eta, partial(tensor_bit, 2))
+        for v in range(1 << 8):
+            assert _satisfies(equations, v) == bool(check_algebra(AlgebraSC(2, v, eta)))
+    swap = Gf2Mat((0b100, 0b010, 0b001), 3)
+    coalgebras = [s.coalg for cls in catalog(3).classes
+                  for s in solve_coproducts(cls.representative).solutions if s.coalg.eps != 1]
+    duals = [dualize_coalgebra(c) for c in coalgebras] + \
+        [dualize_coalgebra(apply_basis_change_coalgebra(c, swap)) for c in coalgebras]
+    assert {d.eta & 1 for d in duals} == {0, 1}
+    for d in duals:
+        equations = algebra_equations(3, d.eta, partial(tensor_bit, 3))
+        assert _satisfies(equations, d.v) and check_algebra(d)
+        for k in range(27):
+            flipped = AlgebraSC(3, d.v ^ (1 << k), d.eta)
+            assert _satisfies(equations, flipped.v) == bool(check_algebra(flipped))
 
 
 # --- basis change ----------------------------------------------------------------

@@ -12,9 +12,10 @@ Each round runs the command twice into one new temporary output directory:
 Every run is a fresh interpreter, so no in-process cache of an earlier run
 is reused.  A run imports the engine and builds the algebra catalogs
 (``setup_s``), then times ``cli.main`` (``wall_s``) and counts the calls of
-``coproducts.solve_coproducts`` (one per algebra solved) and of
-``coproducts.solve_coproduct_tensors`` (one per counit system searched) made
-through any ``f2hopf`` module.  Every command must exit 0: the census matched
+``coproducts.solve_coproducts`` (one per algebra solved),
+``coproducts.solve_coproduct_tensors`` (one per counit system searched),
+``coproducts.coalgebra_type`` and ``coproducts.solve_antipode`` (the
+annotations) made through any ``f2hopf`` module.  Every command must exit 0: the census matched
 ``golden.CENSUS`` and every file verified.
 
 The medians over the rounds, every run's numbers, the core count, the Python
@@ -43,7 +44,8 @@ from pathlib import Path
 DIMS = (2, 3, 4)
 ROUNDS = 3
 # coproducts functions whose calls each run counts.
-COUNTED = ("solve_coproducts", "solve_coproduct_tensors")
+COUNTED = ("solve_coproducts", "solve_coproduct_tensors", "coalgebra_type",
+           "solve_antipode")
 
 
 def child(out_dir: str, verify: bool) -> None:
@@ -118,7 +120,8 @@ def main(argv=None):
                 runs[mode].append(result)
                 print(f"{mode}: wall {result['wall_s']:.3f}s, "
                       f"{result['solve_coproducts_calls']} solves, "
-                      f"{result['solve_coproduct_tensors_calls']} counit systems",
+                      f"{result['solve_coproduct_tensors_calls']} counit systems, "
+                      f"{result['solve_antipode_calls']} antipodes solved",
                       flush=True)
 
     record = {

@@ -3,12 +3,16 @@ pairings.
 
 Two bialgebras on the same algebra are isomorphic exactly when an algebra
 automorphism transports one coproduct to the other, so classes are orbits of
-the automorphism group acting on the raw coproduct list.
+the automorphism group acting on the raw coproduct list, read off
+``kernels.coproduct_orbit`` on packed tensors (the same routine that
+``coproducts.solve_coproducts`` expands its solutions with).  Raw sets read
+from the cache are partitioned here afresh, with checks that the orbits are
+those of a group and that each is uniform in Hopf flag and coalgebra type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from f2hopf import kernels
@@ -55,8 +59,7 @@ def classify_bialgebras(a: AlgebraSC, raw: RawSolutionSet) -> list[BialgebraClas
     while unseen:
         start = min(unseen)
         rep = sols[start]
-        orbit = sorted({index_of[kernels.transform_coproduct(rep.coalg.c, n, p, pinv)]
-                        for p, pinv in changes})
+        orbit = sorted(index_of[c] for c in kernels.coproduct_orbit(rep.coalg.c, n, changes))
         if orbit[0] != start:
             raise RuntimeError("automorphisms do not form a group")
         unseen.difference_update(orbit)
@@ -73,27 +76,11 @@ def classify_bialgebras(a: AlgebraSC, raw: RawSolutionSet) -> list[BialgebraClas
             )
         )
     classes.sort(key=lambda c: (c.coalgebra_type, c.representative.coalg.c))
-
-    # Locate each class's co-opposite partner.
-    member_class = {}
-    for ci, cls in enumerate(classes):
-        for i in cls.members:
-            member_class[i] = ci
-    out = []
-    for cls in classes:
-        cop = opposite_coproduct(cls.representative.coalg)
-        partner = member_class.get(index_of.get(cop.c, -1))
-        out.append(
-            BialgebraClass(
-                algebra_label=cls.algebra_label,
-                coalgebra_type=cls.coalgebra_type,
-                members=cls.members,
-                representative=cls.representative,
-                hopf=cls.hopf,
-                cop_partner=partner,
-            )
-        )
-    return out
+    # The co-opposite of a representative lies in its partner's class.
+    member_class = {i: ci for ci, cls in enumerate(classes) for i in cls.members}
+    return [replace(cls, cop_partner=member_class.get(
+                index_of.get(opposite_coproduct(cls.representative.coalg).c, -1)))
+            for cls in classes]
 
 
 @dataclass(frozen=True)

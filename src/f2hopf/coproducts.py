@@ -6,16 +6,19 @@ counit, stated by ``structure.algebra_equations``) and compatibility (Delta
 an algebra map H -> H (x) H, stated by ``structure.homomorphism_equations``)
 are one quadratic XOR system in the bits of the coproduct tensor, solved by
 ``kernels.solve_quadratic``.  Its elimination step removes the linear
-equations before the backtracker searches the remaining bits.  Each solution
-is annotated with its coalgebra type and its antipode (or None).
+equations before the backtracker searches the remaining bits.
 
-Only the smallest counit of each orbit of the algebra's automorphism group
-is searched.  An automorphism p carrying that counit to another one of its
-orbit is a basis change that leaves the algebra unchanged, so it carries the
-searched solutions one to one onto those of the other counit: the coproduct
-by ``structure.apply_basis_change_coalgebra``, the antipode S to
-p S p^-1, and the coalgebra type unchanged.  On algebra P (F2^4) the four
-counits form one orbit, and the densest of their systems is never searched.
+An automorphism p of the algebra is a basis change that leaves the algebra
+unchanged, so it carries bialgebras to bialgebras: the coproduct by
+``kernels.transform_coproduct``, the counit eps to P eps, the antipode S to
+p S p^-1, and the coalgebra type unchanged.  So each solution a search finds
+is expanded to its whole orbit (``kernels.coproduct_orbit``), which is its
+bialgebra class, and is annotated once, with its coalgebra type and its
+antipode (or None); every image takes them along.  A counit that is the
+counit of such an image is never searched, so only one counit per orbit of
+the automorphism group is (a counit with no solutions covers no other).  On
+algebra P (F2^4) the four counits form one orbit, and the densest of their
+systems is never searched.
 """
 
 from __future__ import annotations
@@ -24,14 +27,13 @@ from dataclasses import dataclass
 
 from f2hopf import kernels
 from f2hopf.catalog import automorphism_group, identify_algebra
-from f2hopf.gf2 import Gf2Mat, Gf2Vec
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, mat_inv_rows
 from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
     CoalgebraSC,
     TensorProductAlgebra,
     algebra_equations,
-    apply_basis_change_coalgebra,
     dualize_coalgebra,
     homomorphism_equations,
     solve_antipode,
@@ -44,30 +46,6 @@ def enumerate_counits(a: AlgebraSC) -> list[int]:
         raise ValueError("expects standard form")
     return kernels.solve_quadratic(
         a.n, homomorphism_equations(a, AlgebraSC(1, 1), lambda i, j: i))
-
-
-def counit_orbits(a: AlgebraSC) -> list[tuple[int, list[Gf2Mat]]]:
-    """The Aut(a)-orbits of the counits, ascending by their smallest counit,
-    as (smallest counit, moves): for each other counit of the orbit, in
-    ascending order, the lexicographically first automorphism carrying the
-    smallest one to it.
-
-    The basis change p carries the counit eps to P eps: the new basis
-    element z_i = sum_m P[i][m] x^m has counit parity(P[i] & eps).
-    """
-    autos = automorphism_group(a)
-    orbits = []
-    seen: set[int] = set()
-    for eps in enumerate_counits(a):
-        if eps in seen:
-            continue
-        moves: dict[int, Gf2Mat] = {}
-        for p in autos:
-            moves.setdefault(p.mul_vec(Gf2Vec(a.n, eps)).bits, p)
-        seen.update(moves)
-        del moves[eps]
-        orbits.append((eps, [moves[e] for e in sorted(moves)]))
-    return orbits
 
 
 def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
@@ -136,35 +114,33 @@ def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
     """The complete raw solution set for one algebra, deterministically
     ordered by the packed coproduct tensor.
 
-    The smallest counit of each automorphism orbit is searched and its
-    solutions annotated; those of the other counits are transported to them
-    by automorphisms (see the module docstring)."""
+    One counit per automorphism orbit is searched, and one solution per
+    bialgebra class annotated; the rest are its images under automorphisms
+    (see the module docstring)."""
     if not a.is_standard:
         raise ValueError("expects standard form")
     if label is None:
         label = identify_algebra(a)
-    found: list[RawSolution] = []
-    for eps, moves in counit_orbits(a):
-        searched = []
+    n = a.n
+    changes = [(p.rows, mat_inv_rows(p.rows, n)) for p in automorphism_group(a)]
+    found: dict[int, RawSolution] = {}
+    covered: set[int] = set()
+    for eps in enumerate_counits(a):
+        if eps in covered:
+            continue
         for c in solve_coproduct_tensors(a, eps):
-            coalg = CoalgebraSC(a.n, c, eps)
-            searched.append(
-                RawSolution(
-                    coalg=coalg,
-                    type_label=coalgebra_type(coalg),
-                    antipode=solve_antipode(Bialgebra(a, coalg)),
+            if c in found:
+                continue
+            coalg = CoalgebraSC(n, c, eps)
+            type_label = coalgebra_type(coalg)
+            antipode = solve_antipode(Bialgebra(a, coalg))
+            for image, (p, pinv) in kernels.coproduct_orbit(c, n, changes).items():
+                pm = Gf2Mat(p, n)
+                image_eps = pm.mul_vec(Gf2Vec(n, eps)).bits
+                covered.add(image_eps)
+                found[image] = RawSolution(
+                    coalg=CoalgebraSC(n, image, image_eps),
+                    type_label=type_label,
+                    antipode=None if antipode is None else pm * antipode * Gf2Mat(pinv, n),
                 )
-            )
-        found += searched
-        for p in moves:
-            pinv = p.inverse()
-            found += [
-                RawSolution(
-                    coalg=apply_basis_change_coalgebra(s.coalg, p),
-                    type_label=s.type_label,
-                    antipode=None if s.antipode is None else p * s.antipode * pinv,
-                )
-                for s in searched
-            ]
-    found.sort(key=lambda s: s.coalg.c)
-    return RawSolutionSet(label, a, tuple(found))
+    return RawSolutionSet(label, a, tuple(found[c] for c in sorted(found)))

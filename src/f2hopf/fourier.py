@@ -29,30 +29,10 @@ class IntegralError(RuntimeError):
     space; the input is not a Hopf algebra in the expected sense."""
 
 
-def right_integral(h: HopfAlgebra) -> Gf2Vec:
-    """The unique nonzero right integral: (I (x) id) Delta = 1 . I."""
-    c = h.coalg
-    n = h.n
-    rows = []
-    for mu in range(n):
-        for rho in range(n):
-            row = 0
-            for nu in range(n):
-                if (c.cop(mu) >> (nu * n + rho)) & 1:
-                    row ^= 1 << nu
-            if rho == 0:
-                row ^= 1 << mu
-            rows.append(row)
-    sol = solve_linear(Gf2Mat(tuple(rows), n), Gf2Vec(len(rows), 0))
-    if sol is None or len(sol.nullspace) != 1:
-        raise IntegralError("right-integral space is not one-dimensional")
-    return sol.nullspace[0]
-
-
-def right_cointegral(h: HopfAlgebra) -> Gf2Vec:
-    """The unique nonzero element L with L h = eps(h) L for all h."""
-    a, c = h.alg, h.coalg
-    n = h.n
+def _right_integral(a: AlgebraSC, chi: int, name: str) -> Gf2Vec:
+    """The unique nonzero L in a with L e_beta = chi(e_beta) L for every
+    basis element e_beta, for the character chi given as a bit vector."""
+    n = a.n
     rows = []
     for beta in range(n):
         for mu in range(n):
@@ -60,13 +40,24 @@ def right_cointegral(h: HopfAlgebra) -> Gf2Vec:
             for alpha in range(n):
                 if (a.prod(alpha, beta) >> mu) & 1:
                     row ^= 1 << alpha
-            if (c.eps >> beta) & 1:
+            if (chi >> beta) & 1:
                 row ^= 1 << mu
             rows.append(row)
     sol = solve_linear(Gf2Mat(tuple(rows), n), Gf2Vec(len(rows), 0))
     if sol is None or len(sol.nullspace) != 1:
-        raise IntegralError("right-cointegral space is not one-dimensional")
+        raise IntegralError(f"{name} space is not one-dimensional")
     return sol.nullspace[0]
+
+
+def right_integral(h: HopfAlgebra) -> Gf2Vec:
+    """The unique nonzero right integral: (I (x) id) Delta = 1 . I, that is
+    I e_beta = e_beta(1) I in the dual algebra H*."""
+    return _right_integral(dualize_coalgebra(h.coalg), h.alg.eta, "right-integral")
+
+
+def right_cointegral(h: HopfAlgebra) -> Gf2Vec:
+    """The unique nonzero element L with L h = eps(h) L for all h."""
+    return _right_integral(h.alg, h.coalg.eps, "right-cointegral")
 
 
 @dataclass(frozen=True)

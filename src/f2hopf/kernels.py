@@ -33,7 +33,8 @@ unreduced, to ``solve_quadratic``, which runs one path:
    would return.
 
 ``transform_product`` and ``transform_coproduct`` change the basis of a
-packed structure tensor.
+packed structure tensor, and ``coproduct_orbit`` collects the images of a
+coproduct tensor under a list of basis changes.
 """
 
 from __future__ import annotations
@@ -373,3 +374,18 @@ def transform_coproduct(c: int, n: int, p: tuple[int, ...], pinv: tuple[int, ...
                     res ^= 1 << (bcol * n + gcol)
         out |= res << (a * nn)
     return out
+
+
+Change = tuple[tuple[int, ...], tuple[int, ...]]  # rows of p, rows of p^-1
+
+
+def coproduct_orbit(c: int, n: int, changes: list[Change]) -> dict[int, Change]:
+    """The images of the coproduct tensor c under the basis changes, as
+    image -> the first change in list order reaching it.
+
+    Over an algebra's automorphism group (a group, so c is one of its own
+    images) this is the isomorphism class of the bialgebra."""
+    orbit: dict[int, Change] = {}
+    for p, pinv in changes:
+        orbit.setdefault(transform_coproduct(c, n, p, pinv), (p, pinv))
+    return orbit

@@ -4,9 +4,9 @@ import pytest
 
 from f2hopf import coproducts
 from f2hopf.catalog import BASIS_NAMES, automorphism_group, catalog
+from f2hopf.classify import classify_bialgebras
 from f2hopf.coproducts import (
     coalgebra_type,
-    counit_orbits,
     enumerate_counits,
     solve_coproduct_tensors,
     solve_coproducts,
@@ -125,13 +125,27 @@ def test_coalgebra_types_examples():
     assert coalgebra_type(grass) == "E"
 
 
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call of coproducts.<name>."""
+    calls = []
+    fn = getattr(coproducts, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(coproducts, name, counted)
+    return calls
+
+
 def _assert_transport_matches_per_counit_solve(a):
+    # The per-counit oracle annotates every solution on its own, so equality
+    # checks each transported counit, type and antipode.
     rs = solve_coproducts(a)
     assert rs == coproducts_per_counit(a)
-    searched = {eps for eps, _ in counit_orbits(a)}
     v, eta = unpack_tensor(a.v, a.n), unpack_vec(a.eta, a.n)
     for s in rs.solutions:
-        if s.antipode is not None and s.coalg.eps not in searched:
+        if s.antipode is not None:
             assert naive_antipode_law(v, eta, unpack_tensor(s.coalg.c, a.n),
                                       unpack_vec(s.coalg.eps, a.n),
                                       s.antipode.to_lists(), a.n)
@@ -140,19 +154,24 @@ def _assert_transport_matches_per_counit_solve(a):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_transported_solutions_match_a_search_of_every_counit(n):
     # Every annotated solution reached along an automorphism is the one a
-    # search of its own counit's system finds, and every transported
-    # antipode satisfies the naive antipode law.
+    # search of its own counit's system finds, and every antipode satisfies
+    # the naive antipode law.
     for cls in catalog(n).classes:
         _assert_transport_matches_per_counit_solve(cls.representative)
 
 
-def test_transport_on_a_non_representative_algebra():
+def test_transport_on_a_non_representative_algebra(monkeypatch):
     # P in the basis 1, 1 + x, y, z: still in standard form, but the change
     # is not an automorphism, so the algebra is not the catalog's tensor.
     p_rep = catalog(4)["P"].representative
     a = apply_basis_change_algebra(p_rep, Gf2Mat((0b0001, 0b0011, 0b0100, 0b1000), 4))
     assert a.is_standard and a != p_rep
-    assert len(counit_orbits(a)) == 1
+    searched = _count_calls(monkeypatch, "solve_coproduct_tensors")
+    solve_coproducts(a)
+    # the four counits form one orbit, and only the smallest is searched
+    counits = enumerate_counits(a)
+    assert len(counits) == 4
+    assert searched == [(a, counits[0])]
     _assert_transport_matches_per_counit_solve(a)
 
 
@@ -166,14 +185,7 @@ def _naive_counit_orbits(a) -> set[frozenset]:
 
 
 def test_one_search_per_counit_orbit(monkeypatch):
-    searched = []
-    solve = coproducts.solve_coproduct_tensors
-
-    def counted(a, eps):
-        searched.append((a, eps))
-        return solve(a, eps)
-
-    monkeypatch.setattr(coproducts, "solve_coproduct_tensors", counted)
+    searched = _count_calls(monkeypatch, "solve_coproduct_tensors")
     counits = orbits = 0
     for n in (2, 3, 4):
         for cls in catalog(n).classes:
@@ -186,3 +198,18 @@ def test_one_search_per_counit_orbit(monkeypatch):
             counits += len(enumerate_counits(a))
             orbits += len(want)
     assert (counits, orbits) == (48, 38)
+
+
+def test_one_annotation_per_class(monkeypatch):
+    types = _count_calls(monkeypatch, "coalgebra_type")
+    antipodes = _count_calls(monkeypatch, "solve_antipode")
+    total = 0
+    for n in (2, 3, 4):
+        for cls in catalog(n).classes:
+            types.clear()
+            antipodes.clear()
+            rs = solve_coproducts(cls.representative, cls.label)
+            classes = len(classify_bialgebras(cls.representative, rs))
+            assert len(types) == len(antipodes) == classes, (n, cls.label)
+            total += classes
+    assert total == 314

@@ -230,7 +230,7 @@ def catalog(n: int) -> AlgebraCatalog:
                 representative=alg,
                 relations_doc=rel,
                 orbit_size=group_order // len(autos),
-                automorphisms=tuple(autos),
+                automorphisms=autos,
             )
         )
     return AlgebraCatalog(n, tuple(classes), invariant_label)
@@ -259,12 +259,14 @@ def isomorphisms(a: AlgebraSC, b: AlgebraSC) -> list[Gf2Mat]:
     return out
 
 
-def automorphism_group(a: AlgebraSC) -> list[Gf2Mat]:
+@lru_cache(maxsize=None)
+def automorphism_group(a: AlgebraSC) -> tuple[Gf2Mat, ...]:
     """All unit-fixing basis changes preserving the tensor exactly, in
-    lexicographic row order."""
+    lexicographic row order.  Memoised: the catalog and every coproduct
+    solve of an algebra share one group."""
     if not a.is_standard:
         raise ValueError("automorphism_group expects standard form")
-    return isomorphisms(a, a)
+    return tuple(isomorphisms(a, a))
 
 
 def standardize_unit(a: AlgebraSC) -> tuple[AlgebraSC, Gf2Mat]:

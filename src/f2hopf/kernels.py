@@ -22,9 +22,11 @@ unreduced, to ``solve_quadratic``, which runs one path:
 1. Elimination.  ``eliminate`` row-reduces the product-free equations with
    ``gf2.solve_linear`` and substitutes the result into the rest, leaving a
    smaller system over the free variables.
-2. Search order.  ``backtrack`` is a depth-first search that assigns
-   variables in index order and checks an equation as soon as its highest
-   variable is set.  Builders number their variables lexicographically,
+2. Search.  ``backtrack`` is a depth-first search that assigns variables
+   in index order and checks an equation as soon as its highest variable is
+   set.  The check is bit-sliced: one integer holds the running value of
+   every equation, one bit each, so a level checks all the equations it
+   closes with one AND.  Builders number their variables lexicographically,
    which leaves most equations open until deep in that tree, so the reduced
    system is renumbered in ``search_order`` before the search.
 3. Back-substitution.  Every solution over the free variables is mapped back
@@ -112,25 +114,51 @@ def eliminate(nvars: int, equations):
     for const, lin, pairs in equations:
         if not pairs:
             continue
-        eq = Equation(const ^ ((lin & particular).bit_count() & 1))
+        const = (const ^ (lin & particular).bit_count()) & 1
+        new_lin = 0
         for v in bits_of(lin):
-            eq.lin ^= subst[v]
+            new_lin ^= subst[v]
+        # rows[fi]: the free fj with x_fi x_fj in the expansion, before
+        # squares fold into the linear part and x_a x_b meets x_b x_a.
+        rows: dict[int, int] = {}
         for i, j in pairs:
-            ci = (particular >> i) & 1
-            cj = (particular >> j) & 1
-            eq.const ^= ci & cj
-            if ci:
-                eq.lin ^= subst[j]
-            if cj:
-                eq.lin ^= subst[i]
-            for fi in bits_of(subst[i]):
-                for fj in bits_of(subst[j]):
-                    eq.add_pair(fi, fj)
-        e = eq.emit()
-        if not e[1] and not e[2]:
-            if e[0]:
+            si = subst[i]
+            sj = subst[j]
+            if (particular >> i) & 1:
+                new_lin ^= sj
+                const ^= (particular >> j) & 1
+            if (particular >> j) & 1:
+                new_lin ^= si
+            if si and sj:  # a pinned factor has no free part
+                while si:
+                    low = si & -si
+                    fi = low.bit_length() - 1
+                    rows[fi] = rows.get(fi, 0) ^ sj
+                    si ^= low
+        # upper[fi]: the fj > fi with x_fi x_fj in the canonical form.
+        upper = dict.fromkeys(rows, 0)
+        for fi, row in rows.items():
+            new_lin ^= row & (1 << fi)
+            upper[fi] ^= row >> (fi + 1) << (fi + 1)
+            row &= (1 << fi) - 1
+            while row:
+                low = row & -row
+                fj = low.bit_length() - 1
+                upper[fj] = upper.get(fj, 0) ^ (1 << fi)
+                row ^= low
+        new_pairs = []
+        for fi in sorted(upper):
+            row = upper[fi]
+            while row:
+                low = row & -row
+                new_pairs.append((fi, low.bit_length() - 1))
+                row ^= low
+        if not new_lin and not new_pairs:
+            if const:
                 return None
-        elif e not in seen:
+            continue
+        e = (const, new_lin, tuple(new_pairs))
+        if e not in seen:
             seen.add(e)
             reduced.append(e)
     return len(directions), reduced, particular, directions
@@ -151,10 +179,11 @@ def search_order(nvars: int, equations) -> list[int]:
     and breaks remaining ties by the lowest index.  A variable in no
     equation scores 0 throughout and so comes last.
 
-    The rules were chosen by timing the pure-Python backtracker on the 102
-    systems a ``run --dim 2 --dim 3 --dim 4`` census then searched (2-core
-    x86-64, Python 3.11): index order 16.9 s; rule 1 alone 5.1 s; rules 1
-    and 2 3.4 s; rules 1 and 3 4.0 s; rules 1 to 3 1.8 s.  At that time
+    The rules were chosen by timing the pure-Python backtracker, then with
+    its per-equation check (before the bit-sliced one), on the 102 systems
+    a ``run --dim 2 --dim 3 --dim 4`` census then searched (2-core x86-64,
+    Python 3.11): index order 16.9 s; rule 1 alone 5.1 s; rules 1 and 2
+    3.4 s; rules 1 and 3 4.0 s; rules 1 to 3 1.8 s.  At that time
     every counit of algebra P was searched, and the tie-breaks mattered
     most on its densest counit system (eps = 1111, 240 reduced equations),
     which rule 1 alone searched about 3.5 times longer.  The engine no
@@ -260,44 +289,72 @@ def backtrack(nvars: int, equations) -> list[int]:
     Variables are assigned in index order 0..nvars-1, trying 0 before 1, and
     each equation is checked as soon as its highest variable is assigned.
     The returned packed assignment masks are sorted ascending.
+
+    The check is bit-sliced: bit e of every mask below stands for equation
+    e, so one AND checks every equation a level closes.
+
+    - ``closing[v]``: the equations whose highest variable is v;
+    - ``parity``: the value of every equation under the current assignment,
+      unset variables read as 0, starting at the constants;
+    - ``coeff[v]``: the equations whose value flips when x_v goes from 0 to
+      1, given the variables set so far: those with x_v linear, plus those
+      with x_i x_v for a set x_i, i < v;
+    - ``fwd[v]``: pairs (j, mask), j > v, where mask holds the equations
+      with an odd number of x_v x_j terms.
+
+    Level v passes with x_v = 0 when ``parity & closing[v]`` is 0 and with
+    x_v = 1 when ``(parity ^ coeff[v]) & closing[v]`` is 0.  Setting x_v = 1
+    XORs each forward mask into ``coeff[j]``, and the return XORs it out.
     """
-    by_last: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = [
-        [] for _ in range(nvars)
-    ]
-    for const, lin, pairs in equations:
-        last = -1
-        if lin:
-            last = lin.bit_length() - 1
+    closing = [0] * nvars
+    parity = 0
+    coeff = [0] * nvars
+    fwd_masks: list[dict[int, int]] = [{} for _ in range(nvars)]
+    for e, (const, lin, pairs) in enumerate(equations):
+        bit = 1 << e
+        last = lin.bit_length() - 1
         for i, j in pairs:
             if j > last:
                 last = j
+            row = fwd_masks[i]
+            row[j] = row.get(j, 0) ^ bit
         if last < 0:
             if const:
                 return []
             continue
-        by_last[last].append((const, lin, pairs))
+        closing[last] |= bit
+        if const:
+            parity |= bit
+        for v in bits_of(lin):
+            coeff[v] |= bit
+    fwd = [[(j, m) for j, m in row.items() if m] for row in fwd_masks]
+    if not nvars:
+        return [0]
 
     solutions: list[int] = []
+    last_level = nvars - 1
 
-    def descend(level: int, assign: int):
-        if level == nvars:
-            solutions.append(assign)
-            return
-        checks = by_last[level]
-        for bit in (0, 1 << level):
-            a = assign | bit
-            ok = True
-            for const, lin, pairs in checks:
-                v = const ^ ((a & lin).bit_count() & 1)
-                for i, j in pairs:
-                    v ^= (a >> i) & (a >> j) & 1
-                if v:
-                    ok = False
-                    break
-            if ok:
-                descend(level + 1, a)
+    def descend(v: int, assign: int, parity: int):
+        check = closing[v]
+        if not parity & check:
+            if v == last_level:
+                solutions.append(assign)
+            else:
+                descend(v + 1, assign, parity)
+        parity ^= coeff[v]
+        if not parity & check:
+            assign |= 1 << v
+            if v == last_level:
+                solutions.append(assign)
+            else:
+                flips = fwd[v]
+                for j, m in flips:
+                    coeff[j] ^= m
+                descend(v + 1, assign, parity)
+                for j, m in flips:
+                    coeff[j] ^= m
 
-    descend(0, 0)
+    descend(0, 0, parity)
     solutions.sort()
     return solutions
 

@@ -2,10 +2,11 @@
 
 Everything here works on unpacked tensors (nested tuples of 0/1) with plain
 modular arithmetic, deliberately sharing no code with the packed evaluators.
-The exceptions are at the end: the GL(n) searches enumerate the whole group
-with gf2's packed matrices, as the engine did before it read conjugations,
-algebra isomorphisms and self-duality pairings off linear and quadratic
-solves;
+``naive_backtrack`` is the kernel's search with its check unrolled
+equation by equation.  The exceptions are at the end: the GL(n) searches
+enumerate the whole group with gf2's packed matrices, as the engine did
+before it read conjugations, algebra isomorphisms and self-duality pairings
+off linear and quadratic solves;
 ``brute_force_coproducts`` scans every coproduct candidate through the
 bialgebra checker, and ``brute_force_coproduct_set`` memoises it, since its
 dimension-3 scan is the slowest check in the suite;
@@ -32,6 +33,44 @@ def unpack_tensor(bits: int, n: int):
 
 def unpack_vec(bits: int, n: int):
     return tuple((bits >> i) & 1 for i in range(n))
+
+
+def naive_backtrack(nvars: int, equations) -> list[int]:
+    """The kernel's backtracker as it was before its check was bit-sliced:
+    the same index-order search, 0 before 1, but each equation whose highest
+    variable has just been set is evaluated term by term.  Ascending."""
+    by_last = [[] for _ in range(nvars)]
+    for const, lin, pairs in equations:
+        last = lin.bit_length() - 1
+        for _, j in pairs:
+            last = max(last, j)
+        if last < 0:
+            if const:
+                return []
+            continue
+        by_last[last].append((const, lin, pairs))
+
+    solutions = []
+
+    def descend(level: int, assign: int):
+        if level == nvars:
+            solutions.append(assign)
+            return
+        for bit in (0, 1 << level):
+            a = assign | bit
+            ok = True
+            for const, lin, pairs in by_last[level]:
+                v = const ^ ((a & lin).bit_count() & 1)
+                for i, j in pairs:
+                    v ^= (a >> i) & (a >> j) & 1
+                if v:
+                    ok = False
+                    break
+            if ok:
+                descend(level + 1, a)
+
+    descend(0, 0)
+    return sorted(solutions)
 
 
 def naive_check_algebra(v, eta, n):

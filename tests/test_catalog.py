@@ -110,6 +110,12 @@ def test_automorphism_group_closed():
                 assert (a * b).rows in group
 
 
+def test_automorphism_group_is_shared_with_the_catalog():
+    # Solved once per algebra: the coproduct solve reads the catalog's group.
+    cls = catalog(4)["P"]
+    assert automorphism_group(cls.representative) is cls.automorphisms
+
+
 def test_isomorphisms_are_the_catalog_automorphisms():
     # The catalog's automorphisms are exactly the stabiliser a scan of the
     # unit-fixing GL(n) finds, in the same (lexicographic) order.

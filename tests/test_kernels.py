@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import naive_backtrack
+
 from f2hopf import kernels
+from f2hopf.catalog import catalog, enumerate_algebras, isomorphisms
+from f2hopf.classify import classify_dimension
+from f2hopf.coproducts import enumerate_counits, solve_coproduct_tensors
 from f2hopf.gf2 import enumerate_invertible, mat_inv_rows
+from f2hopf.qtri import qt_by_class
 
 
 def _random_system(rng, nvars):
@@ -111,6 +117,124 @@ def test_ordered_solver_against_brute_force(system):
 
 
 @st.composite
+def backtrack_systems(draw):
+    """Systems in the backtracker's format that a bit-sliced check must get
+    right: a pair may repeat inside one equation (the copies cancel), an
+    equation may have no variable at all, and a system may have more than
+    63 variables.
+
+    A wide system (64 to 90 variables) stays small to search: every
+    variable but at most eight gets an equation that holds it linearly and
+    has all its other terms on lower variables, so that level lets exactly
+    one branch through.  Four draws in five set every constant so that a
+    random assignment holds.  Returns (nvars, equations, planted or None)."""
+    wide = draw(st.booleans())
+    nvars = draw(st.integers(64, 90) if wide else st.integers(1, 14))
+    planted = draw(st.integers(0, (1 << nvars) - 1)) if draw(st.integers(0, 4)) else None
+
+    def planted_const(lin, pairs):
+        const = (planted & lin).bit_count() & 1
+        for i, j in pairs:
+            const ^= (planted >> i) & (planted >> j) & 1
+        return const
+
+    system = []
+    if wide:
+        # Drawn from one seeded generator: a draw per term would make
+        # generating these systems cost more than checking them.
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        free = draw(st.sets(st.integers(0, nvars - 1), max_size=8))
+        for v in range(nvars):
+            if v in free:
+                continue
+            lin = rng.getrandbits(v) | 1 << v
+            pairs = [tuple(sorted(rng.sample(range(v), 2))) for _ in range(rng.randint(0, 2))
+                     if v > 1]
+            const = rng.getrandbits(1) if planted is None else planted_const(lin, pairs)
+            system.append((const, lin, tuple(pairs)))
+    var = st.integers(0, nvars - 1)
+    for _ in range(draw(st.integers(0, 12))):
+        lin = draw(st.integers(0, (1 << nvars) - 1)) if draw(st.booleans()) else 0
+        pairs = [(min(i, j), max(i, j))
+                 for i, j in draw(st.lists(st.tuples(var, var), max_size=4)) if i != j]
+        if pairs and draw(st.booleans()):
+            pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+        if not lin and not pairs:
+            lin = 1 << draw(var)
+        const = draw(st.integers(0, 1)) if planted is None else planted_const(lin, pairs)
+        system.append((const, lin, tuple(pairs)))
+    if draw(st.booleans()):  # no variable: reads 0 = 0 or 1 = 0
+        system.append((draw(st.integers(0, 1)) if planted is None else 0, 0, ()))
+    return nvars, draw(st.permutations(system)), planted
+
+
+@settings(max_examples=200, deadline=None)
+@given(backtrack_systems())
+def test_backtrack_against_naive_backtrack(system):
+    nvars, eqs, planted = system
+    found = kernels.backtrack(nvars, eqs)
+    assert found == naive_backtrack(nvars, eqs)
+    if planted is not None:
+        assert planted in found
+
+
+def _algebra_searches():
+    for n in (1, 2, 3):
+        enumerate_algebras.__wrapped__(n)
+
+
+def _representatives():
+    return [cls.representative for n in (1, 2, 3) for cls in catalog(n).classes]
+
+
+def _counit_searches():
+    for a in _representatives():
+        enumerate_counits(a)
+
+
+def _coproduct_searches():
+    for a in _representatives():
+        for eps in enumerate_counits(a):
+            solve_coproduct_tensors(a, eps)
+
+
+def _isomorphism_searches():
+    reps = _representatives()
+    for a in reps:
+        for b in reps:
+            isomorphisms(a, b)
+
+
+def _qt_searches():
+    for n in (2, 3):
+        qt_by_class(classify_dimension(n))
+
+
+@pytest.mark.parametrize(
+    "searches",
+    [_algebra_searches, _counit_searches, _coproduct_searches, _isomorphism_searches,
+     _qt_searches],
+    ids=["algebras", "counits", "coproducts", "isomorphisms", "qt"],
+)
+def test_backtrack_against_naive_backtrack_on_engine_systems(searches, monkeypatch):
+    # Every system the engine hands the backtracker for n <= 3, after
+    # elimination and renumbering, searched again by the naive oracle.
+    systems = []
+    search = kernels.backtrack
+
+    def record(nvars, equations):
+        systems.append((nvars, list(equations)))
+        return search(nvars, equations)
+
+    monkeypatch.setattr(kernels, "backtrack", record)
+    searches()
+    monkeypatch.undo()
+    assert systems
+    for nvars, eqs in systems:
+        assert kernels.backtrack(nvars, eqs) == naive_backtrack(nvars, eqs)
+
+
+@st.composite
 def eliminable_systems(draw):
     """Random systems in which about half of the equations are product-free
     (one per quadratic equation, at most nvars // 2, plus the extras below),
@@ -145,6 +269,35 @@ def eliminable_systems(draw):
 def test_eliminating_solver_against_brute_force(system):
     nvars, eqs = system
     assert kernels.solve_quadratic(nvars, eqs) == _brute(nvars, eqs)
+
+
+@st.composite
+def pinning_systems(draw):
+    """Random systems with product-free rows that pin variables to
+    constants, so elimination substitutes constants into products: a
+    pinned variable's row may also hold an earlier pinned variable, which
+    pins it only through elimination.  The constants follow the planted
+    assignment when there is one."""
+    nvars, eqs, planted = draw(quadratic_systems())
+    pinned = sorted(draw(st.sets(st.integers(0, nvars - 1), min_size=1)))
+    rows = []
+    for k, v in enumerate(pinned):
+        lin = 1 << v
+        if k and draw(st.booleans()):
+            lin |= 1 << draw(st.sampled_from(pinned[:k]))
+        const = draw(st.integers(0, 1)) if planted is None else (planted & lin).bit_count() & 1
+        rows.append((const, lin, ()))
+    return nvars, draw(st.permutations(eqs + rows)), planted
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinning_systems())
+def test_solver_with_pinned_variables_against_brute_force(system):
+    nvars, eqs, planted = system
+    expected = _brute(nvars, eqs)
+    assert kernels.solve_quadratic(nvars, eqs) == expected
+    if planted is not None:
+        assert planted in expected
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ solve (algebra P), and a full R-matrix scan.
 Each suite times the systems the backtracker receives in the engine: the
 builders' systems, each given as (number of variables, equations), after
 ``kernels.eliminate`` has removed the product-free equations (the
-elimination is timed separately).  The backtracker is timed
+elimination and the greedy order's construction, ``kernels.search_order``,
+are timed separately).  The backtracker is timed
 twice per suite: in plain index order (``kernels.backtrack``), and in the
 greedy search order every engine search uses (``kernels.solve_ordered``).
 Both orders must return identical solutions.
@@ -14,7 +15,7 @@ The algebra P suite times all four of P's counit systems, although the
 engine searches only eps = 0001 and transports the other three counits'
 solutions along automorphisms; the dense eps = 1111 system stays in the
 suite as a stress test of the kernel.
-Times are the best of up to three runs, fewer when a run is slow.  The
+Every time is the best of up to three runs, fewer when a run is slow.  The
 numbers, the core count and the Python version go to
 benchmarks/BENCH_kernel.json (or the path given with --out).
 
@@ -85,14 +86,9 @@ def main(argv=None):
     for name, systems in suites.items():
         # The backtracker receives each system after elimination; a system
         # that elimination already finds unsolvable is not searched.
-        t0 = time.perf_counter()
-        reductions = [kernels.eliminate(nvars, eqs) for nvars, eqs in systems]
-        eliminate_s = time.perf_counter() - t0
+        eliminate_s, reductions = timed(kernels.eliminate, systems)
         jobs = [r[:2] for r in reductions if r is not None]
-        t0 = time.perf_counter()
-        for nvars, eqs in jobs:
-            kernels.search_order(nvars, eqs)
-        order_s = time.perf_counter() - t0
+        order_s, _ = timed(kernels.search_order, jobs)
         reference = None
         times: dict[str, float] = {}
         for order, solve in {"index": kernels.backtrack, "greedy": kernels.solve_ordered}.items():

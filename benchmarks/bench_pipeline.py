@@ -15,21 +15,26 @@ is reused.  A run imports the engine and builds the algebra catalogs
 ``coproducts.solve_coproducts`` (one per algebra solved),
 ``coproducts.solve_coproduct_tensors`` (one per counit system searched),
 ``coproducts.coalgebra_type`` and ``coproducts.solve_antipode`` (the
-annotations) made through any ``f2hopf`` module.  Every command must exit 0: the census matched
-``golden.CENSUS`` and every file verified.
+annotations) and ``kernels.transform_coproduct`` (the orbit expansions)
+made through any ``f2hopf`` module.  Every command must exit 0: the census
+matched ``golden.CENSUS`` and every file verified.
 
-The medians over the rounds, every run's numbers, the core count, the Python
-version and the kernel backend go to benchmarks/BENCH_pipeline.json (or the
-path given with --out).  The script uses only the CLI, so it also times
-older engines: point PYTHONPATH at their source.
+``--tree NAME=SRC`` (repeatable) times the engine whose source is the
+directory SRC, such as a checkout of an older commit's ``src``; the rounds
+alternate between the trees, so a drift in machine speed reaches each
+alike.  Without it, the ``src`` next to this script is timed.  The medians
+and quartiles over the rounds, every run's numbers, the core count, the
+Python version and the kernel backend go to benchmarks/BENCH_pipeline.json
+(or the path given with --out).
 
-Run:  PYTHONPATH=src python benchmarks/bench_pipeline.py
+Run:  python benchmarks/bench_pipeline.py [--tree parent=../old/src --tree change=src]
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -42,23 +47,24 @@ import time
 from pathlib import Path
 
 DIMS = (2, 3, 4)
-ROUNDS = 3
-# coproducts functions whose calls each run counts.
-COUNTED = ("solve_coproducts", "solve_coproduct_tensors", "coalgebra_type",
-           "solve_antipode")
+ROUNDS = 10
+# (module, function) pairs whose calls each run counts.
+COUNTED = (("coproducts", "solve_coproducts"), ("coproducts", "solve_coproduct_tensors"),
+           ("coproducts", "coalgebra_type"), ("coproducts", "solve_antipode"),
+           ("kernels", "transform_coproduct"))
 
 
 def child(out_dir: str, verify: bool) -> None:
     """One timed run (or verify) in this process; prints a JSON line."""
     t0 = time.perf_counter()
-    from f2hopf import cli, coproducts, kernels
+    from f2hopf import cli, kernels
     from f2hopf.catalog import catalog
 
     for n in DIMS:
         catalog(n)
     setup_s = time.perf_counter() - t0
 
-    calls = {name: 0 for name in COUNTED}
+    calls = {name: 0 for _, name in COUNTED}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -66,8 +72,8 @@ def child(out_dir: str, verify: bool) -> None:
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in COUNTED:
-        fn = getattr(coproducts, name)
+    for module, name in COUNTED:
+        fn = getattr(importlib.import_module(f"f2hopf.{module}"), name)
         wrapper = counted(name, fn)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("f2hopf") and mod is not None:
@@ -86,12 +92,13 @@ def child(out_dir: str, verify: bool) -> None:
         rc = cli.main(argv)
     wall_s = time.perf_counter() - t1
     print(json.dumps({"rc": rc, "setup_s": setup_s, "wall_s": wall_s,
-                      **{f"{name}_calls": calls[name] for name in COUNTED},
+                      **{f"{name}_calls": calls[name] for name in calls},
                       "backend": kernels.BACKEND}))
 
 
-def run_child(out_dir: Path, mode: str) -> dict:
+def run_child(out_dir: Path, mode: str, src: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "F2HOPF_CACHE_ROOT"}
+    env["PYTHONPATH"] = src
     argv = [sys.executable, __file__, "--child", str(out_dir)]
     if mode == "verify":
         argv.append("--verify")
@@ -102,9 +109,24 @@ def run_child(out_dir: Path, mode: str) -> dict:
     return result
 
 
+def summarise(results: list[dict]) -> dict:
+    walls = [r["wall_s"] for r in results]
+    q1, _, q3 = statistics.quantiles(walls, n=4)
+    return {
+        "wall_s_median": round(statistics.median(walls), 3),
+        "wall_s_quartiles": [round(q1, 3), round(q3, 3)],
+        "setup_s_median": round(statistics.median(r["setup_s"] for r in results), 3),
+        **{f"{name}_calls": sorted({r[f"{name}_calls"] for r in results})
+           for _, name in COUNTED},
+        "wall_s": [round(w, 3) for w in walls],
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(Path(__file__).with_name("BENCH_pipeline.json")))
+    parser.add_argument("--tree", action="append", metavar="NAME=SRC",
+                        help="time the engine whose source directory is SRC")
     parser.add_argument("--child", metavar="DIR", help=argparse.SUPPRESS)
     parser.add_argument("--verify", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -112,35 +134,34 @@ def main(argv=None):
         child(args.child, args.verify)
         return
 
-    runs: dict[str, list[dict]] = {"cold": [], "warm": [], "verify": []}
+    default = str(Path(__file__).resolve().parents[1] / "src")
+    trees = dict(t.split("=", 1) for t in args.tree) if args.tree else {"src": default}
+    modes = ("cold", "warm", "verify")
+    runs = {name: {mode: [] for mode in modes} for name in trees}
     for _ in range(ROUNDS):
-        with tempfile.TemporaryDirectory(prefix="bench-pipeline-") as tmp:
-            for mode in runs:
-                result = run_child(Path(tmp) / "out", mode)
-                runs[mode].append(result)
-                print(f"{mode}: wall {result['wall_s']:.3f}s, "
-                      f"{result['solve_coproducts_calls']} solves, "
-                      f"{result['solve_coproduct_tensors_calls']} counit systems, "
-                      f"{result['solve_antipode_calls']} antipodes solved",
-                      flush=True)
+        for name, src in trees.items():
+            with tempfile.TemporaryDirectory(prefix="bench-pipeline-") as tmp:
+                for mode in modes:
+                    result = run_child(Path(tmp) / "out", mode, str(Path(src).resolve()))
+                    runs[name][mode].append(result)
+                    print(f"{name} {mode}: wall {result['wall_s']:.3f}s, "
+                          f"{result['solve_coproducts_calls']} solves, "
+                          f"{result['solve_coproduct_tensors_calls']} counit systems, "
+                          f"{result['solve_antipode_calls']} antipodes solved, "
+                          f"{result['transform_coproduct_calls']} coproduct transforms",
+                          flush=True)
 
     record = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cores": os.cpu_count(),
-        "backend": runs["cold"][0]["backend"],
+        "backend": next(iter(runs.values()))["cold"][0]["backend"],
         "command": "f2hopf run --dim 2 --dim 3 --dim 4 --stage all --jobs 1",
         "verify_command": "f2hopf verify <every JSON file of the cold run>",
         "rounds": ROUNDS,
+        "trees": {name: {mode: summarise(results) for mode, results in by_mode.items()}
+                  for name, by_mode in runs.items()},
     }
-    for mode, results in runs.items():
-        record[mode] = {
-            "wall_s_median": round(statistics.median(r["wall_s"] for r in results), 3),
-            "setup_s_median": round(statistics.median(r["setup_s"] for r in results), 3),
-            **{f"{name}_calls": sorted({r[f"{name}_calls"] for r in results})
-               for name in COUNTED},
-            "wall_s": [round(r["wall_s"], 3) for r in results],
-        }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}")
 

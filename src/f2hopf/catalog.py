@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, bits_of, gl_order, rank_rows
+from f2hopf.gf2 import Gf2Mat, gl_order, rank_rows
 from f2hopf.structure import (
     AlgebraSC,
     algebra_equations,
@@ -352,21 +352,3 @@ def classify_algebras(algebras) -> dict[str, list[AlgebraSC]]:
     for a in algebras:
         buckets.setdefault(_catalog_label(a.n, a.v, a.eta), []).append(a)
     return buckets
-
-
-def quartic_algebra(a: int, b: int, c: int, d: int) -> AlgebraSC:
-    """F2[w] / (w^4 + a w^3 + b w^2 + c w + d) on basis 1, w, w^2, w^3."""
-    n = 4
-    w4 = (d & 1) | ((c & 1) << 1) | ((b & 1) << 2) | ((a & 1) << 3)
-    powers = [1 << 0, 1 << 1, 1 << 2, 1 << 3, w4]
-    for k in range(5, 7):
-        prev = powers[k - 1]
-        nxt = 0
-        for i in bits_of(prev):
-            nxt ^= powers[i + 1]
-        powers.append(nxt)
-    v = 0
-    for i in range(4):
-        for j in range(4):
-            v |= powers[i + j] << ((i * n + j) * n)
-    return AlgebraSC(n, v)

@@ -3,16 +3,16 @@ pairings.
 
 Two bialgebras on the same algebra are isomorphic exactly when an algebra
 automorphism transports one coproduct to the other, so classes are orbits of
-the automorphism group acting on the raw coproduct list, read off
-``kernels.coproduct_orbit`` on packed tensors (the same routine that
-``coproducts.solve_coproducts`` expands its solutions with).  Raw sets read
-from the cache are partitioned here afresh, with checks that the orbits are
-those of a group and that each is uniform in Hopf flag and coalgebra type.
+the automorphism group acting on the raw coproduct list.
+``coproducts.solve_coproducts`` builds each orbit once, when it expands a
+solution (``kernels.coproduct_orbit``), and records the partition in the
+solution set; the run cache stores it with the records.  Classification
+reads that partition and transforms no coproduct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from f2hopf import kernels
@@ -39,48 +39,30 @@ class BialgebraClass:
 
 
 def classify_bialgebras(a: AlgebraSC, raw: RawSolutionSet) -> list[BialgebraClass]:
-    """Orbit partition of the raw solutions under the automorphism group,
-    ordered by (coalgebra type, representative tensor).
-
-    The solutions are ordered by packed tensor, so the smallest unclassified
-    index starts the next orbit and is its representative; the automorphisms
-    form a group, so that orbit is exactly the images of its first member."""
+    """The bialgebra classes of the raw solutions on algebra a, read off the
+    partition the solve recorded (``raw.class_rep``), ordered by (coalgebra
+    type, representative tensor)."""
     sols = raw.solutions
-    if any(s.coalg.c >= t.coalg.c for s, t in zip(sols, sols[1:])):
-        raise ValueError("raw solutions are not strictly ascending by tensor")
-    n = a.n
-    # Pushing a coproduct through the automorphism phi is the basis change
-    # by phi^-1; iterating over the whole group makes the direction moot.
-    changes = [(p.rows, mat_inv_rows(p.rows, n))
-               for p in catalog(n)[raw.algebra_label].automorphisms]
+    members: dict[int, list[int]] = {}
+    for i, rep in enumerate(raw.class_rep):
+        members.setdefault(rep, []).append(i)
+    reps = sorted(members, key=lambda r: (sols[r].type_label, sols[r].coalg.c))
+    position = {r: k for k, r in enumerate(reps)}
     index_of = {s.coalg.c: i for i, s in enumerate(sols)}
-    unseen = set(range(len(sols)))
     classes = []
-    while unseen:
-        start = min(unseen)
-        rep = sols[start]
-        orbit = sorted(index_of[c] for c in kernels.coproduct_orbit(rep.coalg.c, n, changes))
-        if orbit[0] != start:
-            raise RuntimeError("automorphisms do not form a group")
-        unseen.difference_update(orbit)
-        if any(sols[i].hopf != rep.hopf or sols[i].type_label != rep.type_label
-               for i in orbit):
-            raise RuntimeError("orbit mixes Hopf flags or coalgebra types")
-        classes.append(
-            BialgebraClass(
-                algebra_label=raw.algebra_label,
-                coalgebra_type=rep.type_label,
-                members=tuple(orbit),
-                representative=rep,
-                hopf=rep.hopf,
-            )
-        )
-    classes.sort(key=lambda c: (c.coalgebra_type, c.representative.coalg.c))
-    # The co-opposite of a representative lies in its partner's class.
-    member_class = {i: ci for ci, cls in enumerate(classes) for i in cls.members}
-    return [replace(cls, cop_partner=member_class.get(
-                index_of.get(opposite_coproduct(cls.representative.coalg).c, -1)))
-            for cls in classes]
+    for r in reps:
+        rep = sols[r]
+        # The co-opposite of a representative lies in its partner's class.
+        j = index_of.get(opposite_coproduct(rep.coalg).c)
+        classes.append(BialgebraClass(
+            algebra_label=raw.algebra_label,
+            coalgebra_type=rep.type_label,
+            members=tuple(members[r]),
+            representative=rep,
+            hopf=rep.hopf,
+            cop_partner=None if j is None else position[raw.class_rep[j]],
+        ))
+    return classes
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ datasets, and export the quiver.
 
 Raw coproduct solutions are cached under the output directory (or the
 directory named by F2HOPF_CACHE_ROOT), keyed by dimension, algebra label and
-engine fingerprint; corrupt cache entries are recomputed.  Identical inputs
-produce byte-identical files.
+engine fingerprint.  An entry holds the raw records and each solution's
+bialgebra class, so a run that reads it transforms no coproduct; corrupt
+entries, and entries whose classes fail a structural check, are recomputed.
+Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -74,13 +76,29 @@ def _raw_payload(rs: RawSolutionSet) -> list[dict]:
     return out
 
 
-def _raw_from_payload(n: int, label: str, payload: list[dict]) -> RawSolutionSet:
+def _cache_payload(rs: RawSolutionSet) -> dict:
+    """A cache entry: the raw records and each solution's class representative."""
+    return {"records": _raw_payload(rs), "class_rep": list(rs.class_rep)}
+
+
+def _raw_from_cache(n: int, label: str, entry) -> RawSolutionSet:
+    """The solution set of a cache entry, once its records ascend by tensor
+    and its partition is well formed: each class_rep[i] is an index r <= i
+    with class_rep[r] = r, of a solution with i's coalgebra type and Hopf
+    flag.  A malformed entry raises KeyError, TypeError or ValueError."""
     sols = []
-    for rec in payload:
+    for rec in entry["records"]:
         coalg = CoalgebraSC(n, tensor_from_hex(rec["C"]), tensor_from_hex(rec["epsilon"]))
         anti = mat_from_hex(rec["antipode"], n) if "antipode" in rec else None
         sols.append(RawSolution(coalg, rec["type"], anti))
-    return RawSolutionSet(label, catalog(n)[label].representative, tuple(sols))
+    reps = tuple(entry["class_rep"])
+    if len(reps) != len(sols) or any(s.coalg.c >= t.coalg.c for s, t in zip(sols, sols[1:])):
+        raise ValueError("records and classes do not match")
+    for i, r in enumerate(reps):
+        if not (type(r) is int and 0 <= r <= i and reps[r] == r
+                and sols[r].hopf == sols[i].hopf and sols[r].type_label == sols[i].type_label):
+            raise ValueError(f"solution {i}: bad class representative {r!r}")
+    return RawSolutionSet(label, catalog(n)[label].representative, tuple(sols), reps)
 
 
 def _cache_dir(out_dir: Path) -> Path:
@@ -118,40 +136,36 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _solve_one(args: tuple[int, str]) -> tuple[str, list[dict]]:
+def _solve_one(args: tuple[int, str]) -> RawSolutionSet:
     n, label = args
-    rs = solve_coproducts(catalog(n)[label].representative, label)
-    return label, _raw_payload(rs)
+    return solve_coproducts(catalog(n)[label].representative, label)
 
 
 def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool) -> dict[str, RawSolutionSet]:
     cache = _cache_dir(out_dir)
     labels = list(catalog(n).labels)
-    results: dict[str, list[dict]] = {}
+    results: dict[str, RawSolutionSet] = {}
     todo = []
     for label in labels:
         path = _cache_path(cache, n, label)
         if use_cache and path.exists():
             try:
-                _, payload = load_dataset(path.read_text(), "raw")
-                results[label] = payload
+                results[label] = _raw_from_cache(n, label, load_dataset(path.read_text(), "raw")[1])
                 continue
-            except DatasetError:
+            except (KeyError, TypeError, ValueError):  # DatasetError is a ValueError
                 pass  # corrupt cache entry: recompute below
         todo.append((n, label))
     if todo:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for label, payload in pool.map(_solve_one, todo):
-                    results[label] = payload
+                solved = list(pool.map(_solve_one, todo))
         else:
-            for item in todo:
-                label, payload = _solve_one(item)
-                results[label] = payload
+            solved = [_solve_one(item) for item in todo]
         cache.mkdir(parents=True, exist_ok=True)
-        for _, label in todo:
-            _write_atomic(_cache_path(cache, n, label), dump_dataset("raw", results[label]))
-    return {label: _raw_from_payload(n, label, results[label]) for label in labels}
+        for (_, label), rs in zip(todo, solved):
+            results[label] = rs
+            _write_atomic(_cache_path(cache, n, label), dump_dataset("raw", _cache_payload(rs)))
+    return {label: results[label] for label in labels}
 
 
 def _write(out_dir: Path, name: str, kind: str, payload) -> None:

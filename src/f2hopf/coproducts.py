@@ -19,6 +19,11 @@ counit of such an image is never searched, so only one counit per orbit of
 the automorphism group is (a counit with no solutions covers no other).  On
 algebra P (F2^4) the four counits form one orbit, and the densest of their
 systems is never searched.
+
+The solution set keeps the partition these orbits make: each solution
+records the index of its class representative, the smallest member.  The
+run cache stores it with the records, so classification never expands an
+orbit again.
 """
 
 from __future__ import annotations
@@ -81,9 +86,14 @@ class RawSolution:
 
 @dataclass(frozen=True)
 class RawSolutionSet:
+    """The solutions of one algebra, ascending by packed tensor, and their
+    bialgebra classes: ``class_rep[i]`` is the index of the smallest member
+    of solution i's class, its representative."""
+
     algebra_label: str
     algebra: AlgebraSC
     solutions: tuple[RawSolution, ...]
+    class_rep: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -115,8 +125,8 @@ def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
     ordered by the packed coproduct tensor.
 
     One counit per automorphism orbit is searched, and one solution per
-    bialgebra class annotated; the rest are its images under automorphisms
-    (see the module docstring)."""
+    bialgebra class annotated; the rest are its images under automorphisms,
+    and each records its class (see the module docstring)."""
     if not a.is_standard:
         raise ValueError("expects standard form")
     if label is None:
@@ -124,6 +134,7 @@ def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
     n = a.n
     changes = [(p.rows, mat_inv_rows(p.rows, n)) for p in automorphism_group(a)]
     found: dict[int, RawSolution] = {}
+    least: dict[int, int] = {}  # tensor -> smallest tensor of its class
     covered: set[int] = set()
     for eps in enumerate_counits(a):
         if eps in covered:
@@ -134,13 +145,19 @@ def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
             coalg = CoalgebraSC(n, c, eps)
             type_label = coalgebra_type(coalg)
             antipode = solve_antipode(Bialgebra(a, coalg))
-            for image, (p, pinv) in kernels.coproduct_orbit(c, n, changes).items():
+            orbit = kernels.coproduct_orbit(c, n, changes)
+            rep = min(orbit)
+            for image, (p, pinv) in orbit.items():
                 pm = Gf2Mat(p, n)
                 image_eps = pm.mul_vec(Gf2Vec(n, eps)).bits
                 covered.add(image_eps)
+                least[image] = rep
                 found[image] = RawSolution(
                     coalg=CoalgebraSC(n, image, image_eps),
                     type_label=type_label,
                     antipode=None if antipode is None else pm * antipode * Gf2Mat(pinv, n),
                 )
-    return RawSolutionSet(label, a, tuple(found[c] for c in sorted(found)))
+    tensors = sorted(found)
+    index_of = {c: i for i, c in enumerate(tensors)}
+    return RawSolutionSet(label, a, tuple(found[c] for c in tensors),
+                          tuple(index_of[least[c]] for c in tensors))

@@ -25,7 +25,6 @@ from f2hopf.gf2 import bits_of
 from f2hopf.kernels import Equation
 from f2hopf.structure import (
     Bialgebra,
-    HopfAlgebra,
     TensorProductAlgebra,
     TensorSquareElement,
     algebra_inverse,
@@ -134,29 +133,6 @@ def enumerate_quasitriangular(b: Bialgebra) -> list[QuasiTriangularStructure]:
         r = TensorSquareElement(n, bits)
         out.append(classify_r(b, r, TensorSquareElement(n, inv)))
     return out
-
-
-def antipode_leg_transform(h: HopfAlgebra, r: TensorSquareElement) -> TensorSquareElement:
-    """(S (x) id) R, which must equal the inverse on a Hopf algebra."""
-    n = h.n
-    out = 0
-    for t in bits_of(r.bits):
-        mu, nu = divmod(t, n)
-        for i in bits_of(h.s.rows[mu]):
-            out ^= 1 << (i * n + nu)
-    return TensorSquareElement(n, out)
-
-
-def both_legs_antipode(h: HopfAlgebra, r: TensorSquareElement) -> TensorSquareElement:
-    """(S (x) S) R, invariant for every quasitriangular structure."""
-    n = h.n
-    out = 0
-    for t in bits_of(r.bits):
-        mu, nu = divmod(t, n)
-        for i in bits_of(h.s.rows[mu]):
-            for j in bits_of(h.s.rows[nu]):
-                out ^= 1 << (i * n + j)
-    return TensorSquareElement(n, out)
 
 
 # --- Yang-Baxter in H (x) H (x) H ------------------------------------------------

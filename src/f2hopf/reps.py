@@ -69,17 +69,6 @@ def enumerate_reps(a: AlgebraSC, k: int) -> list[Representation]:
     return out
 
 
-def conjugate(rep: Representation, p: Gf2Mat) -> Representation:
-    pinv = p.inverse()
-    if pinv is None:
-        raise ValueError("singular conjugation matrix")
-    return Representation(rep.k, tuple(p * m * pinv for m in rep.images))
-
-
-def are_equivalent(r1: Representation, r2: Representation) -> bool:
-    return equivalent_by_conjugation(r1, r2) is not None
-
-
 def equivalence_classes(reps: list[Representation]) -> list[list[int]]:
     """Partition under simultaneous conjugation; indices into the input.
 

@@ -424,43 +424,6 @@ def solve_antipode(b: Bialgebra) -> Gf2Mat | None:
     return None if s is None else TensorSquareElement(n, s).matrix()
 
 
-def check_antipode_identities(h: HopfAlgebra) -> AxiomReport:
-    """The anti-homomorphism consequences of the antipode law: S reverses the
-    product and coproduct, fixes the unit, and preserves the counit."""
-    a, c, s = h.alg, h.coalg, h.s
-    n = h.n
-    for mu in range(n):
-        for nu in range(n):
-            # S(x^mu x^nu) = S(x^nu) S(x^mu)
-            lhs = 0
-            for rho in bits_of(a.prod(mu, nu)):
-                lhs ^= s.rows[rho]
-            rhs = a.mul_vec(s.rows[nu], s.rows[mu])
-            if lhs != rhs:
-                return AxiomReport(False, "antipode-anti-homomorphism", (mu, nu))
-    for mu in range(n):
-        # (S (x) S) o Delta^cop = Delta o S
-        lhs = 0
-        for t in bits_of(c.cop(mu)):
-            al, be = divmod(t, n)
-            for i in bits_of(s.rows[be]):
-                for j in bits_of(s.rows[al]):
-                    lhs ^= 1 << (i * n + j)
-        rhs = 0
-        for rho in bits_of(s.rows[mu]):
-            rhs ^= c.cop(rho)
-        if lhs != rhs:
-            return AxiomReport(False, "antipode-anti-cohomomorphism", (mu,))
-        if parity(s.rows[mu] & c.eps) != (c.eps >> mu) & 1:
-            return AxiomReport(False, "antipode-counit", (mu,))
-    fixed_unit = 0
-    for mu in bits_of(a.eta):
-        fixed_unit ^= s.rows[mu]
-    if fixed_unit != a.eta:
-        return AxiomReport(False, "antipode-unit", ())
-    return _PASS
-
-
 # --- duality, opposites, basis change ---------------------------------------
 
 

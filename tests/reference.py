@@ -11,9 +11,13 @@ off linear and quadratic solves;
 bialgebra checker, and ``brute_force_coproduct_set`` memoises it, since its
 dimension-3 scan is the slowest check in the suite;
 ``coproducts_per_counit`` solves and annotates every counit's coproducts
-afresh, with no transport along automorphisms;
+afresh, with no transport along automorphisms, and partitions them with
+``orbit_class_rep``, which expands each class's orbit on its own;
 ``classify_bialgebras_pairwise`` and ``coquasitriangular_via_dual`` reach
 the engine's bialgebra classes and coquasitriangular forms by other routes.
+The last section holds helpers that only tests use: a quartic algebra, the
+antipode's anti-homomorphism identities, the antipode applied to the legs of
+an R-matrix, and conjugation of representations.
 """
 
 from __future__ import annotations
@@ -368,8 +372,9 @@ def brute_force_coproduct_set(n: int, label: str) -> frozenset:
 
 def coproducts_per_counit(a: AlgebraSC) -> RawSolutionSet:
     """The raw solution set of ``coproducts.solve_coproducts``, reached by
-    searching every counit's system and annotating each solution with its
-    own ``coalgebra_type`` and ``solve_antipode``."""
+    searching every counit's system, annotating each solution with its own
+    ``coalgebra_type`` and ``solve_antipode``, and partitioning the whole set
+    with ``orbit_class_rep``."""
     from f2hopf.catalog import identify_algebra
     from f2hopf.coproducts import (
         RawSolution,
@@ -387,7 +392,35 @@ def coproducts_per_counit(a: AlgebraSC) -> RawSolutionSet:
             found.append(RawSolution(coalg, coalgebra_type(coalg),
                                      solve_antipode(Bialgebra(a, coalg))))
     found.sort(key=lambda s: s.coalg.c)
-    return RawSolutionSet(identify_algebra(a), a, tuple(found))
+    return RawSolutionSet(identify_algebra(a), a, tuple(found), orbit_class_rep(a, found))
+
+
+def orbit_class_rep(a: AlgebraSC, solutions) -> tuple[int, ...]:
+    """The bialgebra classes of the solutions (ascending by tensor) in the
+    form of ``RawSolutionSet.class_rep``: the smallest unclassified solution
+    starts the next class, which is its orbit under ``automorphism_group(a)``.
+    Raises when the orbits are not those of a group, or when one mixes Hopf
+    flags or coalgebra types."""
+    from f2hopf import kernels
+    from f2hopf.catalog import automorphism_group
+    from f2hopf.gf2 import mat_inv_rows
+
+    n = a.n
+    changes = [(p.rows, mat_inv_rows(p.rows, n)) for p in automorphism_group(a)]
+    index_of = {s.coalg.c: i for i, s in enumerate(solutions)}
+    class_rep: list[int | None] = [None] * len(solutions)
+    for start, rep in enumerate(solutions):
+        if class_rep[start] is not None:
+            continue
+        orbit = sorted(index_of[c] for c in kernels.coproduct_orbit(rep.coalg.c, n, changes))
+        if orbit[0] != start or any(class_rep[i] is not None for i in orbit):
+            raise RuntimeError("automorphisms do not form a group")
+        if any(solutions[i].hopf != rep.hopf or solutions[i].type_label != rep.type_label
+               for i in orbit):
+            raise RuntimeError("orbit mixes Hopf flags or coalgebra types")
+        for i in orbit:
+            class_rep[i] = start
+    return tuple(class_rep)
 
 
 def classify_bialgebras_pairwise(a: AlgebraSC, raw: RawSolutionSet) -> list[set[int]]:
@@ -449,3 +482,112 @@ def coquasitriangular_via_dual(b: Bialgebra) -> list[int]:
                     bits ^= 1 << (mu * n + nu)
         out.append(bits)
     return sorted(out)
+
+
+# --- helpers only tests use ----------------------------------------------------
+
+
+def quartic_algebra(a: int, b: int, c: int, d: int) -> AlgebraSC:
+    """F2[w] / (w^4 + a w^3 + b w^2 + c w + d) on basis 1, w, w^2, w^3."""
+    from f2hopf.gf2 import bits_of
+    from f2hopf.structure import AlgebraSC
+
+    n = 4
+    w4 = (d & 1) | ((c & 1) << 1) | ((b & 1) << 2) | ((a & 1) << 3)
+    powers = [1 << 0, 1 << 1, 1 << 2, 1 << 3, w4]
+    for k in range(5, 7):
+        prev = powers[k - 1]
+        nxt = 0
+        for i in bits_of(prev):
+            nxt ^= powers[i + 1]
+        powers.append(nxt)
+    v = 0
+    for i in range(4):
+        for j in range(4):
+            v |= powers[i + j] << ((i * n + j) * n)
+    return AlgebraSC(n, v)
+
+
+def check_antipode_identities(h):
+    """The anti-homomorphism consequences of the antipode law: S reverses the
+    product and coproduct, fixes the unit, and preserves the counit."""
+    from f2hopf.gf2 import bits_of, parity
+    from f2hopf.structure import AxiomReport
+
+    a, c, s = h.alg, h.coalg, h.s
+    n = h.n
+    for mu in range(n):
+        for nu in range(n):
+            # S(x^mu x^nu) = S(x^nu) S(x^mu)
+            lhs = 0
+            for rho in bits_of(a.prod(mu, nu)):
+                lhs ^= s.rows[rho]
+            rhs = a.mul_vec(s.rows[nu], s.rows[mu])
+            if lhs != rhs:
+                return AxiomReport(False, "antipode-anti-homomorphism", (mu, nu))
+    for mu in range(n):
+        # (S (x) S) o Delta^cop = Delta o S
+        lhs = 0
+        for t in bits_of(c.cop(mu)):
+            al, be = divmod(t, n)
+            for i in bits_of(s.rows[be]):
+                for j in bits_of(s.rows[al]):
+                    lhs ^= 1 << (i * n + j)
+        rhs = 0
+        for rho in bits_of(s.rows[mu]):
+            rhs ^= c.cop(rho)
+        if lhs != rhs:
+            return AxiomReport(False, "antipode-anti-cohomomorphism", (mu,))
+        if parity(s.rows[mu] & c.eps) != (c.eps >> mu) & 1:
+            return AxiomReport(False, "antipode-counit", (mu,))
+    fixed_unit = 0
+    for mu in bits_of(a.eta):
+        fixed_unit ^= s.rows[mu]
+    if fixed_unit != a.eta:
+        return AxiomReport(False, "antipode-unit", ())
+    return AxiomReport(True)
+
+
+def antipode_leg_transform(h, r):
+    """(S (x) id) R, which must equal the inverse on a Hopf algebra."""
+    from f2hopf.gf2 import bits_of
+    from f2hopf.structure import TensorSquareElement
+
+    n = h.n
+    out = 0
+    for t in bits_of(r.bits):
+        mu, nu = divmod(t, n)
+        for i in bits_of(h.s.rows[mu]):
+            out ^= 1 << (i * n + nu)
+    return TensorSquareElement(n, out)
+
+
+def both_legs_antipode(h, r):
+    """(S (x) S) R, invariant for every quasitriangular structure."""
+    from f2hopf.gf2 import bits_of
+    from f2hopf.structure import TensorSquareElement
+
+    n = h.n
+    out = 0
+    for t in bits_of(r.bits):
+        mu, nu = divmod(t, n)
+        for i in bits_of(h.s.rows[mu]):
+            for j in bits_of(h.s.rows[nu]):
+                out ^= 1 << (i * n + j)
+    return TensorSquareElement(n, out)
+
+
+def conjugate(rep, p):
+    """The representation x -> p rep(x) p^-1."""
+    from f2hopf.reps import Representation
+
+    pinv = p.inverse()
+    if pinv is None:
+        raise ValueError("singular conjugation matrix")
+    return Representation(rep.k, tuple(p * m * pinv for m in rep.images))
+
+
+def are_equivalent(r1, r2) -> bool:
+    from f2hopf.reps import equivalent_by_conjugation
+
+    return equivalent_by_conjugation(r1, r2) is not None

@@ -27,7 +27,12 @@ from f2hopf.golden import (
     dsl2_presentation,
 )
 from f2hopf.structure import Bialgebra, check_bialgebra
-from reference import classify_bialgebras_pairwise, naive_self_duality_pairing
+from reference import (
+    check_antipode_identities,
+    classify_bialgebras_pairwise,
+    naive_self_duality_pairing,
+    orbit_class_rep,
+)
 
 
 def named3(name):
@@ -37,6 +42,26 @@ def named3(name):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_census(n):
     assert hopf_census(n) == CENSUS[n][:3]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_carried_partition_equals_the_orbit_oracle(n, tmp_path, monkeypatch):
+    # The classes a solve records, and the ones a run reads back from its
+    # cache, are the orbits the oracle expands afresh for every algebra.
+    from f2hopf import cli
+
+    def forbidden(*args):
+        raise AssertionError("a cache entry was not read")
+
+    monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
+    fresh = cli._raw_solutions(n, tmp_path, 1, True)
+    monkeypatch.setattr(cli, "solve_coproducts", forbidden)
+    cached = cli._raw_solutions(n, tmp_path, 1, True)
+    assert len(list((tmp_path / "cache").iterdir())) == len(catalog(n).classes)
+    for cls in catalog(n).classes:
+        rs = fresh[cls.label]
+        assert rs.class_rep == orbit_class_rep(cls.representative, rs.solutions), cls.label
+        assert cached[cls.label] == rs, cls.label
 
 
 def test_class_structure_dim3():
@@ -274,7 +299,7 @@ def test_dual_of_every_raw_solution_is_bialgebra():
 
 
 def test_antipode_consequences_on_all_classified_hopf():
-    from f2hopf.structure import HopfAlgebra, check_antipode_identities
+    from f2hopf.structure import HopfAlgebra
 
     for n in (2, 3, 4):
         dim = classify_dimension(n)

@@ -69,6 +69,74 @@ def test_corrupt_cache_recomputed(tmp_path):
     load_dataset(victim.read_text(), "raw")
 
 
+def _edit_cache_entry(entry: dict, case: str):
+    """One checksum-valid but malformed cache entry of algebra B, n = 3."""
+    reps, records = entry["class_rep"], entry["records"]
+    if case == "rep-out-of-range":
+        reps[-1] = len(reps)
+    elif case == "rep-not-smallest":
+        members = [i for i, r in enumerate(reps) if r == 0]
+        for i in members:
+            reps[i] = members[-1]  # the largest member, itself its own rep
+    elif case == "mixed-types":
+        other = reps[next(i for i, rec in enumerate(records)
+                          if rec["type"] != records[0]["type"])]
+        for i, r in enumerate(reps):
+            if r == other:
+                reps[i] = 0  # merged into the class of solution 0
+    elif case == "mixed-hopf":
+        member = next(i for i, r in enumerate(reps) if r != i and records[r]["hopf"])
+        records[member]["hopf"] = False
+        del records[member]["antipode"]
+    elif case == "no-partition":
+        del entry["class_rep"]
+    else:  # the records alone, as cache entries held them before classes
+        return records
+    return entry
+
+
+@pytest.mark.parametrize("case", ["rep-out-of-range", "rep-not-smallest", "mixed-types",
+                                  "mixed-hopf", "no-partition", "records-only"])
+def test_cache_entry_with_bad_classes_recomputed(tmp_path, monkeypatch, capsys, case):
+    from f2hopf.cli import _cache_path, _raw_from_cache
+
+    out = tmp_path / "out"
+    monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
+    assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    victim = _cache_path(out / "cache", 3, "B")
+    _, entry = load_dataset(victim.read_text(), "raw")
+    good = _raw_from_cache(3, "B", entry)
+    victim.write_text(dump_dataset("raw", _edit_cache_entry(entry, case)))
+    with pytest.raises((KeyError, TypeError, ValueError)):
+        _raw_from_cache(3, "B", load_dataset(victim.read_text(), "raw")[1])
+    calls = count_solves(monkeypatch)
+    capsys.readouterr()
+    assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [args[1] for args in calls] == ["B"]
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == first
+    # the bad entry was replaced by a valid one
+    assert _raw_from_cache(3, "B", load_dataset(victim.read_text(), "raw")[1]) == good
+
+
+def test_warm_run_transforms_no_coproduct(tmp_path, monkeypatch):
+    # A cold run expands each bialgebra class's orbit once, |Aut(A)|
+    # transforms per class; a warm run reads the classes from the cache.
+    from f2hopf import kernels
+    from f2hopf.catalog import catalog
+
+    out = tmp_path / "out"
+    monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
+    calls = count_calls(monkeypatch, kernels.transform_coproduct)
+    assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
+    _, classes = load_dataset((out / "classes_n3.json").read_text(), "classes")
+    assert len(calls) == sum(len(catalog(3)[c["algebra"]].automorphisms) for c in classes)
+    calls.clear()
+    assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
+    assert calls == []
+
+
 def test_verify_ok_and_flipped_bit(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
@@ -175,30 +243,40 @@ def test_parallel_jobs_identical(tmp_path):
         assert path.read_bytes() == (parallel / path.name).read_bytes(), path.name
 
 
+def rebind(monkeypatch, fn, new) -> None:
+    """Replace fn by new under every name an f2hopf module holds for it."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("f2hopf") and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, new)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record the arguments of every call of fn made through any f2hopf
+    module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    rebind(monkeypatch, fn, counted)
+    return calls
+
+
 def count_solves(monkeypatch, forbid_classify=True) -> list:
     """Count solve_coproducts calls made through any f2hopf module, and
     unless told otherwise fail on any call of the cached classify_dimension
     (whose cache could hide a solve)."""
     from f2hopf import classify, coproducts
 
-    calls = []
-    solve, classify_dimension = coproducts.solve_coproducts, classify.classify_dimension
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
     def forbidden(*args, **kwargs):
         raise AssertionError("the run called classify_dimension")
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("f2hopf") and mod is not None:
-            for attr, value in list(vars(mod).items()):
-                if value is solve:
-                    monkeypatch.setattr(mod, attr, counted)
-                elif value is classify_dimension and forbid_classify:
-                    monkeypatch.setattr(mod, attr, forbidden)
-    return calls
+    if forbid_classify:
+        rebind(monkeypatch, classify.classify_dimension, forbidden)
+    return count_calls(monkeypatch, coproducts.solve_coproducts)
 
 
 def test_run_solves_once_and_classifies_from_the_cache(tmp_path, monkeypatch):

@@ -18,8 +18,6 @@ from f2hopf.golden import (
     HOPF_FIXTURES_DIM4,
 )
 from f2hopf.qtri import (
-    antipode_leg_transform,
-    both_legs_antipode,
     coquasitriangular_direct,
     enumerate_quasitriangular,
     qt_by_class,
@@ -27,7 +25,7 @@ from f2hopf.qtri import (
     yang_baxter_ok,
 )
 from f2hopf.structure import Bialgebra
-from reference import coquasitriangular_via_dual
+from reference import antipode_leg_transform, both_legs_antipode, coquasitriangular_via_dual
 
 
 def fixture(name):

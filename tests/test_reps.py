@@ -16,8 +16,6 @@ from f2hopf.golden import (
     dsl2_presentation,
 )
 from f2hopf.reps import (
-    are_equivalent,
-    conjugate,
     direct_sum,
     dual_rep,
     enumerate_reps,
@@ -28,7 +26,7 @@ from f2hopf.reps import (
     regular_rep,
     tensor_rep,
 )
-from reference import naive_conjugation, naive_orbit_partition
+from reference import are_equivalent, conjugate, naive_conjugation, naive_orbit_partition
 
 H = dsl2_presentation()
 ALG = H.alg

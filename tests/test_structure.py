@@ -24,7 +24,6 @@ from f2hopf.structure import (
     apply_basis_change_algebra,
     apply_basis_change_coalgebra,
     check_algebra,
-    check_antipode_identities,
     check_bialgebra,
     check_coalgebra,
     dualize_algebra,
@@ -38,6 +37,7 @@ from f2hopf.structure import (
     TensorProductAlgebra,
 )
 from reference import (
+    check_antipode_identities,
     naive_algebra_maps,
     naive_antipode,
     naive_antipode_law,

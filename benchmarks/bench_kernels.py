@@ -8,9 +8,10 @@ builders' systems, each given as (number of variables, equations), after
 ``kernels.eliminate`` has removed the product-free equations (the
 elimination and the greedy order's construction, ``kernels.search_order``,
 are timed separately).  The backtracker is timed
-twice per suite: in plain index order (``kernels.backtrack``), and in the
-greedy search order every engine search uses (``kernels.solve_ordered``).
-Both orders must return identical solutions.
+twice per suite: in plain index order (``kernels.backtrack(n, eqs)``), and
+in the greedy search order every engine search uses
+(``kernels.backtrack(n, eqs, kernels.search_order(n, eqs))``, the order's
+construction included).  Both orders must return identical solutions.
 The algebra P suite times all four of P's counit systems, although the
 engine searches only eps = 0001 and transports the other three counits'
 solutions along automorphisms; the dense eps = 1111 system stays in the
@@ -67,6 +68,10 @@ def timed(solve, jobs, runs=3, budget_s=10.0):
     return best, results
 
 
+def greedy(nvars, equations):
+    return kernels.backtrack(nvars, equations, kernels.search_order(nvars, equations))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(Path(__file__).with_name("BENCH_kernel.json")))
@@ -91,7 +96,7 @@ def main(argv=None):
         order_s, _ = timed(kernels.search_order, jobs)
         reference = None
         times: dict[str, float] = {}
-        for order, solve in {"index": kernels.backtrack, "greedy": kernels.solve_ordered}.items():
+        for order, solve in {"index": kernels.backtrack, "greedy": greedy}.items():
             elapsed, results = timed(solve, jobs)
             if reference is None:
                 reference = results

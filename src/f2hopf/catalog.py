@@ -86,8 +86,6 @@ RELATIONS = {
     4: RELATIONS_DIM4,
 }
 
-NONCOMMUTATIVE_LABELS = {3: {"G"}, 4: {"NA", "NB", "NC", "ND", "NE", "NF", "NG", "NH", "NI"}}
-
 
 def parse_element(expr: str, names: tuple[str, ...]) -> int:
     """Parse '1+x+y' style sums of basis names into a packed vector."""

@@ -20,7 +20,6 @@ from f2hopf.catalog import AlgebraCatalog, catalog, identify_algebra, isomorphis
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
 from f2hopf.gf2 import Gf2Mat, bits_of, mat_inv_rows, parity
 from f2hopf.structure import (
-    AlgebraSC,
     Bialgebra,
     dual_bialgebra_raw,
     dualize_coalgebra,
@@ -38,8 +37,8 @@ class BialgebraClass:
     cop_partner: int | None = None  # class index of the co-opposite
 
 
-def classify_bialgebras(a: AlgebraSC, raw: RawSolutionSet) -> list[BialgebraClass]:
-    """The bialgebra classes of the raw solutions on algebra a, read off the
+def classify_bialgebras(raw: RawSolutionSet) -> list[BialgebraClass]:
+    """The bialgebra classes of one algebra's raw solutions, read off the
     partition the solve recorded (``raw.class_rep``), ordered by (coalgebra
     type, representative tensor)."""
     sols = raw.solutions
@@ -141,7 +140,7 @@ class ClassifiedDimension:
 def classify_raw(n: int, raw: dict[str, RawSolutionSet]) -> ClassifiedDimension:
     """Classify given raw solution sets, one per algebra label of dimension n."""
     cat = catalog(n)
-    classes = {c.label: classify_bialgebras(c.representative, raw[c.label])
+    classes = {c.label: classify_bialgebras(raw[c.label])
                for c in cat.classes}
     return ClassifiedDimension(n, cat, raw, classes)
 

@@ -39,16 +39,6 @@ class Gf2Vec:
     def __getitem__(self, i: int) -> int:
         return (self.bits >> i) & 1
 
-    def __xor__(self, other: "Gf2Vec") -> "Gf2Vec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return Gf2Vec(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "Gf2Vec") -> int:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return parity(self.bits & other.bits)
-
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
 
@@ -102,9 +92,6 @@ class Gf2Mat:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return (self.rows[i] >> j) & 1
-
-    def row(self, i: int) -> Gf2Vec:
-        return Gf2Vec(self.cols, self.rows[i])
 
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]

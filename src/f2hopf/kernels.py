@@ -22,13 +22,14 @@ unreduced, to ``solve_quadratic``, which runs one path:
 1. Elimination.  ``eliminate`` row-reduces the product-free equations with
    ``gf2.solve_linear`` and substitutes the result into the rest, leaving a
    smaller system over the free variables.
-2. Search.  ``backtrack`` is a depth-first search that assigns variables
-   in index order and checks an equation as soon as its highest variable is
-   set.  The check is bit-sliced: one integer holds the running value of
-   every equation, one bit each, so a level checks all the equations it
-   closes with one AND.  Builders number their variables lexicographically,
-   which leaves most equations open until deep in that tree, so the reduced
-   system is renumbered in ``search_order`` before the search.
+2. Search.  ``backtrack`` is a depth-first search that assigns the free
+   variables in a given order and checks an equation as soon as its last
+   variable in that order is set.  The check is bit-sliced: one integer
+   holds the running value of every equation, one bit each, so a level
+   checks all the equations it closes with one AND.  Builders number their
+   variables lexicographically, which in index order would leave most
+   equations open until deep in the tree, so the search walks the reduced
+   system in ``search_order``.
 3. Back-substitution.  Every solution over the free variables is mapped back
    to a full assignment, so callers see ascending masks in their own
    numbering, exactly the solutions an index-order search of their system
@@ -87,16 +88,13 @@ def eliminate(nvars: int, equations):
     reads 1 = 0.  Otherwise returns (nfree, reduced, particular, directions):
     the free variables are the non-pivot columns of the row-reduced
     product-free equations, ascending, renumbered 0..nfree-1; ``reduced`` is
-    the rest of the system over them (rewritten without duplicates or
-    equations that read 0 = 0 when there was something to substitute); and
+    the rest of the system over them, rewritten without duplicates or
+    equations that read 0 = 0; and
     an assignment t of the free variables stands for the full assignment
     ``particular`` XOR the ``directions[k]`` with bit k of t set.
     """
     equations = list(equations)
     linear = [(const, lin) for const, lin, pairs in equations if not pairs]
-    if not any(const or lin for const, lin in linear):
-        # Nothing to eliminate: every variable is free.
-        return nvars, [e for e in equations if e[2]], 0, [1 << v for v in range(nvars)]
     rhs = sum((const & 1) << k for k, (const, _) in enumerate(linear))
     sol = solve_linear(Gf2Mat(tuple(lin for _, lin in linear), nvars),
                        Gf2Vec(len(linear), rhs))
@@ -227,95 +225,76 @@ def search_order(nvars: int, equations) -> list[int]:
     return order
 
 
-def solve_ordered(nvars: int, equations) -> list[int]:
-    """Run ``backtrack`` on the system renumbered in ``search_order``, with
-    no elimination.
-
-    Returns the solution masks in the caller's numbering, ascending:
-    exactly what ``backtrack(nvars, equations)`` returns.
-    """
-    return _search(nvars, equations, 0, [1 << v for v in range(nvars)])
-
-
 def solve_quadratic(nvars: int, equations) -> list[int]:
     """All solutions of a quadratic XOR system, as ascending packed masks.
 
     The equation format is documented in the module docstring.  The system
     is reduced by ``eliminate`` and ``backtrack`` searches the free
-    variables in ``search_order``.
+    variables in ``search_order``; each solution t over them maps back to
+    ``particular`` XOR the ``directions[k]`` with bit k of t set.
     """
     reduction = eliminate(nvars, equations)
     if reduction is None:
         return []
-    return _search(*reduction)
-
-
-def _search(nfree: int, equations, particular: int, directions) -> list[int]:
-    """Search a system over nfree variables with ``backtrack`` in
-    ``search_order`` and map each solution t to ``particular`` XOR the
-    ``directions[k]`` with bit k of t set; ascending."""
-    equations = list(equations)
-    order = search_order(nfree, equations)
-    pos = [0] * nfree
-    for k, v in enumerate(order):
-        pos[v] = k
-    renumbered = []
-    for const, lin, pairs in equations:
-        new_lin = 0
-        while lin:
-            low = lin & -lin
-            new_lin |= 1 << pos[low.bit_length() - 1]
-            lin ^= low
-        new_pairs = tuple(
-            (pos[i], pos[j]) if pos[i] < pos[j] else (pos[j], pos[i]) for i, j in pairs
-        )
-        renumbered.append((const, new_lin, new_pairs))
-    back = [directions[v] for v in order]
+    nfree, reduced, particular, directions = reduction
     out = []
-    for mask in backtrack(nfree, renumbered):
+    for mask in backtrack(nfree, reduced, search_order(nfree, reduced)):
         x = particular
         while mask:
             low = mask & -mask
-            x ^= back[low.bit_length() - 1]
+            x ^= directions[low.bit_length() - 1]
             mask ^= low
         out.append(x)
     out.sort()
     return out
 
 
-def backtrack(nvars: int, equations) -> list[int]:
+def backtrack(nvars: int, equations, order=None) -> list[int]:
     """Enumerate all assignments satisfying every equation.
 
-    Variables are assigned in index order 0..nvars-1, trying 0 before 1, and
-    each equation is checked as soon as its highest variable is assigned.
-    The returned packed assignment masks are sorted ascending.
+    Level k of the search assigns variable ``order[k]`` (index order when
+    ``order`` is None), trying 0 before 1, and each equation is checked at
+    the level of its last variable in that order.  The returned packed
+    assignment masks are in the caller's numbering, sorted ascending.
 
     The check is bit-sliced: bit e of every mask below stands for equation
     e, so one AND checks every equation a level closes.
 
-    - ``closing[v]``: the equations whose highest variable is v;
+    - ``closing[k]``: the equations whose last variable is ``order[k]``;
     - ``parity``: the value of every equation under the current assignment,
       unset variables read as 0, starting at the constants;
     - ``coeff[v]``: the equations whose value flips when x_v goes from 0 to
       1, given the variables set so far: those with x_v linear, plus those
-      with x_i x_v for a set x_i, i < v;
-    - ``fwd[v]``: pairs (j, mask), j > v, where mask holds the equations
-      with an odd number of x_v x_j terms.
+      with x_i x_v for an x_i set earlier in the order;
+    - ``fwd[v]``: pairs (j, mask), x_j later than x_v in the order, where
+      mask holds the equations with an odd number of x_v x_j terms.
 
-    Level v passes with x_v = 0 when ``parity & closing[v]`` is 0 and with
-    x_v = 1 when ``(parity ^ coeff[v]) & closing[v]`` is 0.  Setting x_v = 1
-    XORs each forward mask into ``coeff[j]``, and the return XORs it out.
+    Level k, at v = ``order[k]``, passes with x_v = 0 when
+    ``parity & closing[k]`` is 0 and with x_v = 1 when
+    ``(parity ^ coeff[v]) & closing[k]`` is 0.  Setting x_v = 1 XORs each
+    forward mask into ``coeff[j]``, and the return XORs it out.
     """
+    if order is None:
+        order = range(nvars)
+    level = [0] * nvars
+    for k, v in enumerate(order):
+        level[v] = k
     closing = [0] * nvars
     parity = 0
     coeff = [0] * nvars
     fwd_masks: list[dict[int, int]] = [{} for _ in range(nvars)]
     for e, (const, lin, pairs) in enumerate(equations):
         bit = 1 << e
-        last = lin.bit_length() - 1
+        last = -1
+        for v in bits_of(lin):
+            coeff[v] |= bit
+            if level[v] > last:
+                last = level[v]
         for i, j in pairs:
-            if j > last:
-                last = j
+            if level[i] > level[j]:
+                i, j = j, i
+            if level[j] > last:
+                last = level[j]
             row = fwd_masks[i]
             row[j] = row.get(j, 0) ^ bit
         if last < 0:
@@ -325,8 +304,6 @@ def backtrack(nvars: int, equations) -> list[int]:
         closing[last] |= bit
         if const:
             parity |= bit
-        for v in bits_of(lin):
-            coeff[v] |= bit
     fwd = [[(j, m) for j, m in row.items() if m] for row in fwd_masks]
     if not nvars:
         return [0]
@@ -334,23 +311,24 @@ def backtrack(nvars: int, equations) -> list[int]:
     solutions: list[int] = []
     last_level = nvars - 1
 
-    def descend(v: int, assign: int, parity: int):
-        check = closing[v]
+    def descend(k: int, assign: int, parity: int):
+        v = order[k]
+        check = closing[k]
         if not parity & check:
-            if v == last_level:
+            if k == last_level:
                 solutions.append(assign)
             else:
-                descend(v + 1, assign, parity)
+                descend(k + 1, assign, parity)
         parity ^= coeff[v]
         if not parity & check:
             assign |= 1 << v
-            if v == last_level:
+            if k == last_level:
                 solutions.append(assign)
             else:
                 flips = fwd[v]
                 for j, m in flips:
                     coeff[j] ^= m
-                descend(v + 1, assign, parity)
+                descend(k + 1, assign, parity)
                 for j, m in flips:
                     coeff[j] ^= m
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from f2hopf import kernels
 from f2hopf.classify import ClassifiedDimension
-from f2hopf.gf2 import bits_of
+from f2hopf.gf2 import Gf2Mat, bits_of
 from f2hopf.kernels import Equation
 from f2hopf.structure import (
     Bialgebra,
@@ -84,8 +84,7 @@ def _equations(b: Bialgebra) -> tuple[int, list[tuple]]:
     for rho in range(n):
         cols = [square.mul_vec(1 << v, c.cop(rho)) ^ square.mul_vec(cop.cop(rho), 1 << v)
                 for v in range(n * n)]
-        for t in range(n * n):
-            lin = sum(((col >> t) & 1) << v for v, col in enumerate(cols))
+        for lin in Gf2Mat(tuple(cols), n * n).transpose().rows:
             if lin:
                 equations.append((0, lin, ()))
     return n * n, equations

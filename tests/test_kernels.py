@@ -105,13 +105,15 @@ def quadratic_systems(draw, plant=True):
 
 
 @settings(max_examples=300, deadline=None)
-@given(quadratic_systems())
-def test_ordered_solver_against_brute_force(system):
+@given(quadratic_systems(), st.data())
+def test_ordered_solver_against_brute_force(system, data):
     nvars, eqs, planted = system
+    order = data.draw(st.permutations(range(nvars)))
     expected = _brute(nvars, eqs)
     assert kernels.solve_quadratic(nvars, eqs) == expected
     assert kernels.backtrack(nvars, eqs) == expected
-    assert kernels.solve_ordered(nvars, eqs) == expected
+    assert kernels.backtrack(nvars, eqs, kernels.search_order(nvars, eqs)) == expected
+    assert kernels.backtrack(nvars, eqs, order) == expected
     if planted is not None:
         assert planted in expected
 
@@ -169,13 +171,16 @@ def backtrack_systems(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(backtrack_systems())
-def test_backtrack_against_naive_backtrack(system):
+@given(backtrack_systems(), st.data())
+def test_backtrack_against_naive_backtrack(system, data):
     nvars, eqs, planted = system
     found = kernels.backtrack(nvars, eqs)
     assert found == naive_backtrack(nvars, eqs)
     if planted is not None:
         assert planted in found
+    if nvars <= 14:  # a wide system is small to search only in index order
+        order = data.draw(st.permutations(range(nvars)))
+        assert kernels.backtrack(nvars, eqs, order) == found
 
 
 def _algebra_searches():
@@ -218,20 +223,20 @@ def _qt_searches():
 )
 def test_backtrack_against_naive_backtrack_on_engine_systems(searches, monkeypatch):
     # Every system the engine hands the backtracker for n <= 3, after
-    # elimination and renumbering, searched again by the naive oracle.
+    # elimination, searched again by the naive oracle in index order.
     systems = []
     search = kernels.backtrack
 
-    def record(nvars, equations):
-        systems.append((nvars, list(equations)))
-        return search(nvars, equations)
+    def record(nvars, equations, order=None):
+        systems.append((nvars, list(equations), order))
+        return search(nvars, equations, order)
 
     monkeypatch.setattr(kernels, "backtrack", record)
     searches()
     monkeypatch.undo()
     assert systems
-    for nvars, eqs in systems:
-        assert kernels.backtrack(nvars, eqs) == naive_backtrack(nvars, eqs)
+    for nvars, eqs, order in systems:
+        assert kernels.backtrack(nvars, eqs, order) == naive_backtrack(nvars, eqs)
 
 
 @st.composite

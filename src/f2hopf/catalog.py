@@ -272,27 +272,18 @@ def standardize_unit(a: AlgebraSC) -> tuple[AlgebraSC, Gf2Mat]:
 
     The first row of the change matrix is the unit combination; the remaining
     rows are the lexicographically smallest completion to an invertible
-    matrix.  Returns (standard-form algebra, change matrix).
+    matrix, chosen greedily: each is the smallest vector that raises the
+    rank.  Returns (standard-form algebra, change matrix).
     """
     n = a.n
     if a.eta == 0:
         raise ValueError("algebra has zero unit vector")
     rows = [a.eta]
-    basis = [a.eta]
-
-    def reduced(v: int) -> int:
-        for b in basis:
-            v = min(v, v ^ b)
-        return v
-
     for r in range(1, 1 << n):
         if len(rows) == n:
             break
-        if reduced(r):
+        if rank_rows(rows + [r]) > len(rows):
             rows.append(r)
-            red = reduced(r)
-            basis.append(red)
-            basis.sort(reverse=True)
     p = Gf2Mat(tuple(rows), n)
     from f2hopf.structure import apply_basis_change_algebra
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from f2hopf import kernels
 from f2hopf.catalog import AlgebraCatalog, catalog, identify_algebra, isomorphisms
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
-from f2hopf.gf2 import Gf2Mat, bits_of, mat_inv_rows, parity
+from f2hopf.gf2 import Gf2Mat, mat_inv_rows
 from f2hopf.structure import (
     Bialgebra,
     dual_bialgebra_raw,
@@ -218,50 +218,17 @@ def locate_class(dim: ClassifiedDimension, b: Bialgebra) -> BialgebraClass:
 # --- self-duality pairings ------------------------------------------------------
 
 
-def pairing_ok(b: Bialgebra, p: Gf2Mat) -> bool:
-    """Whether P[mu][nu] = <x^mu, x^nu> is a bialgebra self-pairing:
-    <ab, c> = <a (x) b, Delta c>, <a, bc> = <Delta a, b (x) c>, <1, .> = eps,
-    <., 1> = eps, with P invertible."""
-    a, c = b.alg, b.coalg
-    n = b.n
-    for nu in range(n):
-        left_unit = 0
-        right_unit = 0
-        for mu in bits_of(a.eta):
-            left_unit ^= (p.rows[mu] >> nu) & 1
-            right_unit ^= (p.rows[nu] >> mu) & 1
-        if left_unit != (c.eps >> nu) & 1 or right_unit != (c.eps >> nu) & 1:
-            return False
-    if p.inverse() is None:
-        return False
-    pt = p.transpose()
-    for mu in range(n):
-        for nu in range(n):
-            for rho in range(n):
-                lhs = parity(a.prod(mu, nu) & pt.rows[rho])
-                rhs = 0
-                for t in bits_of(c.cop(rho)):
-                    al, be = divmod(t, n)
-                    rhs ^= ((p.rows[mu] >> al) & 1) & ((p.rows[nu] >> be) & 1)
-                if lhs != rhs:
-                    return False
-                lhs2 = parity(p.rows[mu] & a.prod(nu, rho))
-                rhs2 = 0
-                for t in bits_of(c.cop(mu)):
-                    al, be = divmod(t, n)
-                    rhs2 ^= ((p.rows[al] >> nu) & 1) & ((p.rows[be] >> rho) & 1)
-                if lhs2 != rhs2:
-                    return False
-    return True
-
-
 def self_duality_pairing(b: Bialgebra) -> Gf2Mat | None:
     """Lexicographically smallest invertible bialgebra self-pairing, if any.
 
-    Row mu of a pairing is <x^mu, .> on the dual basis, so the pairing is in
-    particular a unit-preserving algebra isomorphism from H onto H* with the
-    convolution product; those come from ``isomorphisms`` in lexicographic
-    row order, and the first that passes ``pairing_ok`` is the answer.
+    P[mu][nu] = <x^mu, x^nu> is a self-pairing when <ab, c> = <a (x) b, Delta c>,
+    <a, bc> = <Delta a, b (x) c> and <1, .> = eps = <., 1>, with P invertible.
+    Row mu of P is <x^mu, .> and row nu of P^T is <., x^nu>, both on the dual
+    basis, so the axioms say exactly that P and P^T are unital algebra
+    isomorphisms from H onto H* with the convolution product.  Those come
+    from ``isomorphisms`` in lexicographic row order; the answer is the first
+    whose transpose is also among them.
     """
-    return next((p for p in isomorphisms(b.alg, dualize_coalgebra(b.coalg))
-                 if pairing_ok(b, p)), None)
+    isos = isomorphisms(b.alg, dualize_coalgebra(b.coalg))
+    rows = {p.rows for p in isos}
+    return next((p for p in isos if p.transpose().rows in rows), None)

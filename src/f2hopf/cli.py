@@ -39,6 +39,7 @@ from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
 from f2hopf.golden import CENSUS, HOPF_FIXTURES_DIM4, REP_COUNTS
 from f2hopf.serialize import (
     DatasetError,
+    canonical_json,
     dump_dataset,
     load_dataset,
     mat_from_hex,
@@ -347,16 +348,14 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
 
 
 def _summary_matches_expected(summary: dict, n: int) -> bool:
+    """Whether a summary's counts are ints equal to the published census of
+    n: the algebra count always, the others when their stage ran."""
     if n not in CENSUS:
         return True  # dimension 1 has no published row to check against
-    want = CENSUS[n]
-    checks = [
-        summary.get("algebras") == want[0],
-        summary.get("bialgebras", want[1]) == want[1],
-        summary.get("hopf", want[2]) == want[2],
-        summary.get("qt_pairs", want[3]) == want[3],
-    ]
-    return all(checks)
+    want = dict(zip(("algebras", "bialgebras", "hopf", "qt_pairs"), CENSUS[n]))
+    return "algebras" in summary and all(
+        type(summary[key]) is int and summary[key] == count
+        for key, count in want.items() if key in summary)
 
 
 def cmd_run(args) -> int:
@@ -383,7 +382,11 @@ def verify_dataset(path: Path) -> list[str]:
     their own (axioms, antipode, the identities of the Fourier data); when
     they pass, every list dataset is compared with the one derived afresh.
     """
-    kind, payload = load_dataset(path.read_text())
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    kind, payload = load_dataset(text)
     if kind == "reps":
         return _reps_problems(payload)
     if kind == "summary":
@@ -447,6 +450,8 @@ def _fourier_identity_problems(i: int, rec: dict) -> list[str]:
     integral I and F# is F transposed; the transport is F times the
     identification and has order transport_order."""
     integral = tensor_from_hex(rec["I"])
+    if not isinstance(rec["F"], str):
+        raise TypeError(f"F is {type(rec['F']).__name__}, not a hex string")
     n = len(rec["F"].split(","))
     f, f_sharp, ident, transport = (mat_from_hex(rec[key], n) for key in
                                     ("F", "F_sharp", "identification", "transport"))
@@ -479,7 +484,7 @@ def _reps_problems(payload) -> list[str]:
                 problems.append(f"k={k}[{i}]: not a representation")
     want = reps_payload()
     for key, value in want.items():
-        if payload.get(key) != value:
+        if canonical_json(payload.get(key)) != canonical_json(value):
             problems.append(f"{key}: differs from the derived dataset")
     return problems
 
@@ -495,7 +500,8 @@ def _summary_problems(payload) -> list[str]:
     problems = []
     if not _summary_matches_expected(payload, n):
         problems.append(f"counts differ from the census of n={n}")
-    if "reps" in payload and payload["reps"] != {str(k): c for k, c in REP_COUNTS.items()}:
+    want_reps = {str(k): c for k, c in REP_COUNTS.items()}
+    if "reps" in payload and canonical_json(payload["reps"]) != canonical_json(want_reps):
         problems.append("reps: differs from the representation counts")
     return problems
 
@@ -503,7 +509,8 @@ def _summary_problems(payload) -> list[str]:
 def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
     """Compare a list dataset, record by record, with the one ``run`` writes
     for the dimension its records name, derived from a fresh solve (never
-    from the cache).
+    from the cache).  Fields are compared by their canonical JSON, so 1,
+    1.0 and true differ.
 
     algebras and raw records carry their dimension, and raw records their
     algebra: a raw file holds the solutions of one algebra, and an empty one
@@ -551,7 +558,7 @@ def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
         problems.append(f"{len(payload)} records, the derived dataset of n={n} has {len(want)}")
     for i, (got, exp) in enumerate(zip(payload, want)):
         for key in sorted(got.keys() | exp.keys()):
-            if got.get(key) != exp.get(key):
+            if canonical_json(got.get(key)) != canonical_json(exp.get(key)):
                 problems.append(f"{kind}[{i}] {key}: differs from the derived dataset of n={n}")
     return problems
 

@@ -2,8 +2,9 @@
 packed tensor basis changes.
 
 Every search in the engine (algebras, coproducts, R-matrices and their dual
-forms, representations, algebra isomorphisms) lists the solutions of a
-quadratic XOR system.  An equation is a triple (const, lin, pairs):
+forms, representations, intertwiners, algebra isomorphisms) lists the
+solutions of a quadratic XOR system.  An equation is a triple
+(const, lin, pairs):
 
     const  in {0, 1}
     lin    bitmask of variables appearing linearly
@@ -16,8 +17,9 @@ Each builder states its system with ``Equation``: every algebra map in it
 (coproduct, counit, representation, isomorphism, the legs of an R-matrix or
 form) through ``structure.homomorphism_equations``, and the unit and
 associativity laws of a product (an enumerated algebra, the dual algebra of
-a coproduct) through ``structure.algebra_equations``.  It passes the system,
-unreduced, to ``solve_quadratic``, which runs one path:
+a coproduct) through ``structure.algebra_equations``; the intertwiners of
+two representations are linear and are stated as (0, lin, ()) directly.  It
+passes the system, unreduced, to ``solve_quadratic``, which runs one path:
 
 1. Elimination.  ``eliminate`` row-reduces the product-free equations with
    ``gf2.solve_linear`` and substitutes the result into the rest, leaving a

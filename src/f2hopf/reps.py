@@ -3,12 +3,13 @@ in sizes k <= 3 (the unital algebra maps into ``structure.matrix_algebra``),
 equivalence classes under conjugation, duals and tensor products through the
 Hopf structure, and decomposition into named representations.
 
-Equivalence is decided by linear algebra: the matrices P with
-P r1(x) = r2(x) P for every basis element x form the intertwiner space, and
-r1 and r2 are equivalent exactly when that space holds an invertible P.  The
-conjugation returned is the invertible intertwiner whose rows tuple is
-lexicographically smallest, i.e. the first one in the order of
-gf2.enumerate_invertible.
+Both searches run on the one kernel, ``kernels.solve_quadratic``: the
+representations are the solutions of ``homomorphism_equations``, and the
+matrices P with P r1(x) = r2(x) P for every basis element x (the
+intertwiners) are the solutions of product-free equations.  r1 and r2 are
+equivalent exactly when an intertwiner is invertible; the conjugation
+returned is the invertible intertwiner whose rows tuple is lexicographically
+smallest, i.e. the first one in the order of gf2.enumerate_invertible.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows, solve_linear
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows
 from f2hopf.structure import AlgebraSC, HopfAlgebra, homomorphism_equations, matrix_algebra
 
 
@@ -149,14 +150,16 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     return Representation(k, tuple(images))
 
 
-def _intertwiner_basis(r1: Representation, r2: Representation) -> list[int]:
-    """Basis of {P : P r1(x) = r2(x) P for all x}, in reduced echelon form.
+def equivalent_by_conjugation(r1: Representation, r2: Representation) -> Gf2Mat | None:
+    """The conjugation P with P r1(x) P^-1 = r2(x) for all x whose rows tuple
+    is lexicographically smallest (the first in gf2.enumerate_invertible
+    order), or None when r1 and r2 are not equivalent.
 
-    P is packed with row i at bits k*(k-1-i) .. k*(k-i)-1, so comparing packed
-    integers compares rows tuples lexicographically.  Every basis vector's
-    highest bit is set in no other vector and the list is ascending, which
-    makes the XOR over the vectors chosen by a mask increase with the mask.
+    Entry (i, j) of P is variable k*(k-1-i) + j, so row 0 takes the highest
+    bits and the kernel's ascending masks are in lexicographic row order.
     """
+    if r1.k != r2.k:
+        return None
     k = r1.k
 
     def var(i: int, j: int) -> int:
@@ -167,45 +170,16 @@ def _intertwiner_basis(r1: Representation, r2: Representation) -> list[int]:
         for i in range(k):
             for j in range(k):
                 # (P a)[i][j] + (b P)[i][j] = sum_l P[i][l] a[l][j] + b[i][l] P[l][j]
-                row = 0
+                lin = 0
                 for l in range(k):
                     if (a.rows[l] >> j) & 1:
-                        row ^= 1 << var(i, l)
+                        lin ^= 1 << var(i, l)
                     if (b.rows[i] >> l) & 1:
-                        row ^= 1 << var(l, j)
-                if row:
-                    equations.append(row)
-    sol = solve_linear(Gf2Mat(tuple(equations), k * k), Gf2Vec(len(equations), 0))
-    basis: list[int] = []
-    for w in sol.nullspace:
-        v = w.bits
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            top = 1 << (v.bit_length() - 1)
-            basis = [b ^ v if b & top else b for b in basis]
-            basis.append(v)
-    return sorted(basis)
-
-
-def equivalent_by_conjugation(r1: Representation, r2: Representation) -> Gf2Mat | None:
-    """The conjugation P with P r1(x) P^-1 = r2(x) for all x whose rows tuple
-    is lexicographically smallest (the first in gf2.enumerate_invertible
-    order), or None when r1 and r2 are not equivalent.
-
-    The intertwiners form a linear space; its elements are visited in
-    ascending packed order and the first invertible one is returned.
-    """
-    if r1.k != r2.k:
-        return None
-    k = r1.k
-    basis = _intertwiner_basis(r1, r2)
+                        lin ^= 1 << var(l, j)
+                equations.append((0, lin, ()))
     row_mask = (1 << k) - 1
-    for mask in range(1, 1 << len(basis)):
-        packed = 0
-        for i in bits_of(mask):
-            packed ^= basis[i]
-        rows = tuple((packed >> (k * (k - 1 - i))) & row_mask for i in range(k))
+    for mask in kernels.solve_quadratic(k * k, equations):
+        rows = tuple((mask >> var(i, 0)) & row_mask for i in range(k))
         if rank_rows(rows) == k:
             return Gf2Mat(rows, k)
     return None

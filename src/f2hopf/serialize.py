@@ -32,6 +32,8 @@ def mat_to_hex(m: Gf2Mat) -> str:
 
 
 def mat_from_hex(s: str, cols: int) -> Gf2Mat:
+    if not isinstance(s, str):
+        raise TypeError(f"matrix is {type(s).__name__}, not a hex string")
     return Gf2Mat(tuple(int(p, 16) for p in s.split(",")), cols)
 
 
@@ -51,9 +53,14 @@ def algebra_from_record(rec: dict[str, Any]) -> AlgebraSC:
     )
 
 
+def canonical_json(value: Any) -> str:
+    """The compact sorted encoding of a JSON value.  Values that Python
+    compares equal but JSON writes apart (1, 1.0 and true) encode apart."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def payload_checksum(payload: Any) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def dump_dataset(kind: str, payload: Any) -> str:

@@ -6,7 +6,9 @@ modular arithmetic, deliberately sharing no code with the packed evaluators.
 equation by equation.  The exceptions are at the end: the GL(n) searches
 enumerate the whole group with gf2's packed matrices, as the engine did
 before it read conjugations, algebra isomorphisms and self-duality pairings
-off linear and quadratic solves;
+off quadratic solves, and ``pairing_ok`` checks the self-pairing axioms on
+every triple of basis elements, as the engine did before it read a pairing
+off two algebra isomorphisms;
 ``brute_force_coproducts`` scans every coproduct candidate through the
 bialgebra checker, and ``brute_force_coproduct_set`` memoises it, since its
 dimension-3 scan is the slowest check in the suite;
@@ -323,12 +325,51 @@ def naive_identification(coalg, target):
     return None
 
 
+def pairing_ok(b, p) -> bool:
+    """Whether P[mu][nu] = <x^mu, x^nu> is a bialgebra self-pairing:
+    <ab, c> = <a (x) b, Delta c>, <a, bc> = <Delta a, b (x) c>, <1, .> = eps,
+    <., 1> = eps, with P invertible.  Every axiom is checked on every triple
+    of basis elements."""
+    from f2hopf.gf2 import bits_of, parity
+
+    a, c = b.alg, b.coalg
+    n = b.n
+    for nu in range(n):
+        left_unit = 0
+        right_unit = 0
+        for mu in bits_of(a.eta):
+            left_unit ^= (p.rows[mu] >> nu) & 1
+            right_unit ^= (p.rows[nu] >> mu) & 1
+        if left_unit != (c.eps >> nu) & 1 or right_unit != (c.eps >> nu) & 1:
+            return False
+    if p.inverse() is None:
+        return False
+    pt = p.transpose()
+    for mu in range(n):
+        for nu in range(n):
+            for rho in range(n):
+                lhs = parity(a.prod(mu, nu) & pt.rows[rho])
+                rhs = 0
+                for t in bits_of(c.cop(rho)):
+                    al, be = divmod(t, n)
+                    rhs ^= ((p.rows[mu] >> al) & 1) & ((p.rows[nu] >> be) & 1)
+                if lhs != rhs:
+                    return False
+                lhs2 = parity(p.rows[mu] & a.prod(nu, rho))
+                rhs2 = 0
+                for t in bits_of(c.cop(mu)):
+                    al, be = divmod(t, n)
+                    rhs2 ^= ((p.rows[al] >> nu) & 1) & ((p.rows[be] >> rho) & 1)
+                if lhs2 != rhs2:
+                    return False
+    return True
+
+
 def naive_self_duality_pairing(b):
     """The lexicographically smallest invertible matrix of
-    gf2.enumerate_invertible(n) that passes classify.pairing_ok, or None;
+    gf2.enumerate_invertible(n) that passes ``pairing_ok``, or None;
     only matrices whose first row and column are the counit are tried, as
     the unit axioms of a pairing force for a standard-form bialgebra."""
-    from f2hopf.classify import pairing_ok
     from f2hopf.gf2 import enumerate_invertible
 
     eps = b.coalg.eps

@@ -19,7 +19,6 @@ from f2hopf.classify import (
     build_quiver,
     classify_dimension,
     hopf_census,
-    pairing_ok,
 )
 from f2hopf.coproducts import solve_coproducts
 from f2hopf.fourier import (
@@ -58,6 +57,7 @@ from f2hopf.structure import (
     check_bialgebra,
     solve_antipode,
 )
+from reference import pairing_ok
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

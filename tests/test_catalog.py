@@ -259,6 +259,19 @@ def test_standardize_unit():
     assert std.eta == 1
     assert check_algebra(std)
     assert p.rows[0] == dual.eta
+    # Every catalog algebra, moved so its unit is each nonzero vector u in
+    # turn: the change is the first invertible matrix whose row 0 is u, and
+    # it carries the algebra back to the representative.
+    for n in (1, 2, 3, 4):
+        mats = enumerate_invertible(n)
+        for u in range(1, 1 << n):
+            first = next(m for m in mats if m.rows[0] == u)
+            for cls in catalog(n).classes:
+                moved = apply_basis_change_algebra(cls.representative, first.inverse())
+                assert moved.eta == u
+                std, p = standardize_unit(moved)
+                assert p == first
+                assert std == cls.representative
 
 
 def test_identify_after_general_basis_change():

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from f2hopf.catalog import BASIS_NAMES, catalog
+from f2hopf.catalog import BASIS_NAMES, catalog, isomorphisms
 from f2hopf.classify import (
     bialgebra_type,
     build_quiver,
@@ -11,7 +11,6 @@ from f2hopf.classify import (
     dual_bialgebra,
     hopf_census,
     locate_class,
-    pairing_ok,
     self_duality_pairing,
 )
 from f2hopf.golden import (
@@ -26,12 +25,14 @@ from f2hopf.golden import (
     coalgebra_from_terms,
     dsl2_presentation,
 )
-from f2hopf.structure import Bialgebra, check_bialgebra
+from f2hopf.gf2 import enumerate_invertible
+from f2hopf.structure import Bialgebra, check_bialgebra, dualize_coalgebra
 from reference import (
     check_antipode_identities,
     classify_bialgebras_pairwise,
     naive_self_duality_pairing,
     orbit_class_rep,
+    pairing_ok,
 )
 
 
@@ -373,6 +374,18 @@ def test_pairing_search_matches_gl_scan():
     found = [self_duality_pairing(bi) for bi in cases]
     assert found == [naive_self_duality_pairing(bi) for bi in cases]
     assert None in found and any(p is not None for p in found)
+
+
+def test_pairing_is_an_isomorphism_with_isomorphic_transpose():
+    # The identity the pairing search rests on: P is a self-pairing exactly
+    # when P and its transpose are both algebra isomorphisms onto H*.
+    for n in (2, 3):
+        dim = classify_dimension(n)
+        for c in dim.all_classes():
+            bi = Bialgebra(dim.cat[c.algebra_label].representative, c.representative.coalg)
+            isos = isomorphisms(bi.alg, dualize_coalgebra(bi.coalg))
+            for p in enumerate_invertible(n):
+                assert pairing_ok(bi, p) == (p in isos and p.transpose() in isos)
 
 
 def test_antipode_orders():

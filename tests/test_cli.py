@@ -174,6 +174,14 @@ def test_verify_schema_violation_without_traceback(tmp_path, capsys, text):
     assert err.count("\n") == 1 and "schema error" in err
 
 
+def test_verify_non_utf8_file_is_a_schema_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"schema": "f2hopf/raw\xff"}')
+    assert run_cli(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "schema error: not UTF-8" in err
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "f2hopf.cli", "run", "--stage", "nonsense"],
@@ -392,9 +400,12 @@ def test_cache_writes_leave_no_temporary_file(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind, field", [
     ("classes", "members"), ("classes", "representative"), ("classes", "hopf"),
-    ("classes", "cop_partner"), ("quiver", "multiplicity"),
+    ("classes", "hopf-as-int"), ("classes", "cop_partner"), ("quiver", "multiplicity"),
+    ("quiver", "multiplicity-as-float"),
 ])
 def test_verify_rederives_classes_and_quiver(tmp_path, capsys, kind, field):
+    # An "-as-" edit keeps the value but not its JSON type, which run never
+    # writes: 1 == True == 1.0 in Python.
     out = tmp_path / "out"
     assert run_cli(["run", "--dim", "3", "--stage", "classify", "--stage", "quiver",
                     "--out", str(out)]) == 0
@@ -408,15 +419,20 @@ def test_verify_rederives_classes_and_quiver(tmp_path, capsys, kind, field):
         payload[i]["representative"] = format(int(payload[i]["representative"], 16) ^ 2, "x")
     elif field == "hopf":
         payload[i]["hopf"] = not payload[i]["hopf"]
+    elif field == "hopf-as-int":
+        payload[i]["hopf"] = int(payload[i]["hopf"])
     elif field == "cop_partner":
         payload[i]["cop_partner"] = (payload[i]["cop_partner"] or 0) + 1
+    elif field == "multiplicity-as-float":
+        payload[i]["multiplicity"] = float(payload[i]["multiplicity"])
     else:
         payload[i]["multiplicity"] += 1
     target.write_text(dump_dataset(kind, payload))
     capsys.readouterr()
     assert run_cli(["verify", str(target)]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
-    assert len(fails) == 1 and f"{kind}[{i}] {field}: differs" in fails[0]
+    name = field.partition("-as-")[0]
+    assert len(fails) == 1 and f"{kind}[{i}] {name}: differs" in fails[0]
 
 
 @pytest.mark.parametrize("kind, payload, problem", [
@@ -511,9 +527,11 @@ def _edit(records: list, field: str) -> None:
         records[0]["transport_order"] += 1
     elif field == "F_sharp":
         records[0]["F_sharp"] = "7,3,4"
-    elif field in ("hopf", "antipode-bit", "no-antipode", "not-hopf"):
+    elif field in ("hopf", "hopf-as-int", "antipode-bit", "no-antipode", "not-hopf"):
         hopf = next(rec for rec in records if rec["hopf"])
-        if field == "antipode-bit":
+        if field == "hopf-as-int":
+            hopf["hopf"] = 1
+        elif field == "antipode-bit":
             rows = hopf["antipode"].split(",")
             rows[1] = format(int(rows[1], 16) ^ 1, "x")
             hopf["antipode"] = ",".join(rows)
@@ -535,6 +553,7 @@ DATASET_EDITS = {
     ("raw_n3_B", "swap-records"): "raw[0] C: differs from the derived dataset of n=3",
     # record 10 is the first Hopf record of algebra B
     ("raw_n3_B", "hopf"): "B[10]: hopf flag mismatch",
+    ("raw_n3_B", "hopf-as-int"): "raw[10] hopf: differs from the derived dataset of n=3",
     ("raw_n3_B", "antipode-bit"): "B[10]: antipode law fails",
     ("raw_n3_B", "no-antipode"): "B[10]: hopf flag mismatch",
     ("raw_n3_B", "not-hopf"): "raw[10] antipode: differs from the derived dataset of n=3",
@@ -586,22 +605,24 @@ def test_verify_rederives_reps(tmp_path, capsys, field):
 @pytest.mark.parametrize("dim, stage, field", [
     (2, "all", "algebras"), (2, "all", "bialgebras"), (2, "all", "hopf"),
     (2, "all", "qt_pairs"), (4, "reps", "reps"),
+    (2, "all", "algebras-as-float"), (2, "all", "hopf-as-float"), (4, "reps", "reps-as-float"),
 ])
 def test_verify_rederives_summary(tmp_path, capsys, dim, stage, field):
+    # An "-as-float" edit keeps the count but writes it as a float, which
+    # run never writes: 1 == 1.0 in Python.
     out = tmp_path / "out"
     assert run_cli(["run", "--dim", str(dim), "--stage", stage, "--out", str(out)]) == 0
     target = out / f"summary_n{dim}.json"
     assert run_cli(["verify", str(target)]) == 0
     _, payload = load_dataset(target.read_text(), "summary")
-    if field == "reps":
-        payload["reps"]["3"] += 1
-    else:
-        payload[field] += 1
+    name, _, as_float = field.partition("-as-")
+    counts, key = (payload["reps"], "3") if name == "reps" else (payload, name)
+    counts[key] = float(counts[key]) if as_float else counts[key] + 1
     target.write_text(dump_dataset("summary", payload))
     capsys.readouterr()
     assert run_cli(["verify", str(target)]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
-    want = "reps: differs" if field == "reps" else f"counts differ from the census of n={dim}"
+    want = "reps: differs" if name == "reps" else f"counts differ from the census of n={dim}"
     assert len(fails) == 1 and want in fails[0]
 
 
@@ -620,6 +641,8 @@ def _malformed(kind: str, case: str):
     if kind == "fourier":
         from f2hopf.golden import HOPF_FIXTURES_DIM4
 
+        if case == "F-not-a-string":
+            return [{"I": "1", "F": 5}]
         return [{"name": HOPF_FIXTURES_DIM4[0].name}]
     if kind == "summary":
         payload = {"dim": 4, "algebras": 25, "reps": {"1": 2, "2": 20, "3": 394}}
@@ -635,6 +658,8 @@ def _malformed(kind: str, case: str):
         payload[0]["algebra"] = "ZZ"
     elif case == "non-hex-C":
         payload[0]["C"] = "not hex"
+    elif case == "antipode-not-a-string":
+        payload[0]["antipode"] = 5
     else:
         payload = {"records": payload}
     return payload
@@ -644,9 +669,11 @@ MALFORMED = {
     ("raw", "dim-7"): "record 0: unreadable (ValueError: no catalog for dimension 7)",
     ("raw", "unknown-label"): "record 0: unreadable (KeyError: 'ZZ')",
     ("raw", "non-hex-C"): "record 0: unreadable (ValueError: invalid literal",
+    ("raw", "antipode-not-a-string"): "record 0: unreadable (TypeError: matrix is int",
     ("raw", "not-a-list"): "payload is not a list of records",
     ("algebras", "no-product"): "record 0: unreadable (KeyError: 'product')",
     ("fourier", "no-integral"): "record 0: unreadable (KeyError: 'I')",
+    ("fourier", "F-not-a-string"): "record 0: unreadable (TypeError: F is int",
     ("summary", "dim-list"): "no catalog for dimension [4]",
     ("summary", "reps-not-a-mapping"): "reps: differs",
 }

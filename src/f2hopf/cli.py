@@ -348,10 +348,8 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
 
 
 def _summary_matches_expected(summary: dict, n: int) -> bool:
-    """Whether a summary's counts are ints equal to the published census of
-    n: the algebra count always, the others when their stage ran."""
-    if n not in CENSUS:
-        return True  # dimension 1 has no published row to check against
+    """Whether a summary's counts are ints equal to ``golden.CENSUS[n]``:
+    the algebra count always, the others when their stage ran."""
     want = dict(zip(("algebras", "bialgebras", "hopf", "qt_pairs"), CENSUS[n]))
     return "algebras" in summary and all(
         type(summary[key]) is int and summary[key] == count
@@ -392,7 +390,7 @@ def verify_dataset(path: Path) -> list[str]:
     if kind == "summary":
         return _summary_problems(payload)
     if kind not in ("algebras", "raw", "fourier", "classes", "quiver", "qt"):
-        return []  # schema-conformant, with no deeper re-check implemented
+        raise DatasetError(f"unknown schema kind {kind!r}")
     if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
         return ["payload is not a list of records"]
     check = {"algebras": _algebra_record_problems, "raw": _raw_record_problems,

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from f2hopf.catalog import catalog, isomorphisms
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, solve_linear
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, solve_linear
 from f2hopf.structure import (
     AlgebraSC,
     CoalgebraSC,
     HopfAlgebra,
+    dual_bialgebra_raw,
     dualize_coalgebra,
 )
 
@@ -133,6 +134,11 @@ def holonomy(transports: list[Gf2Mat]) -> tuple[Gf2Mat, int]:
     return acc, acc.order()
 
 
+def _dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
+    """H* on the dual basis: its right integral is H's right cointegral."""
+    return HopfAlgebra(dual_bialgebra_raw(h.bi), h.s.transpose())
+
+
 def dual_transport_back(h: HopfAlgebra) -> Gf2Mat:
     """The Fourier transform of the dual Hopf algebra, written as a map from
     the dual basis back to the original basis (no identification choices).
@@ -140,20 +146,7 @@ def dual_transport_back(h: HopfAlgebra) -> Gf2Mat:
     Row mu is F_{H*}(y_mu) expressed in the x basis; its (mu, nu) entry is
     the cointegral paired against y_nu y_mu.
     """
-    c = h.coalg
-    n = h.n
-    lam = right_cointegral(h)
-    rows = []
-    for mu in range(n):
-        row = 0
-        for nu in range(n):
-            acc = 0
-            for gamma in bits_of(lam.bits):
-                acc ^= (c.cop(gamma) >> (nu * n + mu)) & 1
-            if acc:
-                row |= 1 << nu
-        rows.append(row)
-    return Gf2Mat(tuple(rows), n)
+    return fourier_matrices(_dual_hopf(h))[1]
 
 
 def canonical_round_trip(h: HopfAlgebra) -> Gf2Mat:
@@ -170,7 +163,7 @@ def adjoint_dual_transport_back(h: HopfAlgebra) -> Gf2Mat:
     """The adjoint Fourier transform of the dual (reversed multiplication
     order in the integrand), as a map from the dual basis back to H: the
     transpose of ``dual_transport_back``."""
-    return dual_transport_back(h).transpose()
+    return fourier_matrices(_dual_hopf(h))[2]
 
 
 def adjoint_round_trip(h: HopfAlgebra) -> Gf2Mat:

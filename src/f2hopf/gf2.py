@@ -4,6 +4,10 @@ Vectors and matrices are bit-packed into Python integers: coordinate i of a
 vector lives at bit i (least significant bit first), and a matrix is a tuple
 of packed rows in row-major order.  This layout is part of the on-disk
 format, so serialized fixtures stay stable.  All arithmetic is exact.
+
+There is one elimination: ``_row_reduce`` runs Gauss-Jordan on packed rows,
+and the rank, the inverse, the linear solve and the enumeration of GL(n, F2)
+all read their answer off its pivot rows.
 """
 
 from __future__ import annotations
@@ -118,9 +122,6 @@ class Gf2Mat:
                 out[j] |= 1 << i
         return Gf2Mat(tuple(out), self.nrows)
 
-    def rank(self) -> int:
-        return rank_rows(self.rows)
-
     def inverse(self) -> "Gf2Mat | None":
         """Two-sided inverse, or None when the matrix is singular."""
         if self.nrows != self.cols:
@@ -177,33 +178,50 @@ def mat_mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _row_reduce(rows, ncols: int) -> dict[int, int] | None:
+    """Gauss-Jordan elimination on the low ``ncols`` bits of packed rows.
+
+    Bits from ``ncols`` up are carried along (an augmented block).  Returns
+    {pivot column: reduced row}, each pivot column set in its own row only,
+    or None when a row reduces to carried bits alone.
+    """
+    pivots: dict[int, int] = {}
+    pivot_bits = 0
+    for row in rows:
+        # Clearing one pivot column sets no other: pivot rows are reduced.
+        hits = row & pivot_bits
+        while hits:
+            low = hits & -hits
+            row ^= pivots[low.bit_length() - 1]
+            hits ^= low
+        if not row:
+            continue
+        low = row & -row
+        col = low.bit_length() - 1
+        if col >= ncols:
+            return None
+        for other, pivot_row in pivots.items():
+            if pivot_row & low:
+                pivots[other] = pivot_row ^ row
+        pivots[col] = row
+        pivot_bits |= low
+    return pivots
+
+
 def rank_rows(rows) -> int:
-    basis: list[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-    return len(basis)
+    rows = tuple(rows)
+    return len(_row_reduce(rows, max(rows, default=0).bit_length()))
 
 
 def mat_inv_rows(rows, n: int) -> tuple[int, ...] | None:
-    """Gauss-Jordan inverse of an n x n packed matrix, or None if singular."""
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if (aug[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for i in range(n):
-            if i != col and (aug[i] >> col) & 1:
-                aug[i] ^= aug[col]
-    return tuple(r >> n for r in aug)
+    """Gauss-Jordan inverse of an n x n packed matrix, or None if singular.
+
+    Row c of the inverse is the identity block of [A | I]'s pivot row c.
+    """
+    pivots = _row_reduce((rows[i] | 1 << (n + i) for i in range(n)), n)
+    if pivots is None:
+        return None
+    return tuple(pivots[c] >> n for c in range(n))
 
 
 @dataclass(frozen=True)
@@ -234,38 +252,22 @@ def solve_linear(a: Gf2Mat, b: Gf2Vec) -> LinearSolution | None:
     """
     if a.nrows != b.n:
         raise ValueError("A and b have different numbers of rows")
-    m, n = a.nrows, a.cols
-    aug = [a.rows[i] | (((b.bits >> i) & 1) << n) for i in range(m)]
-    pivots: list[tuple[int, int]] = []  # (column, row index in reduced list)
-    reduced: list[int] = []
-    for row in aug:
-        for col, idx in pivots:
-            if (row >> col) & 1:
-                row ^= reduced[idx]
-        if row == 0:
-            continue
-        low = row & -row
-        col = low.bit_length() - 1
-        if col == n:
-            return None  # 0 = 1
-        for i, other in enumerate(reduced):
-            if (other >> col) & 1:
-                reduced[i] ^= row
-        pivots.append((col, len(reduced)))
-        reduced.append(row)
-    pivot_cols = {col for col, _ in pivots}
+    n = a.cols
+    pivots = _row_reduce(
+        (r | ((b.bits >> i) & 1) << n for i, r in enumerate(a.rows)), n
+    )
+    if pivots is None:
+        return None  # 0 = 1
     particular = 0
-    for col, idx in pivots:
-        if (reduced[idx] >> n) & 1:
-            particular |= 1 << col
+    for col, row in pivots.items():
+        particular |= ((row >> n) & 1) << col
     basis = []
     for free in range(n):
-        if free in pivot_cols:
+        if free in pivots:
             continue
         v = 1 << free
-        for col, idx in pivots:
-            if (reduced[idx] >> free) & 1:
-                v |= 1 << col
+        for col, row in pivots.items():
+            v |= ((row >> free) & 1) << col
         basis.append(Gf2Vec(n, v))
     return LinearSolution(Gf2Vec(n, particular), tuple(basis))
 
@@ -275,36 +277,16 @@ def solve_linear(a: Gf2Mat, b: Gf2Vec) -> LinearSolution | None:
 
 @lru_cache(maxsize=None)
 def _gl_rows(n: int, fix_unit: bool) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = []
-    rows: list[int] = []
-    basis: list[int] = []
-
-    def reduce(v: int) -> int:
-        for b in basis:
-            v = min(v, v ^ b)
-        return v
-
-    def rec(depth: int):
-        if depth == n:
-            out.append(tuple(rows))
-            return
-        start = 1
-        candidates = range(start, 1 << n) if not (fix_unit and depth == 0) else (1,)
-        for r in candidates:
-            if reduce(r) == 0:
-                continue
-            rows.append(r)
-            saved = list(basis)
-            red = reduce(r)
-            basis.append(red)
-            basis.sort(reverse=True)
-            rec(depth + 1)
-            basis.clear()
-            basis.extend(saved)
-            rows.pop()
-
-    rec(0)
-    return tuple(out)
+    # Extend every independent prefix by each row that keeps it independent;
+    # prefixes stay in lexicographic order from one depth to the next.
+    prefixes: list[tuple[int, ...]] = [()]
+    for depth in range(n):
+        candidates = (1,) if fix_unit and depth == 0 else range(1, 1 << n)
+        prefixes = [
+            p + (r,) for p in prefixes for r in candidates
+            if rank_rows(p + (r,)) > depth
+        ]
+    return tuple(prefixes)
 
 
 def enumerate_invertible(n: int, fix_unit: bool = False) -> list[Gf2Mat]:

@@ -696,8 +696,11 @@ DUAL_REPS = {"1": "1", "1b": "1b", "2": "2b", "2b": "2"}
 # --- census -----------------------------------------------------------------
 
 # (algebras, distinct bialgebras, distinct Hopf algebras, nontrivial
-# quasitriangular Hopf pairs) per dimension.
-CENSUS = {2: (3, 4, 3, 1), 3: (7, 24, 2, 0), 4: (25, 286, 20, 28)}
+# quasitriangular Hopf pairs) per dimension.  Dimension 1 is not in the
+# paper's table: F2 itself, the one algebra, bialgebra and Hopf algebra.
+CENSUS = {
+    1: (1, 1, 1, 0), 2: (3, 4, 3, 1), 3: (7, 24, 2, 0), 4: (25, 286, 20, 28),
+}
 
 RAW_COUNTS = {
     3: {"A": 0, "B": 33, "C": 8, "D": 3, "E": 0, "F": 0, "G": 8},

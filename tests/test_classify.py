@@ -40,7 +40,7 @@ def named3(name):
     return next(e for e in COPRODUCTS_DIM3 if e.name == name)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_census(n):
     assert hopf_census(n) == CENSUS[n][:3]
 

@@ -174,6 +174,16 @@ def test_verify_schema_violation_without_traceback(tmp_path, capsys, text):
     assert err.count("\n") == 1 and "schema error" in err
 
 
+def test_verify_unknown_kind_is_a_schema_error(tmp_path, capsys):
+    # A checksum-valid file of a kind verify cannot re-derive is not "ok".
+    bad = tmp_path / "bogus.json"
+    bad.write_text(dump_dataset("bogus", [1, 2, 3]))
+    assert run_cli(["verify", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "schema error: unknown schema kind 'bogus'" in err
+
+
 def test_verify_non_utf8_file_is_a_schema_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"schema": "f2hopf/raw\xff"}')
@@ -606,18 +616,21 @@ def test_verify_rederives_reps(tmp_path, capsys, field):
     (2, "all", "algebras"), (2, "all", "bialgebras"), (2, "all", "hopf"),
     (2, "all", "qt_pairs"), (4, "reps", "reps"),
     (2, "all", "algebras-as-float"), (2, "all", "hopf-as-float"), (4, "reps", "reps-as-float"),
+    (1, "all", "algebras"), (1, "all", "hopf"), (1, "all", "qt_pairs"),
+    (1, "all", "bialgebras-as-bool"),
 ])
 def test_verify_rederives_summary(tmp_path, capsys, dim, stage, field):
-    # An "-as-float" edit keeps the count but writes it as a float, which
-    # run never writes: 1 == 1.0 in Python.
+    # An "-as-float" or "-as-bool" edit keeps the count but writes it as a
+    # float or a bool, which run never writes: 1 == 1.0 == True in Python.
     out = tmp_path / "out"
     assert run_cli(["run", "--dim", str(dim), "--stage", stage, "--out", str(out)]) == 0
     target = out / f"summary_n{dim}.json"
     assert run_cli(["verify", str(target)]) == 0
     _, payload = load_dataset(target.read_text(), "summary")
-    name, _, as_float = field.partition("-as-")
+    name, _, as_type = field.partition("-as-")
     counts, key = (payload["reps"], "3") if name == "reps" else (payload, name)
-    counts[key] = float(counts[key]) if as_float else counts[key] + 1
+    retype = {"float": float, "bool": bool, "": lambda count: count + 1}[as_type]
+    counts[key] = retype(counts[key])
     target.write_text(dump_dataset("summary", payload))
     capsys.readouterr()
     assert run_cli(["verify", str(target)]) == 1

@@ -7,11 +7,13 @@ from f2hopf.gf2 import (
     Gf2Vec,
     enumerate_invertible,
     gl_order,
+    mat_inv_rows,
     mat_mul_rows,
+    rank_rows,
     solve_linear,
     vec,
 )
-from reference import naive_mat_mul
+from reference import naive_mat_mul, naive_rank
 
 
 def test_solve_zero_map():
@@ -67,6 +69,30 @@ def test_invert_exhaustive_2x2():
             count += 1
             assert (m * inv).is_identity() and (inv * m).is_identity()
     assert count == 6
+
+
+def test_rank_against_naive():
+    rng = random.Random(5)
+    for _ in range(500):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        lists = [[(r >> j) & 1 for j in range(ncols)] for r in rows]
+        assert rank_rows(rows) == naive_rank(lists)
+    assert rank_rows([]) == 0
+
+
+def test_invert_exhaustive_3x3():
+    # Every 3x3 matrix: a two-sided inverse exactly when the naive rank is 3.
+    count = 0
+    for bits in range(1 << 9):
+        rows = (bits & 7, (bits >> 3) & 7, bits >> 6)
+        inv = mat_inv_rows(rows, 3)
+        full = naive_rank([[(r >> j) & 1 for j in range(3)] for r in rows]) == 3
+        assert (inv is not None) == full
+        if full:
+            count += 1
+            assert mat_mul_rows(rows, inv) == mat_mul_rows(inv, rows) == (1, 2, 4)
+    assert count == gl_order(3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

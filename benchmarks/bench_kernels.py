@@ -14,9 +14,13 @@ construction included).  The algebra P suite times all four of P's counit
 systems, although the engine searches only eps = 0001 and transports the
 other three counits' solutions along automorphisms; the dense eps = 1111
 system stays in the suite as a stress test of the kernel.
-Every time is the best of up to three runs, fewer when a run is slow.  The
-numbers, the core count and the Python version go to
-benchmarks/BENCH_kernel.json (or the path given with --out).
+``build_s`` times the builders that state a suite's systems.  The
+coproduct builder memoises its counit and coassociativity laws per
+(n, eps), so every round after the first reads them from the memo, as most
+systems of a census do (its 38 counit systems share 7 keys).
+Every time is the median of ROUNDS runs.  The numbers, the core count and
+the Python version go to benchmarks/BENCH_kernel.json (or the path given
+with --out).
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -27,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -34,6 +39,8 @@ from f2hopf import kernels
 from f2hopf.catalog import _algebra_equations, catalog
 from f2hopf.coproducts import _coproduct_equations, enumerate_counits
 from f2hopf.qtri import _equations as qt_equations
+
+ROUNDS = 10
 
 
 def workload_algebras():
@@ -51,19 +58,15 @@ def workload_qt():
     return [qt_equations(fx.bialgebra()) for fx in HOPF_FIXTURES_DIM4]
 
 
-def timed(solve, jobs, runs=3, budget_s=10.0):
-    """Best wall time of up to `runs` passes, stopping once `budget_s` is spent."""
-    best = float("inf")
-    spent = 0.0
-    for _ in range(runs):
+def timed(solve, jobs):
+    """Median wall time of ROUNDS passes of solve over the jobs, and the
+    last pass's results."""
+    times = []
+    for _ in range(ROUNDS):
         t0 = time.perf_counter()
-        results = [solve(nvars, eqs) for nvars, eqs in jobs]
-        elapsed = time.perf_counter() - t0
-        best = min(best, elapsed)
-        spent += elapsed
-        if spent > budget_s:
-            break
-    return best, results
+        results = [solve(*job) for job in jobs]
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), results
 
 
 def greedy(nvars, equations):
@@ -75,30 +78,33 @@ def main(argv=None):
     parser.add_argument("--out", default=str(Path(__file__).with_name("BENCH_kernel.json")))
     args = parser.parse_args(argv)
 
-    suites = {
-        "algebra enumeration n=4": workload_algebras(),
-        "coproduct solve, algebra P": workload_coproducts(),
-        "R-matrix scan, 20 Hopf classes": workload_qt(),
+    builders = {
+        "algebra enumeration n=4": workload_algebras,
+        "coproduct solve, algebra P": workload_coproducts,
+        "R-matrix scan, 20 Hopf classes": workload_qt,
     }
     record = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cores": os.cpu_count(),
+        "rounds": ROUNDS,
         "suites": {},
     }
-    for name, systems in suites.items():
+    for name, build in builders.items():
+        build_s, (systems,) = timed(build, [()])
         # The backtracker receives each system after elimination; a system
         # that elimination already finds unsolvable is not searched.
         eliminate_s, reductions = timed(kernels.eliminate, systems)
         jobs = [r[:2] for r in reductions if r is not None]
         order_s, _ = timed(kernels.search_order, jobs)
         elapsed, results = timed(greedy, jobs)
-        print(f"{name:32s} eliminate {eliminate_s:10.6f}s greedy {elapsed:10.6f}s",
-              flush=True)
+        print(f"{name:32s} build {build_s:10.6f}s eliminate {eliminate_s:10.6f}s "
+              f"greedy {elapsed:10.6f}s", flush=True)
         record["suites"][name] = {
             "systems": len(systems),
             "searched": len(jobs),
             "solutions": sum(len(r) for r in results),
+            "build_s": round(build_s, 6),
             "eliminate_s": round(eliminate_s, 6),
             "search_order_s": round(order_s, 6),
             "seconds": {"greedy": round(elapsed, 6)},

@@ -15,9 +15,9 @@ is reused.  A run imports the engine and builds the algebra catalogs
 ``coproducts.solve_coproducts`` (one per algebra solved),
 ``coproducts.solve_coproduct_tensors`` (one per counit system searched),
 ``coproducts.coalgebra_type`` and ``coproducts.solve_antipode`` (the
-annotations) and ``kernels.transform_coproduct`` (the orbit expansions)
-made through any ``f2hopf`` module.  Every command must exit 0: the census
-matched ``golden.CENSUS`` and every file verified.
+annotations) and ``kernels.coproduct_orbit`` (the orbit expansions, one per
+bialgebra class) made through any ``f2hopf`` module.  Every command must
+exit 0: the census matched ``golden.CENSUS`` and every file verified.
 
 ``--tree NAME=SRC`` (repeatable) times the engine whose source is the
 directory SRC, such as a checkout of an older commit's ``src``; the rounds
@@ -51,7 +51,7 @@ ROUNDS = 10
 # (module, function) pairs whose calls each run counts.
 COUNTED = (("coproducts", "solve_coproducts"), ("coproducts", "solve_coproduct_tensors"),
            ("coproducts", "coalgebra_type"), ("coproducts", "solve_antipode"),
-           ("kernels", "transform_coproduct"))
+           ("kernels", "coproduct_orbit"))
 
 
 def child(out_dir: str, verify: bool) -> None:
@@ -148,7 +148,7 @@ def main(argv=None):
                           f"{result['solve_coproducts_calls']} solves, "
                           f"{result['solve_coproduct_tensors_calls']} counit systems, "
                           f"{result['solve_antipode_calls']} antipodes solved, "
-                          f"{result['transform_coproduct_calls']} coproduct transforms",
+                          f"{result['coproduct_orbit_calls']} orbit expansions",
                           flush=True)
 
     record = {

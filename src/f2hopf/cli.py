@@ -7,9 +7,10 @@ datasets, and export the quiver.
 
 Raw coproduct solutions are cached under the output directory (or the
 directory named by F2HOPF_CACHE_ROOT), keyed by dimension, algebra label and
-engine fingerprint.  An entry holds the raw records and each solution's
-bialgebra class, so a run that reads it transforms no coproduct; corrupt
-entries, and entries whose classes fail a structural check, are recomputed.
+engine fingerprint.  An entry is compact JSON and holds the raw records and
+each solution's bialgebra class, so a run that reads it transforms no
+coproduct; corrupt entries, and entries whose classes fail a structural
+check, are recomputed.
 Identical inputs produce byte-identical files.
 """
 
@@ -165,7 +166,8 @@ def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool) -> dict[st
         cache.mkdir(parents=True, exist_ok=True)
         for (_, label), rs in zip(todo, solved):
             results[label] = rs
-            _write_atomic(_cache_path(cache, n, label), dump_dataset("raw", _cache_payload(rs)))
+            _write_atomic(_cache_path(cache, n, label),
+                          dump_dataset("raw", _cache_payload(rs), compact=True))
     return {label: results[label] for label in labels}
 
 

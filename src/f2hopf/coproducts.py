@@ -6,15 +6,18 @@ counit, stated by ``structure.algebra_equations``) and compatibility (Delta
 an algebra map H -> H (x) H, stated by ``structure.homomorphism_equations``)
 are one quadratic XOR system in the bits of the coproduct tensor, solved by
 ``kernels.solve_quadratic``.  Its elimination step removes the linear
-equations before the backtracker searches the remaining bits.
+equations before the backtracker searches the remaining bits.  The counit
+and coassociativity laws depend only on (n, eps) and are built once for
+each.
 
 An automorphism p of the algebra is a basis change that leaves the algebra
 unchanged, so it carries bialgebras to bialgebras: the coproduct by
 ``kernels.transform_coproduct``, the counit eps to P eps, the antipode S to
 p S p^-1, and the coalgebra type unchanged.  So each solution a search finds
-is expanded to its whole orbit (``kernels.coproduct_orbit``), which is its
-bialgebra class, and is annotated once, with its coalgebra type and its
-antipode (or None); every image takes them along.  A counit that is the
+is expanded to its whole orbit (``kernels.coproduct_orbit``, reading tables
+that ``kernels.coproduct_change`` builds once per automorphism and solve),
+which is its bialgebra class, and is annotated once, with its coalgebra type
+and its antipode (or None); every image takes them along.  A counit that is the
 counit of such an image is never searched, so only one counit per orbit of
 the automorphism group is (a counit with no solutions covers no other).  On
 algebra P (F2^4) the four counits form one orbit, and the densest of their
@@ -29,10 +32,11 @@ orbit again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from f2hopf import kernels
 from f2hopf.catalog import automorphism_group, identify_algebra
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, mat_inv_rows
+from f2hopf.gf2 import Gf2Mat, mat_mul_rows, parity
 from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
@@ -66,9 +70,17 @@ def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
     """
     n = a.n
     nn = n * n
-    return n * nn, (
-        algebra_equations(n, eps, lambda p, q, r: r * nn + p * n + q)
-        + homomorphism_equations(a, TensorProductAlgebra(a, a), lambda mu, t: mu * nn + t))
+    return n * nn, [*_coalgebra_laws(n, eps),
+                    *homomorphism_equations(a, TensorProductAlgebra(a, a),
+                                            lambda mu, t: mu * nn + t)]
+
+
+@lru_cache(maxsize=None)
+def _coalgebra_laws(n: int, eps: int) -> tuple[tuple, ...]:
+    """The counit laws and coassociativity over the coproduct tensor's bits:
+    the dual algebra has unit eps and is associative."""
+    nn = n * n
+    return tuple(algebra_equations(n, eps, lambda p, q, r: r * nn + p * n + q))
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,7 @@ def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
     if label is None:
         label = identify_algebra(a)
     n = a.n
-    changes = [(p.rows, mat_inv_rows(p.rows, n)) for p in automorphism_group(a)]
+    changes = [kernels.coproduct_change(p.rows, n) for p in automorphism_group(a)]
     found: dict[int, RawSolution] = {}
     least: dict[int, int] = {}  # tensor -> smallest tensor of its class
     covered: set[int] = set()
@@ -147,15 +159,17 @@ def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
             antipode = solve_antipode(Bialgebra(a, coalg))
             orbit = kernels.coproduct_orbit(c, n, changes)
             rep = min(orbit)
-            for image, (p, pinv) in orbit.items():
-                pm = Gf2Mat(p, n)
-                image_eps = pm.mul_vec(Gf2Vec(n, eps)).bits
+            for image, (p, pinv, _) in orbit.items():
+                image_eps = 0
+                for i, row in enumerate(p):
+                    image_eps |= parity(row & eps) << i
                 covered.add(image_eps)
                 least[image] = rep
                 found[image] = RawSolution(
                     coalg=CoalgebraSC(n, image, image_eps),
                     type_label=type_label,
-                    antipode=None if antipode is None else pm * antipode * Gf2Mat(pinv, n),
+                    antipode=None if antipode is None else
+                    Gf2Mat(mat_mul_rows(mat_mul_rows(p, antipode.rows), pinv), n),
                 )
     tensors = sorted(found)
     index_of = {c: i for i, c in enumerate(tensors)}

@@ -38,13 +38,16 @@ passes the system, unreduced, to ``solve_quadratic``, which runs one path:
    would return.
 
 ``transform_product`` and ``transform_coproduct`` change the basis of a
-packed structure tensor, and ``coproduct_orbit`` collects the images of a
-coproduct tensor under a list of basis changes.
+packed structure tensor.  ``coproduct_orbit`` collects the images of a
+coproduct tensor under a list of basis changes, each prepared once by
+``coproduct_change``: its tables of P^-1 (x) P^-1 on the n-bit chunks of
+a slice turn one image into n^2 lookups, the same map as
+``transform_coproduct``.
 """
 
 from __future__ import annotations
 
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, solve_linear
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, mat_inv_rows, solve_linear
 
 # The kernel implementation, as benchmark records name it.
 BACKEND = "python"
@@ -413,16 +416,61 @@ def transform_coproduct(c: int, n: int, p: tuple[int, ...], pinv: tuple[int, ...
     return out
 
 
-Change = tuple[tuple[int, ...], tuple[int, ...]]  # rows of p, rows of p^-1
+# Rows of p, rows of p^-1 and the chunk tables of ``coproduct_change``.
+Change = tuple[tuple[int, ...], tuple[int, ...], tuple[list[int], list[int]]]
+
+
+def coproduct_change(p: tuple[int, ...], n: int) -> Change:
+    """An invertible basis change p, prepared for ``coproduct_orbit``: the
+    rows of p, the rows of p^-1, and P^-1 (x) P^-1 on the n-bit chunks of a
+    coproduct slice as two tables.
+
+    Chunk u of a slice, with bits s, is x^u (x) sum of x^r over r in s, and
+    goes to Pinv[u] (x) Pinv s, as in ``transform_coproduct``.  ``images[s]``
+    is Pinv s, and ``spreads[u]`` has bit b*n set for each b in Pinv[u], so
+    the image is ``images[s] * spreads[u]``: an n-bit value times a sum of
+    powers 2^(b*n) places one copy of it at each b, without carries.
+    """
+    pinv = mat_inv_rows(p, n)
+    images = [0]
+    for row in pinv:
+        images += [x ^ row for x in images]
+    spreads = []
+    for row in pinv:
+        w = 0
+        for b in bits_of(row):
+            w |= 1 << (b * n)
+        spreads.append(w)
+    return p, pinv, (images, spreads)
 
 
 def coproduct_orbit(c: int, n: int, changes: list[Change]) -> dict[int, Change]:
-    """The images of the coproduct tensor c under the basis changes, as
-    image -> the first change in list order reaching it.
+    """The images of the coproduct tensor c under the basis changes (from
+    ``coproduct_change``), as image -> the first change in list order
+    reaching it.  Each image is ``transform_coproduct`` of c, read off the
+    change's chunk tables.
 
     Over an algebra's automorphism group (a group, so c is one of its own
     images) this is the isomorphism class of the bialgebra."""
+    nn = n * n
+    slice_mask = (1 << nn) - 1
+    chunk = (1 << n) - 1
+    # mixed[m]: the XOR of the slices of c over the bits of m, so row a of
+    # P picks the slice sum P[a][m] C[m] with one lookup.
+    mixed = [0]
+    for m in range(n):
+        s = (c >> (m * nn)) & slice_mask
+        mixed += [x ^ s for x in mixed]
     orbit: dict[int, Change] = {}
-    for p, pinv in changes:
-        orbit.setdefault(transform_coproduct(c, n, p, pinv), (p, pinv))
+    for change in changes:
+        p, _, (images, spreads) = change
+        image = 0
+        for a in range(n):
+            acc = mixed[p[a]]
+            res = 0
+            for w in spreads:
+                res ^= images[acc & chunk] * w
+                acc >>= n
+            image |= res << (a * nn)
+        orbit.setdefault(image, change)
     return orbit

@@ -63,9 +63,19 @@ def payload_checksum(payload: Any) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-def dump_dataset(kind: str, payload: Any) -> str:
+def dump_dataset(kind: str, payload: Any, compact: bool = False) -> str:
+    """The file text of a dataset: indented for the published datasets, or
+    ``compact`` (the run cache), where the payload is encoded once, as the
+    canonical string its checksum is taken over, and the document is that
+    string with the other fields around it, in sorted key order."""
+    schema = SCHEMA_PREFIX + kind
+    if compact:
+        body = canonical_json(payload)
+        checksum = hashlib.sha256(body.encode()).hexdigest()
+        return (f'{{"checksum":"{checksum}","payload":{body},'
+                f'"schema":{json.dumps(schema)},"version":{json.dumps(__version__)}}}\n')
     doc = {
-        "schema": SCHEMA_PREFIX + kind,
+        "schema": schema,
         "version": __version__,
         "checksum": payload_checksum(payload),
         "payload": payload,

@@ -6,8 +6,11 @@ Rank-3 tensors are packed flat into one integer with index
 slice at (mu, nu) is the coefficient vector of x^mu * x^nu; for a coproduct
 tensor C the n^2-bit slice at mu is Delta(x^mu) as an element of H (x) H,
 whose bit nu*n + rho stands for x^nu (x) x^rho.  Tensor products of
-algebras (``TensorProductAlgebra``) are never packed but multiply factorwise;
-the antipode is an inverse in one, the convolution algebra H* (x) H.
+algebras (``TensorProductAlgebra``) are never packed but multiply factorwise.
+The antipode S is the two-sided inverse of id under convolution,
+S * id = eta eps = id * S: ``solve_antipode`` states that as one linear
+system over the n^2 bits of S, read off the slices of the coproduct and the
+algebra's multiplication tables, without forming H* (x) H.
 
 The axioms searched for are stated as XOR equations by two builders:
 ``algebra_equations`` (a product has a given unit and is associative) and
@@ -158,28 +161,39 @@ _PASS = AxiomReport(True)
 
 
 def check_algebra(a: AlgebraSC) -> AxiomReport:
-    """Unit law and associativity at every index."""
+    """Unit law and associativity at every index.  Reads a table of the n^2
+    basis products, built once per call."""
     n = a.n
+    table = [[a.prod(i, j) for j in range(n)] for i in range(n)]
     for mu in range(n):
         left = 0
         right = 0
         for nu in bits_of(a.eta):
-            left ^= a.prod(nu, mu)
-            right ^= a.prod(mu, nu)
+            left ^= table[nu][mu]
+            right ^= table[mu][nu]
         if left != 1 << mu:
             return AxiomReport(False, "unit-left", (mu,))
         if right != 1 << mu:
             return AxiomReport(False, "unit-right", (mu,))
     for i in range(n):
+        row_i = table[i]
         for j in range(n):
-            ij = a.prod(i, j)
+            ij = row_i[j]
+            row_j = table[j]
             for k in range(n):
+                # (e_i e_j) e_k against e_i (e_j e_k).
                 lhs = 0
-                for lam in bits_of(ij):
-                    lhs ^= a.prod(lam, k)
+                x = ij
+                while x:
+                    low = x & -x
+                    lhs ^= table[low.bit_length() - 1][k]
+                    x ^= low
                 rhs = 0
-                for lam in bits_of(a.prod(j, k)):
-                    rhs ^= a.prod(i, lam)
+                x = row_j[k]
+                while x:
+                    low = x & -x
+                    rhs ^= row_i[low.bit_length() - 1]
+                    x ^= low
                 if lhs != rhs:
                     return AxiomReport(False, "associativity", (i, j, k))
     return _PASS
@@ -246,7 +260,20 @@ class TensorProductAlgebra:
         return sum(self.b.eta << (i * self.b.n) for i in bits_of(self.a.eta))
 
     def prod(self, mu: int, nu: int) -> int:
-        return self.mul_vec(1 << mu, 1 << nu)
+        """The Kronecker product of the two factor products."""
+        m = self.b.n
+        i, j = divmod(mu, m)
+        k, l = divmod(nu, m)
+        pa = self.a.prod(i, k)
+        if not pa:
+            return 0
+        pb = self.b.prod(j, l)
+        acc = 0
+        while pa:
+            term = pa & -pa
+            acc ^= pb << ((term.bit_length() - 1) * m)
+            pa ^= term
+        return acc
 
     def mul_vec(self, x: int, y: int) -> int:
         """Product of two packed vectors, term by term and factorwise; bits
@@ -411,17 +438,73 @@ def check_bialgebra(b: Bialgebra) -> AxiomReport:
 # --- antipode ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _product_masks(a: AlgebraSC) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Multiplication of a, as the antipode equations read it: for every
+    packed vector s and coefficient tau, ``right[s][tau]`` is the set of
+    sigma (a mask) for which e_sigma s has coefficient tau, and
+    ``left[s][tau]`` the same for s e_sigma.  Returns (left, right)."""
+    n = a.n
+    tables = []
+    for side in (lambda sigma, rho: a.prod(rho, sigma), a.prod):
+        # unit[rho][tau]: the sigma for which side(sigma, rho), that is
+        # e_rho e_sigma (left) or e_sigma e_rho (right), has coefficient
+        # tau; a sum s of basis elements XORs their rows.
+        unit = [[0] * n for _ in range(n)]
+        for rho in range(n):
+            for sigma in range(n):
+                for tau in bits_of(side(sigma, rho)):
+                    unit[rho][tau] |= 1 << sigma
+        table = [(0,) * n]
+        for row in unit:
+            table += [tuple(x ^ y for x, y in zip(t, row)) for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def solve_antipode(b: Bialgebra) -> Gf2Mat | None:
     """The antipode matrix when one exists, else None; row mu is S(x^mu).
 
-    S is the two-sided inverse of id in the convolution algebra
-    Hom(C, A) = C* (x) A, where a map f is sum_mu e^mu (x) f(x^mu) and id is
-    sum_mu e^mu (x) x^mu.  ``algebra_inverse`` checks that it is unique.
+    S is the two-sided inverse of id under convolution: for every mu,
+    (S * id)(x^mu) = sum C[mu][nu][rho] S(x^nu) x^rho and
+    (id * S)(x^mu) = sum C[mu][nu][rho] x^nu S(x^rho) both equal
+    eps(x^mu) eta.  That is 2 n^2 linear equations, one per mu and
+    coefficient tau on each side, over the n^2 bits of S (bit nu*n + sigma
+    is coefficient sigma of S(x^nu)).  In an associative algebra they have
+    at most one solution; more than one raises ``ValueError``.
     """
-    n = b.n
-    conv = TensorProductAlgebra(dualize_coalgebra(b.coalg), b.alg)
-    s = algebra_inverse(conv, sum(1 << (mu * n + mu) for mu in range(n)))
-    return None if s is None else TensorSquareElement(n, s).matrix()
+    a, c = b.alg, b.coalg
+    n = a.n
+    left, right = _product_masks(a)
+    full = (1 << n) - 1
+    unit = [(a.eta >> tau) & 1 for tau in range(n)]
+    rows = []
+    rhs = 0
+    for mu in range(n):
+        cop = c.cop(mu)
+        # slices[nu] holds C[mu][nu][.] over rho; columns[rho], C[mu][.][rho] over nu.
+        slices = [(cop >> (nu * n)) & full for nu in range(n)]
+        columns = [0] * n
+        for nu, s in enumerate(slices):
+            while s:
+                low = s & -s
+                columns[low.bit_length() - 1] |= 1 << nu
+                s ^= low
+        counit = (c.eps >> mu) & 1
+        for masks, parts in ((right, slices), (left, columns)):
+            for tau in range(n):
+                row = 0
+                for k, s in enumerate(parts):
+                    row |= masks[s][tau] << (k * n)
+                rhs |= (counit & unit[tau]) << len(rows)
+                rows.append(row)
+    sol = solve_linear(Gf2Mat(tuple(rows), n * n), Gf2Vec(len(rows), rhs))
+    if sol is None:
+        return None
+    if sol.nullspace:
+        raise ValueError("antipode is not unique: the convolution is not associative")
+    s = sol.particular.bits
+    return Gf2Mat(tuple((s >> (nu * n)) & full for nu in range(n)), n)
 
 
 # --- duality, opposites, basis change ---------------------------------------

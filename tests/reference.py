@@ -15,6 +15,9 @@ dimension-3 scan is the slowest check in the suite;
 ``coproducts_per_counit`` solves and annotates every counit's coproducts
 afresh, with no transport along automorphisms, and partitions them with
 ``orbit_class_rep``, which expands each class's orbit on its own;
+``convolution_antipode`` is the antipode as the engine found it before it
+stated S * id = eta eps = id * S on the coproduct's slices: the inverse of
+id in the tensor product algebra C* (x) A;
 ``classify_bialgebras_pairwise`` and ``coquasitriangular_via_dual`` reach
 the engine's bialgebra classes and coquasitriangular forms by other routes.
 The last section holds helpers that only tests use: a quartic algebra, the
@@ -436,12 +439,30 @@ def coproducts_per_counit(a: AlgebraSC) -> RawSolutionSet:
     return RawSolutionSet(identify_algebra(a), a, tuple(found), orbit_class_rep(a, found))
 
 
+def convolution_antipode(b: Bialgebra):
+    """The antipode matrix of b, or None: the two-sided inverse of
+    id = sum_mu e^mu (x) x^mu in the convolution algebra
+    C* (x) A = ``TensorProductAlgebra(dualize_coalgebra(c), a)``, found by
+    ``algebra_inverse``, which raises ``ValueError`` when it is not unique."""
+    from f2hopf.structure import (
+        TensorProductAlgebra,
+        TensorSquareElement,
+        algebra_inverse,
+        dualize_coalgebra,
+    )
+
+    n = b.n
+    conv = TensorProductAlgebra(dualize_coalgebra(b.coalg), b.alg)
+    s = algebra_inverse(conv, sum(1 << (mu * n + mu) for mu in range(n)))
+    return None if s is None else TensorSquareElement(n, s).matrix()
+
+
 def orbit_class_rep(a: AlgebraSC, solutions) -> tuple[int, ...]:
     """The bialgebra classes of the solutions (ascending by tensor) in the
     form of ``RawSolutionSet.class_rep``: the smallest unclassified solution
-    starts the next class, which is its orbit under ``automorphism_group(a)``.
-    Raises when the orbits are not those of a group, or when one mixes Hopf
-    flags or coalgebra types."""
+    starts the next class, which is its orbit under ``automorphism_group(a)``,
+    one ``transform_coproduct`` per automorphism.  Raises when the orbits are
+    not those of a group, or when one mixes Hopf flags or coalgebra types."""
     from f2hopf import kernels
     from f2hopf.catalog import automorphism_group
     from f2hopf.gf2 import mat_inv_rows
@@ -453,7 +474,8 @@ def orbit_class_rep(a: AlgebraSC, solutions) -> tuple[int, ...]:
     for start, rep in enumerate(solutions):
         if class_rep[start] is not None:
             continue
-        orbit = sorted(index_of[c] for c in kernels.coproduct_orbit(rep.coalg.c, n, changes))
+        orbit = sorted({index_of[kernels.transform_coproduct(rep.coalg.c, n, p, pinv)]
+                        for p, pinv in changes})
         if orbit[0] != start or any(class_rep[i] is not None for i in orbit):
             raise RuntimeError("automorphisms do not form a group")
         if any(solutions[i].hopf != rep.hopf or solutions[i].type_label != rep.type_label

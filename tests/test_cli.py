@@ -56,6 +56,24 @@ def test_cache_transparency(tmp_path):
         assert path1.read_bytes() == path2.read_bytes(), path1.name
 
 
+def test_cache_entries_are_compact(tmp_path, monkeypatch):
+    # A cache entry is the canonical encoding of its document, so its payload
+    # is the very string the checksum is taken over; datasets stay indented.
+    from f2hopf.cli import _cache_path
+    from f2hopf.serialize import canonical_json
+
+    out = tmp_path / "out"
+    monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
+    assert run_cli(["run", "--dim", "2", "--out", str(out)]) == 0
+    text = _cache_path(out / "cache", 2, "B").read_text()
+    doc = json.loads(text)
+    assert text == canonical_json(doc) + "\n"
+    assert load_dataset(text, "raw")[1] == doc["payload"]
+    raw = (out / "raw_n2_B.json").read_text()
+    assert raw == dump_dataset("raw", read_doc(out / "raw_n2_B.json")["payload"])
+    assert raw.startswith("{\n ")
+
+
 def test_corrupt_cache_recomputed(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["run", "--dim", "2", "--out", str(out)]) == 0
@@ -121,17 +139,16 @@ def test_cache_entry_with_bad_classes_recomputed(tmp_path, monkeypatch, capsys, 
 
 
 def test_warm_run_transforms_no_coproduct(tmp_path, monkeypatch):
-    # A cold run expands each bialgebra class's orbit once, |Aut(A)|
-    # transforms per class; a warm run reads the classes from the cache.
+    # A cold run expands each bialgebra class's orbit once; a warm run reads
+    # the classes from the cache.
     from f2hopf import kernels
-    from f2hopf.catalog import catalog
 
     out = tmp_path / "out"
     monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
-    calls = count_calls(monkeypatch, kernels.transform_coproduct)
+    calls = count_calls(monkeypatch, kernels.coproduct_orbit)
     assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
     _, classes = load_dataset((out / "classes_n3.json").read_text(), "classes")
-    assert len(calls) == sum(len(catalog(3)[c["algebra"]].automorphisms) for c in classes)
+    assert len(calls) == len(classes)
     calls.clear()
     assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
     assert calls == []

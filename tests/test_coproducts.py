@@ -16,8 +16,11 @@ from f2hopf.golden import HOPF_RAW_COUNTS, RAW_COUNTS, RAW_TYPE_COUNTS
 from f2hopf.structure import (
     Bialgebra,
     CoalgebraSC,
+    TensorProductAlgebra,
+    algebra_equations,
     apply_basis_change_algebra,
     check_bialgebra,
+    homomorphism_equations,
 )
 from reference import (
     brute_force_coproduct_set,
@@ -198,6 +201,24 @@ def test_one_search_per_counit_orbit(monkeypatch):
             counits += len(enumerate_counits(a))
             orbits += len(want)
     assert (counits, orbits) == (48, 38)
+
+
+def test_memoised_laws_match_fresh_builders():
+    # Every counit system of n = 2..4 (the 38 searched among them): the
+    # memoised counit and coassociativity laws, then compatibility, equal
+    # the equations both builders state afresh.
+    systems = 0
+    for n in (2, 3, 4):
+        nn = n * n
+        for cls in catalog(n).classes:
+            a = cls.representative
+            for eps in enumerate_counits(a):
+                fresh = (algebra_equations(n, eps, lambda p, q, r: r * nn + p * n + q)
+                         + homomorphism_equations(a, TensorProductAlgebra(a, a),
+                                                  lambda mu, t: mu * nn + t))
+                assert coproducts._coproduct_equations(a, eps) == (n * nn, fresh)
+                systems += 1
+    assert systems == 48
 
 
 def test_one_annotation_per_class(monkeypatch):

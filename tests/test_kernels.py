@@ -355,6 +355,26 @@ def test_transforms_invert():
         assert kernels.transform_coproduct(fwd, n, pinv, m.rows) == t
 
 
+def test_coproduct_orbit_matches_transform_coproduct():
+    # The chunk tables of every catalog algebra's automorphisms, and of some
+    # random invertible matrices, on random tensors: each image is
+    # transform_coproduct's, and maps to the first change reaching it.
+    rng = random.Random(13)
+    for n in (1, 2, 3, 4):
+        groups = [[p.rows for p in cls.automorphisms] for cls in catalog(n).classes]
+        groups.append([m.rows for m in rng.sample(enumerate_invertible(n), min(8, n * n))])
+        for rows in groups:
+            changes = [kernels.coproduct_change(p, n) for p in rows]
+            for _ in range(4):
+                c = rng.getrandbits(n**3)
+                want = {}
+                for p, pinv, _ in changes:
+                    assert pinv == mat_inv_rows(p, n)
+                    want.setdefault(kernels.transform_coproduct(c, n, p, pinv), (p, pinv))
+                got = kernels.coproduct_orbit(c, n, changes)
+                assert {image: change[:2] for image, change in got.items()} == want
+
+
 def test_identity_transform():
     ident = (1, 2, 4, 8)
     rng = random.Random(1)

@@ -38,6 +38,7 @@ from f2hopf.structure import (
 )
 from reference import (
     check_antipode_identities,
+    convolution_antipode,
     naive_algebra_maps,
     naive_antipode,
     naive_antipode_law,
@@ -163,7 +164,9 @@ def test_antipode_dsl2():
 def test_antipode_matches_naive_oracle():
     # Every raw solution of n <= 3 against the brute-force antipode.  At
     # n = 4, where the brute force has 2^16 candidates, every antipode found
-    # satisfies the naive law.
+    # satisfies the naive law.  All 1,381 of n = 2..4, Hopf or not, against
+    # the inverse of id in the tensor product algebra C* (x) A.
+    checked = 0
     for n in (2, 3, 4):
         for label, rs in classify_dimension(n).raw.items():
             a = rs.algebra
@@ -171,11 +174,31 @@ def test_antipode_matches_naive_oracle():
             for sol in rs.solutions:
                 c, eps = unpack_tensor(sol.coalg.c, n), unpack_vec(sol.coalg.eps, n)
                 s = solve_antipode(Bialgebra(a, sol.coalg))
+                assert s == convolution_antipode(Bialgebra(a, sol.coalg)), (label, sol.coalg)
+                checked += 1
                 got = None if s is None else tuple(map(tuple, s.to_lists()))
                 if n <= 3:
                     assert got == naive_antipode(v, eta, c, eps, n), (label, sol.coalg)
                 elif got is not None:
                     assert naive_antipode_law(v, eta, c, eps, got, n), (label, sol.coalg)
+    assert checked == 1381
+
+
+def test_antipode_must_be_unique():
+    # Over the non-associative table of test_algebra_inverse_must_be_unique
+    # (x x = 1, x y = y x = y y = 0), with 1 and x group-like and y
+    # primitive, S * id = eta eps = id * S has more than one solution, which
+    # no associative algebra allows; the oracle's inverse in C* (x) A
+    # raises too.
+    v = 1 << tensor_bit(3, 1, 1, 0)
+    for mu in range(3):
+        v |= 1 << tensor_bit(3, 0, mu, mu) | 1 << tensor_bit(3, mu, 0, mu)
+    b = Bialgebra(AlgebraSC(3, v),
+                  coalgebra_from_terms(BASIS_NAMES[3], "1+x", x="x.x", y="1.y y.1"))
+    assert check_coalgebra(b.coalg)
+    for solve in (solve_antipode, convolution_antipode):
+        with pytest.raises(ValueError, match="not unique"):
+            solve(b)
 
 
 def test_antipode_identities_all_named_hopf():
@@ -298,6 +321,11 @@ def test_tensor_square_matches_naive_product():
             x, y = rng.getrandbits(n * n), rng.getrandbits(n * n)
             want = naive_tensor_square_product(v, unpack_square(x, n), unpack_square(y, n), n)
             assert unpack_square(square.mul_vec(x, y), n) == want, (a, x, y)
+        for _ in range(20):  # basis products, the Kronecker product of a's
+            mu, nu = rng.randrange(n * n), rng.randrange(n * n)
+            want = naive_tensor_square_product(
+                v, unpack_square(1 << mu, n), unpack_square(1 << nu, n), n)
+            assert unpack_square(square.prod(mu, nu), n) == want, (a, mu, nu)
 
 
 def _brute_force_inverse(alg, x):

@@ -11,13 +11,16 @@ Each round runs the command twice into one new temporary output directory:
 
 Every run is a fresh interpreter, so no in-process cache of an earlier run
 is reused.  A run imports the engine and builds the algebra catalogs
-(``setup_s``), then times ``cli.main`` (``wall_s``) and counts the calls of
+(``setup_s``), then times ``cli.main`` (``wall_s``).  It counts the calls of
 ``coproducts.solve_coproducts`` (one per algebra solved),
 ``coproducts.solve_coproduct_tensors`` (one per counit system searched),
 ``coproducts.coalgebra_type`` and ``coproducts.solve_antipode`` (the
-annotations) and ``kernels.coproduct_orbit`` (the orbit expansions, one per
-bialgebra class) made through any ``f2hopf`` module.  Every command must
-exit 0: the census matched ``golden.CENSUS`` and every file verified.
+annotations), ``kernels.coproduct_orbit`` (the orbit expansions, one per
+bialgebra class) and ``catalog.isomorphisms`` (one per automorphism group
+solved, and per isomorphism looked up) made through any ``f2hopf`` module,
+during the catalog builds (``<name>_setup_calls``) and during the command
+(``<name>_calls``); installing the counters is not timed.  Every command
+must exit 0: the census matched ``golden.CENSUS`` and every file verified.
 
 ``--tree NAME=SRC`` (repeatable) times the engine whose source is the
 directory SRC, such as a checkout of an older commit's ``src``; the rounds
@@ -51,7 +54,7 @@ ROUNDS = 10
 # (module, function) pairs whose calls each run counts.
 COUNTED = (("coproducts", "solve_coproducts"), ("coproducts", "solve_coproduct_tensors"),
            ("coproducts", "coalgebra_type"), ("coproducts", "solve_antipode"),
-           ("kernels", "coproduct_orbit"))
+           ("kernels", "coproduct_orbit"), ("catalog", "isomorphisms"))
 
 
 def child(out_dir: str, verify: bool) -> None:
@@ -60,10 +63,7 @@ def child(out_dir: str, verify: bool) -> None:
     from f2hopf import cli, kernels
     from f2hopf.catalog import catalog
 
-    for n in DIMS:
-        catalog(n)
-    setup_s = time.perf_counter() - t0
-
+    import_s = time.perf_counter() - t0
     calls = {name: 0 for _, name in COUNTED}
 
     def counted(name, fn):
@@ -81,6 +81,14 @@ def child(out_dir: str, verify: bool) -> None:
                     if value is fn:
                         setattr(mod, attr, wrapper)
 
+    t0 = time.perf_counter()
+    for n in DIMS:
+        catalog(n)
+    setup_s = import_s + time.perf_counter() - t0
+    setup_calls = dict(calls)
+    for name in calls:
+        calls[name] = 0
+
     if verify:
         argv = ["verify", *sorted(str(p) for p in Path(out_dir).glob("*.json"))]
     else:
@@ -92,6 +100,7 @@ def child(out_dir: str, verify: bool) -> None:
         rc = cli.main(argv)
     wall_s = time.perf_counter() - t1
     print(json.dumps({"rc": rc, "setup_s": setup_s, "wall_s": wall_s,
+                      **{f"{name}_setup_calls": setup_calls[name] for name in calls},
                       **{f"{name}_calls": calls[name] for name in calls},
                       "backend": kernels.BACKEND}))
 
@@ -116,8 +125,10 @@ def summarise(results: list[dict]) -> dict:
         "wall_s_median": round(statistics.median(walls), 3),
         "wall_s_quartiles": [round(q1, 3), round(q3, 3)],
         "setup_s_median": round(statistics.median(r["setup_s"] for r in results), 3),
-        **{f"{name}_calls": sorted({r[f"{name}_calls"] for r in results})
-           for _, name in COUNTED},
+        "setup_s_quartiles": [round(q, 3) for q in
+                              statistics.quantiles([r["setup_s"] for r in results], n=4)[::2]],
+        **{f"{name}_{phase}": sorted({r[f"{name}_{phase}"] for r in results})
+           for _, name in COUNTED for phase in ("setup_calls", "calls")},
         "wall_s": [round(w, 3) for w in walls],
     }
 
@@ -148,7 +159,9 @@ def main(argv=None):
                           f"{result['solve_coproducts_calls']} solves, "
                           f"{result['solve_coproduct_tensors_calls']} counit systems, "
                           f"{result['solve_antipode_calls']} antipodes solved, "
-                          f"{result['coproduct_orbit_calls']} orbit expansions",
+                          f"{result['coproduct_orbit_calls']} orbit expansions, "
+                          f"isomorphisms solved {result['isomorphisms_setup_calls']} "
+                          f"in set-up and {result['isomorphisms_calls']} in the run",
                           flush=True)
 
     record = {

@@ -7,8 +7,9 @@ listed explicitly (so commutative tables stay short).  Everything is checked
 against the axiom evaluators at load time.
 
 Nothing here scans GL(n).  Automorphism groups and isomorphisms are the
-solutions of the homomorphism equations (``isomorphisms``), orbit sizes
-follow from orbit-stabiliser, and an algebra is identified by
+solutions of the homomorphism equations (``isomorphisms``); a catalog
+solves a class's group only when it is first read, and orbit sizes follow
+from it by orbit-stabiliser.  An algebra is identified by
 ``algebra_invariant``, a basis-free summary of its product table that is
 distinct for every catalog class and complete in dimensions <= 4 (the tests
 compare its classes with the unit-fixing orbits of every enumerated tensor).
@@ -141,20 +142,30 @@ def algebra_from_relations(
 
 @dataclass(frozen=True)
 class AlgebraClass:
-    """One isomorphism class: its label, relation text, hand-entered
-    representative, the size of its orbit under unit-fixing basis changes
-    and its automorphism group."""
+    """One isomorphism class: its label, relation text and hand-entered
+    representative.  Its automorphism group and the size of its orbit under
+    unit-fixing basis changes are solved when first read, through the
+    memoised ``automorphism_group`` of the representative."""
 
     label: str
     n: int
     representative: AlgebraSC
     relations_doc: str
-    orbit_size: int
-    automorphisms: tuple[Gf2Mat, ...]
 
     @property
     def commutative(self) -> bool:
         return self.representative.commutative
+
+    @property
+    def automorphisms(self) -> tuple[Gf2Mat, ...]:
+        return automorphism_group(self.representative)
+
+    @property
+    def orbit_size(self) -> int:
+        """Orbit-stabiliser: the unit-fixing basis changes form a group of
+        order 2^(n-1) |GL(n-1)|, and the stabiliser is the automorphism group."""
+        n = self.n
+        return (1 << (n - 1)) * gl_order(n - 1) // len(self.automorphisms)
 
 
 @dataclass(frozen=True)
@@ -205,32 +216,20 @@ def algebra_invariant(a: AlgebraSC) -> tuple:
 def catalog(n: int) -> AlgebraCatalog:
     """Build (and cache) the catalog for one dimension.
 
-    Each class's automorphisms are ``automorphism_group(rep)``, read off the
-    homomorphism equations by ``isomorphisms``.  Its orbit under the
-    unit-fixing basis changes, a group of order 2^(n-1) |GL(n-1)|, has size
-    group order / |Aut| (orbit-stabiliser).  Classes are told apart by
-    ``algebra_invariant``, which must differ for every pair of entries."""
+    Each class's representative is read off its relation table and checked;
+    classes are told apart by ``algebra_invariant``, which must differ for
+    every pair of entries.  No automorphism group is solved here: a class
+    solves its own when ``automorphisms`` or ``orbit_size`` is first read."""
     if n not in RELATIONS:
         raise ValueError(f"no catalog for dimension {n!r}")
-    group_order = (1 << (n - 1)) * gl_order(n - 1)
     classes = []
     invariant_label: dict[tuple, str] = {}
     for label, rel in RELATIONS[n].items():
         alg = algebra_from_relations(n, rel)
-        autos = automorphism_group(alg)
         prev = invariant_label.setdefault(algebra_invariant(alg), label)
         if prev != label:
             raise RuntimeError(f"catalog entries {prev} and {label} share an invariant")
-        classes.append(
-            AlgebraClass(
-                label=label,
-                n=n,
-                representative=alg,
-                relations_doc=rel,
-                orbit_size=group_order // len(autos),
-                automorphisms=autos,
-            )
-        )
+        classes.append(AlgebraClass(label=label, n=n, representative=alg, relations_doc=rel))
     return AlgebraCatalog(n, tuple(classes), invariant_label)
 
 
@@ -260,8 +259,8 @@ def isomorphisms(a: AlgebraSC, b: AlgebraSC) -> list[Gf2Mat]:
 @lru_cache(maxsize=None)
 def automorphism_group(a: AlgebraSC) -> tuple[Gf2Mat, ...]:
     """All unit-fixing basis changes preserving the tensor exactly, in
-    lexicographic row order.  Memoised: the catalog and every coproduct
-    solve of an algebra share one group."""
+    lexicographic row order.  Memoised: a catalog class and every coproduct
+    solve of an algebra share one group, solved on first use."""
     if not a.is_standard:
         raise ValueError("automorphism_group expects standard form")
     return tuple(isomorphisms(a, a))

@@ -23,7 +23,6 @@ import importlib
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from f2hopf import __version__, serialize
@@ -159,6 +158,10 @@ def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool) -> dict[st
         todo.append((n, label))
     if todo:
         if jobs > 1:
+            # Imported here: the pool brings in multiprocessing, which no
+            # other path needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 solved = list(pool.map(_solve_one, todo))
         else:
@@ -657,6 +660,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "run":
+        if args.algebra and args.stage and set(args.stage) != {"coproducts"}:
+            other = next(stage for stage in args.stage if stage != "coproducts")
+            print(f"f2hopf run: --algebra runs only the coproducts stage, not {other!r}",
+                  file=sys.stderr)
+            return 2
         if not args.stage:
             args.stage = ["all"]
         if args.algebra:

@@ -13,13 +13,14 @@ solutions of a quadratic XOR system.  An equation is a triple
 and states  const ^ XOR(lin bits) ^ XOR(x_i & x_j) == 0.
 Over F2 squares are linear (x*x = x), so i == j never appears in pairs.
 
-Each builder states its system with ``Equation``: every algebra map in it
+Each builder states its system in this format: every algebra map in it
 (coproduct, counit, representation, isomorphism, the legs of an R-matrix or
 form) through ``structure.homomorphism_equations``, and the unit and
 associativity laws of a product (an enumerated algebra, the dual algebra of
-a coproduct) through ``structure.algebra_equations``; the intertwiners of
-two representations are linear and are stated as (0, lin, ()) directly.  It
-passes the system, unreduced, to ``solve_quadratic``, which runs one path:
+a coproduct) through ``structure.algebra_equations``, which folds its terms
+with ``Equation``; the intertwiners of two representations are linear and
+are stated as (0, lin, ()) directly.  It passes the system, unreduced, to
+``solve_quadratic``, which runs one path:
 
 1. Elimination.  ``eliminate`` row-reduces the product-free equations with
    ``gf2.solve_linear`` and substitutes the result into the rest, leaving a

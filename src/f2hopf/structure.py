@@ -372,16 +372,24 @@ def homomorphism_equations(a: AlgebraSC, b: AlgebraSC, var) -> list[tuple]:
     Entry phi[i][j], coefficient j of phi(e_i) in b's basis, is variable
     var(i, j).  First come the unit equations phi(eta_a) = eta_b, one per
     coefficient j; then phi(e_p e_q) = phi(e_p) phi(e_q), one equation per
-    (p, q, r) in lexicographic order for coefficient r.
+    (p, q, r) in lexicographic order for coefficient r.  var must give
+    every entry its own variable.
     """
+    cols = range(b.n)
+    phi = [[var(i, j) for j in cols] for i in range(a.n)]
     equations = []
-    for j in range(b.n):
-        eq = Equation((b.eta >> j) & 1)
+    for j in cols:
+        lin = 0
         for i in bits_of(a.eta):
-            eq.add_var(var(i, j))
-        equations.append(eq.emit())
-    products = [(j, k, targets) for j in range(b.n) for k in range(b.n)
-                if (targets := tuple(bits_of(b.prod(j, k))))]
+            lin ^= 1 << phi[i][j]
+        equations.append(((b.eta >> j) & 1, lin, ()))
+    # by_target[r]: the (j, k) for which e_j e_k in b has coefficient r,
+    # in lexicographic order.
+    by_target = [[] for _ in cols]
+    for j in cols:
+        for k in cols:
+            for r in bits_of(b.prod(j, k)):
+                by_target[r].append((j, k))
     # When e_0 is a term of a's unit, e_0 = eta_a + u with u a sum of other
     # basis elements, and phi(eta_a) = eta_b by the unit equations, so by the
     # unit laws of a and b each product with e_0 reduces to products of u's
@@ -389,16 +397,35 @@ def homomorphism_equations(a: AlgebraSC, b: AlgebraSC, var) -> list[tuple]:
     # nothing and are not emitted.
     first = a.eta & 1
     for p in range(first, a.n):
+        row_p = phi[p]
         for q in range(first, a.n):
-            eqs = [Equation() for _ in range(b.n)]
-            for s in bits_of(a.prod(p, q)):
-                for r, eq in enumerate(eqs):
-                    eq.add_var(var(s, r))
-            for j, k, targets in products:
-                x, y = var(p, j), var(q, k)
-                for r in targets:
-                    eqs[r].add_pair(x, y)
-            equations += [eq.emit() for eq in eqs]
+            row_q = phi[q]
+            terms = [phi[s] for s in bits_of(a.prod(p, q))]
+            for r in cols:
+                lin = 0
+                for row_s in terms:
+                    lin ^= 1 << row_s[r]
+                if p != q:
+                    # Entries of two different rows: no pair is a square,
+                    # and none repeats, since var is injective.
+                    pairs = []
+                    for j, k in by_target[r]:
+                        x, y = row_p[j], row_q[k]
+                        pairs.append((x, y) if x < y else (y, x))
+                else:
+                    # x_j x_k and x_k x_j cancel; x_j x_j = x_j is linear.
+                    pairs = set()
+                    for j, k in by_target[r]:
+                        x, y = row_p[j], row_p[k]
+                        if x == y:
+                            lin ^= 1 << x
+                            continue
+                        key = (x, y) if x < y else (y, x)
+                        if key in pairs:
+                            pairs.remove(key)
+                        else:
+                            pairs.add(key)
+                equations.append((0, lin, tuple(sorted(pairs))))
     return equations
 
 

@@ -18,6 +18,9 @@ afresh, with no transport along automorphisms, and partitions them with
 ``convolution_antipode`` is the antipode as the engine found it before it
 stated S * id = eta eps = id * S on the coproduct's slices: the inverse of
 id in the tensor product algebra C* (x) A;
+``naive_homomorphism_equations`` is the homomorphism builder as it was
+before it read each entry's variable once, one ``kernels.Equation`` per
+equation;
 ``classify_bialgebras_pairwise`` and ``coquasitriangular_via_dual`` reach
 the engine's bialgebra classes and coquasitriangular forms by other routes.
 The last section holds helpers that only tests use: a quartic algebra, the
@@ -455,6 +458,36 @@ def convolution_antipode(b: Bialgebra):
     conv = TensorProductAlgebra(dualize_coalgebra(b.coalg), b.alg)
     s = algebra_inverse(conv, sum(1 << (mu * n + mu) for mu in range(n)))
     return None if s is None else TensorSquareElement(n, s).matrix()
+
+
+def naive_homomorphism_equations(a, b, var) -> list[tuple]:
+    """``structure.homomorphism_equations`` as it was before it read each
+    entry's variable once: one ``kernels.Equation`` per equation, with var
+    called for every term and every product folded through ``add_pair``."""
+    from f2hopf.gf2 import bits_of
+    from f2hopf.kernels import Equation
+
+    equations = []
+    for j in range(b.n):
+        eq = Equation((b.eta >> j) & 1)
+        for i in bits_of(a.eta):
+            eq.add_var(var(i, j))
+        equations.append(eq.emit())
+    products = [(j, k, targets) for j in range(b.n) for k in range(b.n)
+                if (targets := tuple(bits_of(b.prod(j, k))))]
+    first = a.eta & 1
+    for p in range(first, a.n):
+        for q in range(first, a.n):
+            eqs = [Equation() for _ in range(b.n)]
+            for s in bits_of(a.prod(p, q)):
+                for r, eq in enumerate(eqs):
+                    eq.add_var(var(s, r))
+            for j, k, targets in products:
+                x, y = var(p, j), var(q, k)
+                for r in targets:
+                    eqs[r].add_pair(x, y)
+            equations += [eq.emit() for eq in eqs]
+    return equations
 
 
 def orbit_class_rep(a: AlgebraSC, solutions) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -255,6 +256,58 @@ def test_unknown_algebra_label_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "'ZZ'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stages", [["qtri"], ["coproducts", "classify"], ["all"]])
+def test_algebra_with_another_stage_is_a_usage_error(tmp_path, capsys, stages):
+    # --algebra restricts the coproducts stage; any other stage is refused,
+    # not dropped.
+    out = tmp_path / "out"
+    argv = ["run", "--dim", "3", "--algebra", "B", "--out", str(out)]
+    for stage in stages:
+        argv += ["--stage", stage]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--algebra" in captured.err
+    assert not out.exists()
+    assert run_cli(["run", "--dim", "3", "--algebra", "B", "--stage", "coproducts",
+                    "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["raw_n3_B.json"]
+
+
+STARTUP_PROBE = """
+import json, sys
+from f2hopf import cli
+from f2hopf.catalog import automorphism_group, catalog
+
+for n in (1, 2, 3, 4):
+    catalog(n)
+pool = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+groups = automorphism_group.cache_info().currsize
+misses = automorphism_group.cache_info().misses
+rc = cli.main(["run", "--dim", "2", "--dim", "3", "--dim", "4", "--out", sys.argv[1]])
+print(json.dumps({"pool": pool, "groups": groups, "rc": rc,
+                  "run_misses": automorphism_group.cache_info().misses - misses}))
+"""
+
+
+def test_startup_builds_no_pool_and_no_automorphism_group(tmp_path):
+    # Importing the CLI and building every catalog loads no process pool
+    # and solves no automorphism group; a cold run solves the groups its
+    # coproduct solves read, and a warm run in a fresh process solves none.
+    env = {k: v for k, v in os.environ.items() if k != "F2HOPF_CACHE_ROOT"}
+    results = []
+    for _ in ("cold", "warm"):
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300, env=env, check=True)
+        results.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    cold, warm = results
+    for result in results:
+        assert result["pool"] == [] and result["groups"] == 0 and result["rc"] == 0
+    assert cold["run_misses"] > 0
+    assert warm["run_misses"] == 0
 
 
 def test_verify_missing_file_exit_code(tmp_path, capsys):

@@ -32,6 +32,7 @@ from f2hopf.structure import (
     HopfAlgebra,
     matrix_algebra,
     opposite,
+    opposite_product,
     solve_antipode,
     tensor_bit,
     TensorProductAlgebra,
@@ -45,6 +46,7 @@ from reference import (
     naive_check_algebra,
     naive_check_bialgebra,
     naive_check_coalgebra,
+    naive_homomorphism_equations,
     naive_tensor_square_product,
     unpack_square,
     unpack_tensor,
@@ -435,6 +437,46 @@ def test_homomorphism_equations_from_nonstandard_sources():
             assert len(homomorphism_equations(source, b, lambda i, j: i * b.n + j)) \
                 == b.n + products * b.n
             assert _builder_maps(source, b) == naive_algebra_maps(source, b)
+
+
+def _builder_systems():
+    """(source, target, var) of every system the oracle test compares: each
+    catalog algebra of n <= 4 into itself, F2, its tensor square and M_k(F2)
+    for k = 1..3, and into itself under a random numbering of the entries;
+    then the two legs of the quasitriangular and of the coquasitriangular
+    systems of every Hopf class of n = 2..4, and the map into the algebra
+    from the dual on the reversed basis, whose unit lacks e_0."""
+    rng = random.Random(23)
+    systems = []
+    for a in _catalog_algebras([1, 2, 3, 4]):
+        targets = [a, AlgebraSC(1, 1), TensorProductAlgebra(a, a)]
+        targets += [matrix_algebra(k) for k in (1, 2, 3)]
+        systems += [(a, b, lambda i, j, m=b.n: i * m + j) for b in targets]
+        perm = rng.sample(range(a.n * a.n), a.n * a.n)
+        systems.append((a, a, lambda i, j, perm=perm, m=a.n: perm[i * m + j]))
+    for n in (2, 3, 4):
+        dim = classify_dimension(n)
+        for cls in dim.hopf_classes():
+            alg = dim.cat[cls.algebra_label].representative
+            dual = dualize_coalgebra(cls.representative.coalg)
+            var = lambda i, j, n=n: i * n + j
+            swapped = lambda i, j, n=n: j * n + i
+            reverse = Gf2Mat(tuple(1 << (n - 1 - i) for i in range(n)), n)
+            reversed_dual = dualize_coalgebra(
+                apply_basis_change_coalgebra(cls.representative.coalg, reverse))
+            systems += [(dual, alg, var), (dual, opposite_product(alg), swapped),
+                        (alg, dual, var), (alg, opposite_product(dual), swapped),
+                        (reversed_dual, alg, var)]
+    return systems
+
+
+def test_homomorphism_equations_match_the_naive_builder():
+    # The same equations in the same order, pairs sorted, as the builder
+    # that folds every term through a kernels.Equation.
+    systems = _builder_systems()
+    assert len(systems) > 300
+    for a, b, var in systems:
+        assert homomorphism_equations(a, b, var) == naive_homomorphism_equations(a, b, var)
 
 
 def _satisfies(equations, mask):

@@ -18,11 +18,10 @@ compare its classes with the unit-fixing orbits of every enumerated tensor).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, gl_order, rank_rows
+from f2hopf.gf2 import Gf2Mat, gl_order, rank_rows, value_type
 from f2hopf.structure import (
     AlgebraSC,
     algebra_equations,
@@ -140,7 +139,7 @@ def algebra_from_relations(
     return alg
 
 
-@dataclass(frozen=True)
+@value_type
 class AlgebraClass:
     """One isomorphism class: its label, relation text and hand-entered
     representative.  Its automorphism group and the size of its orbit under
@@ -168,7 +167,7 @@ class AlgebraClass:
         return (1 << (n - 1)) * gl_order(n - 1) // len(self.automorphisms)
 
 
-@dataclass(frozen=True)
+@value_type
 class AlgebraCatalog:
     n: int
     classes: tuple[AlgebraClass, ...]

@@ -12,13 +12,12 @@ reads that partition and transforms no coproduct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from f2hopf import kernels
 from f2hopf.catalog import AlgebraCatalog, catalog, identify_algebra, isomorphisms
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
-from f2hopf.gf2 import Gf2Mat, mat_inv_rows
+from f2hopf.gf2 import Gf2Mat, mat_inv_rows, value_type
 from f2hopf.structure import (
     Bialgebra,
     dual_bialgebra_raw,
@@ -27,7 +26,7 @@ from f2hopf.structure import (
 )
 
 
-@dataclass(frozen=True)
+@value_type
 class BialgebraClass:
     algebra_label: str
     coalgebra_type: str
@@ -64,7 +63,7 @@ def classify_bialgebras(raw: RawSolutionSet) -> list[BialgebraClass]:
     return classes
 
 
-@dataclass(frozen=True)
+@value_type
 class QuiverArrow:
     source: str
     target: str
@@ -72,7 +71,7 @@ class QuiverArrow:
     hopf_multiplicity: int
 
 
-@dataclass(frozen=True)
+@value_type
 class QuiverGraph:
     n: int
     nodes: tuple[str, ...]
@@ -110,7 +109,7 @@ class QuiverGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@value_type
 class ClassifiedDimension:
     """Everything the pipeline produces for one dimension."""
 

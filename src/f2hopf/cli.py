@@ -658,12 +658,26 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _algebra_conflict(args) -> str | None:
+    """The first ``run`` option that a one-algebra run would ignore, as a
+    message, or None.  Such a run solves the coproducts stage only, serially,
+    past the cache, and has no Fourier stage for ``--mode`` to steer."""
+    for stage in args.stage or ():
+        if stage != "coproducts":
+            return f"--algebra runs only the coproducts stage, not {stage!r}"
+    for option, given in (("--jobs", args.jobs > 1), ("--no-cache", args.no_cache),
+                          ("--mode computed", args.mode == "computed")):
+        if given:
+            return (f"--algebra solves one algebra serially, past the cache and "
+                    f"with no Fourier stage, so it takes no {option}")
+    return None
+
+
 def _dispatch(args) -> int:
     if args.command == "run":
-        if args.algebra and args.stage and set(args.stage) != {"coproducts"}:
-            other = next(stage for stage in args.stage if stage != "coproducts")
-            print(f"f2hopf run: --algebra runs only the coproducts stage, not {other!r}",
-                  file=sys.stderr)
+        conflict = args.algebra and _algebra_conflict(args)
+        if conflict:
+            print(f"f2hopf run: {conflict}", file=sys.stderr)
             return 2
         if not args.stage:
             args.stage = ["all"]

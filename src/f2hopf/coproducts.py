@@ -31,12 +31,11 @@ orbit again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from f2hopf import kernels
 from f2hopf.catalog import automorphism_group, identify_algebra
-from f2hopf.gf2 import Gf2Mat, mat_mul_rows, parity
+from f2hopf.gf2 import Gf2Mat, mat_mul_rows, parity, set_field, value_type
 from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
@@ -83,7 +82,7 @@ def _coalgebra_laws(n: int, eps: int) -> tuple[tuple, ...]:
     return tuple(algebra_equations(n, eps, lambda p, q, r: r * nn + p * n + q))
 
 
-@dataclass(frozen=True)
+@value_type
 class RawSolution:
     """One coproduct solution with its annotations."""
 
@@ -91,12 +90,17 @@ class RawSolution:
     type_label: str
     antipode: Gf2Mat | None
 
+    def __init__(self, coalg: CoalgebraSC, type_label: str, antipode: Gf2Mat | None):
+        set_field(self, "coalg", coalg)
+        set_field(self, "type_label", type_label)
+        set_field(self, "antipode", antipode)
+
     @property
     def hopf(self) -> bool:
         return self.antipode is not None
 
 
-@dataclass(frozen=True)
+@value_type
 class RawSolutionSet:
     """The solutions of one algebra, ascending by packed tensor, and their
     bialgebra classes: ``class_rep[i]`` is the index of the smallest member

@@ -12,10 +12,9 @@ data).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from f2hopf.catalog import catalog, isomorphisms
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, solve_linear
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, solve_linear, value_type
 from f2hopf.structure import (
     AlgebraSC,
     CoalgebraSC,
@@ -61,7 +60,7 @@ def right_cointegral(h: HopfAlgebra) -> Gf2Vec:
     return _right_integral(h.alg, h.coalg.eps, "right-cointegral")
 
 
-@dataclass(frozen=True)
+@value_type
 class FourierData:
     """Fourier matrix F, adjoint F#, the dual-basis identification and the
     resulting transport onto the target algebra's standard basis."""

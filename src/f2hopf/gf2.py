@@ -8,13 +8,81 @@ format, so serialized fixtures stay stable.  All arithmetic is exact.
 There is one elimination: ``_row_reduce`` runs Gauss-Jordan on packed rows,
 and the rank, the inverse, the linear solve and the enumeration of GL(n, F2)
 all read their answer off its pivot rows.
+
+``value_type``, the lowest piece of the package, makes the immutable value
+classes that every module declares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
+
+# How the explicit ``__init__`` of a hot value type stores its fields.
+set_field = object.__setattr__
+
+
+def value_type(cls):
+    """Class decorator for an immutable value whose fields are the names
+    annotated in the class body, in order; a class attribute of the same name
+    is the field's default.
+
+    Adds each of these that the class body does not define: ``__init__``
+    (fields by position or keyword, then ``__post_init__`` if present);
+    ``__eq__`` and ``__hash__`` over the tuple of fields, equal within one
+    class only; ``__repr__`` naming the class and its fields; and
+    ``__setattr__`` and ``__delattr__`` raising ``AttributeError``.  The
+    classes built in bulk define ``__init__`` themselves, storing each field
+    with ``set_field``, because a generic one costs a loop per instance.
+    Instances keep a ``__dict__``, so ``functools.cached_property`` works.
+    """
+    name = cls.__name__
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    fields = operator.attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} fields, got {len(args)}")
+        for field, value in zip(names, args):
+            set_field(self, field, value)
+        for field in names[len(args):]:
+            if field in kwargs:
+                value = kwargs.pop(field)
+            elif field in defaults:
+                value = defaults[field]
+            else:
+                raise TypeError(f"{name}() missing field {field!r}")
+            set_field(self, field, value)
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected field {next(iter(kwargs))!r}")
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in names)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    return cls
 
 
 def parity(x: int) -> int:
@@ -29,16 +97,18 @@ def bits_of(x: int) -> Iterator[int]:
         x ^= low
 
 
-@dataclass(frozen=True)
+@value_type
 class Gf2Vec:
     """Length-n vector over F2; coordinate i is bit i of ``bits``."""
 
     n: int
     bits: int
 
-    def __post_init__(self):
-        if self.bits >> self.n:
+    def __init__(self, n: int, bits: int):
+        if bits >> n:
             raise ValueError("set coordinate outside [0, n)")
+        set_field(self, "n", n)
+        set_field(self, "bits", bits)
 
     def __getitem__(self, i: int) -> int:
         return (self.bits >> i) & 1
@@ -56,17 +126,19 @@ def vec(coords) -> Gf2Vec:
     return Gf2Vec(len(coords), bits)
 
 
-@dataclass(frozen=True)
+@value_type
 class Gf2Mat:
     """rows x cols matrix over F2, packed one integer per row (bit j = column j)."""
 
     rows: tuple[int, ...]
     cols: int
 
-    def __post_init__(self):
-        for r in self.rows:
-            if r >> self.cols:
+    def __init__(self, rows: tuple[int, ...], cols: int):
+        for r in rows:
+            if r >> cols:
                 raise ValueError("set entry outside column range")
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
 
     @classmethod
     def from_rows(cls, row_lists) -> "Gf2Mat":
@@ -224,7 +296,7 @@ def mat_inv_rows(rows, n: int) -> tuple[int, ...] | None:
     return tuple(pivots[c] >> n for c in range(n))
 
 
-@dataclass(frozen=True)
+@value_type
 class LinearSolution:
     """Particular solution plus a basis of the homogeneous nullspace."""
 

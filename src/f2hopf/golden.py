@@ -10,10 +10,9 @@ transcription error cannot survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from f2hopf.catalog import BASIS_NAMES, parse_element
-from f2hopf.gf2 import Gf2Mat
+from f2hopf.gf2 import Gf2Mat, value_type
 from f2hopf.structure import Bialgebra, CoalgebraSC, HopfAlgebra
 
 
@@ -56,7 +55,7 @@ def mat(rows: list[list[int]]) -> Gf2Mat:
     return Gf2Mat.from_rows(rows)
 
 
-@dataclass(frozen=True)
+@value_type
 class NamedCoproduct:
     """One published raw solution: its label, coproduct, coalgebra type and
     antipode when it is a Hopf algebra."""
@@ -260,7 +259,7 @@ TABLES_DIM4: tuple[NamedCoproduct, ...] = (
 # --- Hopf representatives with integrals and Fourier data ---------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class HopfFixture:
     """One Hopf isomorphism class: its chosen representative coproduct, the
     right integral, canonical Fourier matrix, the identification of the dual

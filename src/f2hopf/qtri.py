@@ -17,11 +17,10 @@ unit and inverse in H (x) H, H (x) H (x) H and (H (x) H)* is read from a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from f2hopf import kernels
 from f2hopf.classify import ClassifiedDimension
-from f2hopf.gf2 import Gf2Mat, bits_of
+from f2hopf.gf2 import Gf2Mat, bits_of, value_type
 from f2hopf.kernels import Equation
 from f2hopf.structure import (
     Bialgebra,
@@ -35,7 +34,7 @@ from f2hopf.structure import (
 )
 
 
-@dataclass(frozen=True)
+@value_type
 class QuasiTriangularStructure:
     """A universal R-matrix with its inverse, its quantum Killing form and
     its class.

@@ -14,14 +14,13 @@ smallest, i.e. the first one in the order of gf2.enumerate_invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows, value_type
 from f2hopf.structure import AlgebraSC, HopfAlgebra, homomorphism_equations, matrix_algebra
 
 
-@dataclass(frozen=True)
+@value_type
 class Representation:
     """A unital algebra map into k x k matrices; images[mu] is the image of
     basis element mu (images[0] is the identity)."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
 
 from f2hopf import __version__
 from f2hopf.gf2 import Gf2Mat
@@ -37,7 +36,7 @@ def mat_from_hex(s: str, cols: int) -> Gf2Mat:
     return Gf2Mat(tuple(int(p, 16) for p in s.split(",")), cols)
 
 
-def algebra_record(label: str, a: AlgebraSC, relations: str) -> dict[str, Any]:
+def algebra_record(label: str, a: AlgebraSC, relations: str) -> dict[str, object]:
     return {
         "label": label,
         "dim": a.n,
@@ -47,23 +46,23 @@ def algebra_record(label: str, a: AlgebraSC, relations: str) -> dict[str, Any]:
     }
 
 
-def algebra_from_record(rec: dict[str, Any]) -> AlgebraSC:
+def algebra_from_record(rec: dict[str, object]) -> AlgebraSC:
     return AlgebraSC(
         rec["dim"], tensor_from_hex(rec["product"]), tensor_from_hex(rec["unit"])
     )
 
 
-def canonical_json(value: Any) -> str:
+def canonical_json(value: object) -> str:
     """The compact sorted encoding of a JSON value.  Values that Python
     compares equal but JSON writes apart (1, 1.0 and true) encode apart."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def payload_checksum(payload: Any) -> str:
+def payload_checksum(payload: object) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-def dump_dataset(kind: str, payload: Any, compact: bool = False) -> str:
+def dump_dataset(kind: str, payload: object, compact: bool = False) -> str:
     """The file text of a dataset: indented for the published datasets, or
     ``compact`` (the run cache), where the payload is encoded once, as the
     canonical string its checksum is taken over, and the document is that
@@ -87,7 +86,7 @@ class DatasetError(ValueError):
     pass
 
 
-def load_dataset(text: str, kind: str | None = None) -> tuple[str, Any]:
+def load_dataset(text: str, kind: str | None = None) -> tuple[str, object]:
     """Parse and checksum-verify a dataset; returns (kind, payload)."""
     try:
         doc = json.loads(text)

@@ -19,10 +19,18 @@ The axioms searched for are stated as XOR equations by two builders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, mat_inv_rows, parity, solve_linear
+from f2hopf.gf2 import (
+    Gf2Mat,
+    Gf2Vec,
+    bits_of,
+    mat_inv_rows,
+    parity,
+    set_field,
+    solve_linear,
+    value_type,
+)
 from f2hopf.kernels import Equation, transform_coproduct, transform_product
 
 
@@ -30,7 +38,7 @@ def tensor_bit(n: int, mu: int, nu: int, rho: int) -> int:
     return mu * n * n + nu * n + rho
 
 
-@dataclass(frozen=True)
+@value_type
 class AlgebraSC:
     """A unital associative algebra given by its structure constants.
 
@@ -43,9 +51,12 @@ class AlgebraSC:
     v: int
     eta: int = 1
 
-    def __post_init__(self):
-        if self.v >> self.n**3 or self.eta >> self.n:
+    def __init__(self, n: int, v: int, eta: int = 1):
+        if v >> n**3 or eta >> n:
             raise ValueError("tensor bits outside dimension range")
+        set_field(self, "n", n)
+        set_field(self, "v", v)
+        set_field(self, "eta", eta)
 
     def prod(self, mu: int, nu: int) -> int:
         """Packed coefficient vector of x^mu * x^nu."""
@@ -73,7 +84,7 @@ class AlgebraSC:
         )
 
 
-@dataclass(frozen=True)
+@value_type
 class CoalgebraSC:
     """A coalgebra given by its coproduct tensor and counit vector."""
 
@@ -81,9 +92,12 @@ class CoalgebraSC:
     c: int
     eps: int
 
-    def __post_init__(self):
-        if self.c >> self.n**3 or self.eps >> self.n:
+    def __init__(self, n: int, c: int, eps: int):
+        if c >> n**3 or eps >> n:
             raise ValueError("tensor bits outside dimension range")
+        set_field(self, "n", n)
+        set_field(self, "c", c)
+        set_field(self, "eps", eps)
 
     def cop(self, mu: int) -> int:
         """Delta(x^mu) as a packed element of H (x) H."""
@@ -91,7 +105,7 @@ class CoalgebraSC:
         return (self.c >> (mu * n * n)) & ((1 << (n * n)) - 1)
 
 
-@dataclass(frozen=True)
+@value_type
 class Bialgebra:
     alg: AlgebraSC
     coalg: CoalgebraSC
@@ -105,7 +119,7 @@ class Bialgebra:
         return self.alg.n
 
 
-@dataclass(frozen=True)
+@value_type
 class HopfAlgebra:
     bi: Bialgebra
     s: Gf2Mat
@@ -123,7 +137,7 @@ class HopfAlgebra:
         return self.bi.coalg
 
 
-@dataclass(frozen=True)
+@value_type
 class TensorSquareElement:
     """Element of H (x) H as an n^2-bit vector, bit mu*n + nu = x^mu (x) x^nu."""
 
@@ -141,7 +155,7 @@ class TensorSquareElement:
         )
 
 
-@dataclass(frozen=True)
+@value_type
 class AxiomReport:
     """Outcome of an axiom check; on failure, the first violated axiom and
     index tuple in lexicographic order."""
@@ -238,7 +252,7 @@ def check_coalgebra(c: CoalgebraSC) -> AxiomReport:
     return _PASS
 
 
-@dataclass(frozen=True)
+@value_type
 class TensorProductAlgebra:
     """The tensor product algebra a (x) b on the product basis, computed
     factorwise from its two factors, which may be tensor products too.

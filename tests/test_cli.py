@@ -276,6 +276,47 @@ def test_algebra_with_another_stage_is_a_usage_error(tmp_path, capsys, stages):
     assert [p.name for p in out.iterdir()] == ["raw_n3_B.json"]
 
 
+@pytest.mark.parametrize("options, named", [
+    (["--jobs", "4"], "--jobs"),
+    (["--no-cache"], "--no-cache"),
+    (["--mode", "computed"], "--mode computed"),
+])
+def test_algebra_with_an_option_it_would_ignore_is_a_usage_error(
+        tmp_path, capsys, options, named):
+    # A one-algebra run solves serially, past the cache, with no Fourier
+    # stage; an option it would drop is refused by name, and nothing is written.
+    out = tmp_path / "out"
+    argv = ["run", "--dim", "3", "--algebra", "B", "--out", str(out)] + options
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and named in captured.err
+    assert not out.exists()
+
+
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import f2hopf.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_code_generator_and_no_pool():
+    # Measured against a snapshot, since site hooks may load typing first.
+    # dataclasses pulls in inspect, ast and dis; the pool is imported only
+    # for --jobs above 1.
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                          text=True, timeout=120, env=env, check=True,
+                          cwd=os.path.join(os.path.dirname(__file__), ".."))
+    added = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert "f2hopf.cli" in added
+    roots = {name.split(".")[0] for name in added}
+    assert roots.isdisjoint({"dataclasses", "inspect", "typing", "concurrent",
+                             "multiprocessing"})
+
+
 STARTUP_PROBE = """
 import json, sys
 from f2hopf import cli

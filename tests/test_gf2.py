@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -11,6 +12,7 @@ from f2hopf.gf2 import (
     mat_mul_rows,
     rank_rows,
     solve_linear,
+    value_type,
     vec,
 )
 from reference import naive_mat_mul, naive_rank
@@ -168,3 +170,77 @@ def test_mul_rows_associative():
         n = rng.randint(1, 5)
         a, b, c = (tuple(rng.getrandbits(n) for _ in range(n)) for _ in range(3))
         assert mat_mul_rows(mat_mul_rows(a, b), c) == mat_mul_rows(a, mat_mul_rows(b, c))
+
+
+@value_type
+class _Pair:
+    left: int
+    right: int = 0
+
+    def __post_init__(self):
+        if self.left < 0:
+            raise ValueError("negative left")
+
+
+@pytest.mark.parametrize("value", [
+    Gf2Vec(3, 5), Gf2Mat((1, 2), 2), solve_linear(Gf2Mat((0,), 1), vec([0])), _Pair(1)])
+def test_value_types_refuse_assignment_and_deletion(value):
+    field = next(iter(type(value).__annotations__))
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_value_types_compare_hash_and_cache_by_fields():
+    a, b = Gf2Mat((1, 2), 2), Gf2Mat((1, 2), 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Gf2Mat((1, 2), 2) != Gf2Mat((1, 3), 2) != Gf2Mat((1, 3), 3)
+    assert Gf2Vec(2, 1) == Gf2Vec(n=2, bits=1) != Gf2Vec(3, 1)
+    assert len({a, b, Gf2Mat.identity(2), Gf2Mat((2, 1), 2)}) == 2
+
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def rank_of(m):
+        calls.append(m)
+        return rank_rows(m.rows)
+
+    assert rank_of(a) == rank_of(b) == 2
+    assert calls == [a]
+
+
+def test_value_types_equal_within_one_class_only():
+    assert _Pair(2, 1) != (2, 1)
+    assert Gf2Vec(2, 1) != _Pair(2, 1)
+    assert Gf2Vec(2, 1).__eq__(_Pair(2, 1)) is NotImplemented
+
+
+def test_value_type_init_by_position_keyword_and_default():
+    assert _Pair(3) == _Pair(3, 0) == _Pair(left=3) == _Pair(right=0, left=3)
+    assert _Pair(3, right=4).right == 4
+    with pytest.raises(TypeError):
+        _Pair()
+    with pytest.raises(TypeError):
+        _Pair(1, 2, 3)
+    with pytest.raises(TypeError):
+        _Pair(1, left=1)
+    with pytest.raises(TypeError):
+        _Pair(1, other=2)
+    with pytest.raises(ValueError):
+        _Pair(-1)
+
+
+def test_value_types_validate_bits_in_range():
+    with pytest.raises(ValueError):
+        Gf2Vec(2, 4)
+    with pytest.raises(ValueError):
+        Gf2Mat((1, 4), 2)
+
+
+def test_value_type_repr_names_class_and_fields():
+    assert repr(Gf2Vec(3, 5)) == "Gf2Vec(n=3, bits=5)"
+    assert repr(Gf2Mat((1, 2), 2)) == "Gf2Mat(rows=(1, 2), cols=2)"
+    assert repr(_Pair(1)) == "_Pair(left=1, right=0)"

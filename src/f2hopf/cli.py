@@ -190,7 +190,10 @@ def reps_payload() -> dict:
     payload = {"counts": {}}
     for k in (1, 2, 3):
         reps = enumerate_reps(h.alg, k)
-        payload[str(k)] = [[mat_to_hex(m) for m in r.images] for r in reps]
+        # The representations share their image matrices: format each once.
+        distinct = {m.rows: m for r in reps for m in r.images}
+        hexes = {rows: mat_to_hex(m) for rows, m in distinct.items()}
+        payload[str(k)] = [[hexes[m.rows] for m in r.images] for r in reps]
         payload["counts"][str(k)] = len(reps)
     named = dsl2_named_reps()
     payload["tensor_table"] = {
@@ -486,21 +489,25 @@ def _reps_problems(payload) -> list[str]:
             if not ok:
                 problems.append(f"k={k}[{i}]: not a representation")
     want = reps_payload()
-    for key, value in want.items():
-        if canonical_json(payload.get(key)) != canonical_json(value):
+    for key in sorted(want.keys() | payload.keys()):
+        if canonical_json(payload.get(key)) != canonical_json(want.get(key)):
             problems.append(f"{key}: differs from the derived dataset")
     return problems
 
 
 def _summary_problems(payload) -> list[str]:
     """Check a summary's counts against the published census of its
-    dimension and its representation counts against golden.REP_COUNTS."""
+    dimension and its representation counts against golden.REP_COUNTS, and
+    that it has no key a run does not write: representation counts only
+    for n = 4."""
     if not isinstance(payload, dict):
         return ["payload is not a mapping"]
     n = payload.get("dim")
     if type(n) is not int or n not in RELATIONS:
         return [f"no catalog for dimension {n!r}"]
-    problems = []
+    keys = {"dim", "algebras", "bialgebras", "hopf", "qt_pairs", *(["reps"] if n == 4 else [])}
+    problems = [f"{key}: not a key of the summary of n={n}"
+                for key in sorted(payload.keys() - keys)]
     if not _summary_matches_expected(payload, n):
         problems.append(f"counts differ from the census of n={n}")
     want_reps = {str(k): c for k, c in REP_COUNTS.items()}

@@ -97,6 +97,16 @@ def bits_of(x: int) -> Iterator[int]:
         x ^= low
 
 
+@lru_cache(maxsize=None)
+def spread_table(n: int) -> tuple[int, ...]:
+    """spread[s]: bit t*n set for each bit t of an n-bit s, so that
+    spread[s] * x places a copy of an n-bit x at each t*n, without carries."""
+    spread = [0]
+    for t in range(n):
+        spread += [w | 1 << (t * n) for w in spread]
+    return tuple(spread)
+
+
 @value_type
 class Gf2Vec:
     """Length-n vector over F2; coordinate i is bit i of ``bits``."""

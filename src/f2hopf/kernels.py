@@ -48,7 +48,7 @@ a slice turn one image into n^2 lookups, the same map as
 
 from __future__ import annotations
 
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, mat_inv_rows, solve_linear
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, mat_inv_rows, solve_linear, spread_table
 
 # The kernel implementation, as benchmark records name it.
 BACKEND = "python"
@@ -436,13 +436,8 @@ def coproduct_change(p: tuple[int, ...], n: int) -> Change:
     images = [0]
     for row in pinv:
         images += [x ^ row for x in images]
-    spreads = []
-    for row in pinv:
-        w = 0
-        for b in bits_of(row):
-            w |= 1 << (b * n)
-        spreads.append(w)
-    return p, pinv, (images, spreads)
+    spread = spread_table(n)
+    return p, pinv, (images, [spread[row] for row in pinv])
 
 
 def coproduct_orbit(c: int, n: int, changes: list[Change]) -> dict[int, Change]:

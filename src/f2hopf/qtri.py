@@ -9,20 +9,23 @@ XOR equations in the bits of R, and the intertwiner conditions are linear,
 so ``kernels.solve_quadratic``, the solve path that finds coproducts,
 enumerates all solutions: its elimination step removes the linear
 conditions and the backtracker searches what is left.  Every product,
-unit and inverse in H (x) H, H (x) H (x) H and (H (x) H)* is read from a
-``structure.TensorProductAlgebra``, multiplied factorwise from its legs
-(the cube is the square tensored with H); invertibility is
-``structure.algebra_inverse`` there.
+unit and inverse in H (x) H is read from ``tensor_square``, a table of its
+basis products built once per algebra; those in H (x) H (x) H and
+(H (x) H)* from a ``structure.TensorProductAlgebra``, multiplied factorwise
+from its legs (the cube is the square tensored with H).  Invertibility is
+``structure.algebra_inverse`` in either.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 from f2hopf import kernels
 from f2hopf.classify import ClassifiedDimension
-from f2hopf.gf2 import Gf2Mat, bits_of, value_type
+from f2hopf.gf2 import Gf2Mat, bits_of, spread_table, value_type
 from f2hopf.kernels import Equation
 from f2hopf.structure import (
+    AlgebraSC,
     Bialgebra,
     TensorProductAlgebra,
     TensorSquareElement,
@@ -59,6 +62,44 @@ class QuasiTriangularStructure:
         return self.klass in ("trivial", "triangular")
 
 
+@value_type
+class TensorSquare:
+    """H (x) H on the product basis, read off its table of basis products:
+    ``table[v][w]`` is e_v e_w.  It is read wherever an ``AlgebraSC`` is,
+    through n, eta and mul_vec; ``tensor_square`` builds it."""
+
+    n: int
+    eta: int
+    table: tuple[tuple[int, ...], ...]
+
+    def mul_vec(self, x: int, y: int) -> int:
+        table = self.table
+        ys = list(bits_of(y))
+        acc = 0
+        while x:
+            low = x & -x
+            row = table[low.bit_length() - 1]
+            x ^= low
+            for w in ys:
+                acc ^= row[w]
+        return acc
+
+
+@lru_cache(maxsize=None)
+def tensor_square(a: AlgebraSC) -> TensorSquare:
+    """The square of a, as ``TensorProductAlgebra(a, a)`` multiplies it:
+    for v = i*n + j and w = k*n + l, e_v e_w = x^i x^k (x) x^j x^l, that is
+    spread(x^i x^k) * x^j x^l (``gf2.spread_table``), a copy of
+    x^j x^l in the slice of each term of x^i x^k.  One multiplication per
+    entry."""
+    n = a.n
+    spread = spread_table(n)
+    prods = [[a.prod(i, k) for k in range(n)] for i in range(n)]
+    table = tuple(tuple(spread[prods[i][k]] * prods[j][l] for k in range(n) for l in range(n))
+                  for i in range(n) for j in range(n))
+    return TensorSquare(n * n, spread[a.eta] * a.eta, table)
+
+
 def _equations(b: Bialgebra) -> tuple[int, list[tuple]]:
     """The counit, hexagon and intertwiner conditions as (number of
     variables, equations) over the n^2 bits of R, variable mu*n + nu for the
@@ -77,12 +118,21 @@ def _equations(b: Bialgebra) -> tuple[int, list[tuple]]:
     equations += homomorphism_equations(dual, opposite_product(a), lambda i, j: var(j, i))
     # Intertwiner: R Delta(h) = Delta^cop(h) R, linear in R.  Column
     # var(mu, nu) of the block for h = x^rho is the coefficient vector of
-    # (x^mu (x) x^nu) Delta(h) + Delta^cop(h) (x^mu (x) x^nu).
-    square = TensorProductAlgebra(a, a)
+    # (x^mu (x) x^nu) Delta(h) + Delta^cop(h) (x^mu (x) x^nu): entries of
+    # row var(mu, nu) and of its column in the tensor-square table.
+    table = tensor_square(a).table
     cop = opposite_coproduct(c)
     for rho in range(n):
-        cols = [square.mul_vec(1 << v, c.cop(rho)) ^ square.mul_vec(cop.cop(rho), 1 << v)
-                for v in range(n * n)]
+        right = list(bits_of(c.cop(rho)))
+        left = [table[u] for u in bits_of(cop.cop(rho))]
+        cols = []
+        for v, row in enumerate(table):
+            col = 0
+            for w in right:
+                col ^= row[w]
+            for row_u in left:
+                col ^= row_u[v]
+            cols.append(col)
         for lin in Gf2Mat(tuple(cols), n * n).transpose().rows:
             if lin:
                 equations.append((0, lin, ()))
@@ -99,8 +149,7 @@ def swap_legs(r: TensorSquareElement) -> TensorSquareElement:
 
 
 def killing_form(b: Bialgebra, r: TensorSquareElement) -> TensorSquareElement:
-    square = TensorProductAlgebra(b.alg, b.alg)
-    return TensorSquareElement(r.n, square.mul_vec(swap_legs(r).bits, r.bits))
+    return TensorSquareElement(r.n, tensor_square(b.alg).mul_vec(swap_legs(r).bits, r.bits))
 
 
 def classify_r(b: Bialgebra, r: TensorSquareElement, r_inv: TensorSquareElement):
@@ -108,7 +157,7 @@ def classify_r(b: Bialgebra, r: TensorSquareElement, r_inv: TensorSquareElement)
     strict otherwise) and whether it is factorisable: Q nondegenerate as a
     map H* -> H, i.e. its coefficient matrix invertible."""
     q = killing_form(b, r)
-    unit = TensorProductAlgebra(b.alg, b.alg).eta
+    unit = tensor_square(b.alg).eta
     if r.bits == unit:
         klass = "trivial"
     elif q.bits == unit:
@@ -122,7 +171,7 @@ def classify_r(b: Bialgebra, r: TensorSquareElement, r_inv: TensorSquareElement)
 def enumerate_quasitriangular(b: Bialgebra) -> list[QuasiTriangularStructure]:
     """All quasitriangular structures, ascending by R bit pattern."""
     n = b.n
-    square = TensorProductAlgebra(b.alg, b.alg)
+    square = tensor_square(b.alg)
     out = []
     for bits in kernels.solve_quadratic(*_equations(b)):
         inv = algebra_inverse(square, bits)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows, value_type
+from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows, set_field, value_type
 from f2hopf.structure import AlgebraSC, HopfAlgebra, homomorphism_equations, matrix_algebra
 
 
@@ -28,9 +28,11 @@ class Representation:
     k: int
     images: tuple[Gf2Mat, ...]
 
-    def __post_init__(self):
-        if not self.images[0].is_identity():
+    def __init__(self, k: int, images: tuple[Gf2Mat, ...]):
+        if not images[0].is_identity():
             raise ValueError("the unit must act as the identity")
+        set_field(self, "k", k)
+        set_field(self, "images", images)
 
     def image_of(self, coeffs: int) -> Gf2Mat:
         rows = [0] * self.k
@@ -61,10 +63,20 @@ def enumerate_reps(a: AlgebraSC, k: int) -> list[Representation]:
     kk = k * k
     equations = homomorphism_equations(a, matrix_algebra(k), lambda mu, t: mu * kk + t)
     row_mask = (1 << k) - 1
+    image_mask = (1 << kk) - 1
+    # The image matrices by their k^2 bits, each built once and shared.
+    matrices: dict[int, Gf2Mat] = {}
     out = []
     for mask in kernels.solve_quadratic(a.n * kk, equations):
-        images = [Gf2Mat(tuple((mask >> (mu * kk + i * k)) & row_mask for i in range(k)), k)
-                  for mu in range(a.n)]
+        images = []
+        for _ in range(a.n):
+            bits = mask & image_mask
+            m = matrices.get(bits)
+            if m is None:
+                m = matrices[bits] = Gf2Mat(
+                    tuple((bits >> (i * k)) & row_mask for i in range(k)), k)
+            images.append(m)
+            mask >>= kk
         out.append(Representation(k, tuple(images)))
     return out
 

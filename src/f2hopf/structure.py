@@ -29,6 +29,7 @@ from f2hopf.gf2 import (
     parity,
     set_field,
     solve_linear,
+    spread_table,
     value_type,
 )
 from f2hopf.kernels import Equation, transform_coproduct, transform_product
@@ -588,12 +589,18 @@ def opposite_product(a: AlgebraSC) -> AlgebraSC:
 
 
 def opposite_coproduct(c: CoalgebraSC) -> CoalgebraSC:
+    """Each slice Delta(x^mu) transposed as an n x n bit matrix: its row
+    nu, spread, is column nu of the new slice."""
     n = c.n
+    spread = spread_table(n)
+    row_mask = (1 << n) - 1
     out = 0
     for mu in range(n):
-        for t in bits_of(c.cop(mu)):
-            nu, rho = divmod(t, n)
-            out |= 1 << tensor_bit(n, mu, rho, nu)
+        s = c.cop(mu)
+        t = 0
+        for nu in range(n):
+            t |= spread[(s >> (nu * n)) & row_mask] << nu
+        out |= t << (mu * n * n)
     return CoalgebraSC(n, out, c.eps)
 
 

@@ -9,9 +9,9 @@ before it read conjugations, algebra isomorphisms and self-duality pairings
 off quadratic solves, and ``pairing_ok`` checks the self-pairing axioms on
 every triple of basis elements, as the engine did before it read a pairing
 off two algebra isomorphisms;
-``brute_force_coproducts`` scans every coproduct candidate through the
-bialgebra checker, and ``brute_force_coproduct_set`` memoises it, since its
-dimension-3 scan is the slowest check in the suite;
+``brute_force_coproducts`` scans every coproduct candidate that passes
+the counit laws (``counit_slice_ok``, slice by slice) through the bialgebra
+checker, and ``brute_force_coproduct_set`` memoises it;
 ``coproducts_per_counit`` solves and annotates every counit's coproducts
 afresh, with no transport along automorphisms, and partitions them with
 ``orbit_class_rep``, which expands each class's orbit on its own;
@@ -20,7 +20,9 @@ stated S * id = eta eps = id * S on the coproduct's slices: the inverse of
 id in the tensor product algebra C* (x) A;
 ``naive_homomorphism_equations`` is the homomorphism builder as it was
 before it read each entry's variable once, one ``kernels.Equation`` per
-equation;
+equation; ``naive_qt_equations`` and ``naive_quasitriangular`` are the
+R-matrix search as it was before it read H (x) H off a product table, with
+every product multiplied factorwise;
 ``classify_bialgebras_pairwise`` and ``coquasitriangular_via_dual`` reach
 the engine's bialgebra classes and coquasitriangular forms by other routes.
 The last section holds helpers that only tests use: a quartic algebra, the
@@ -386,10 +388,28 @@ def naive_self_duality_pairing(b):
     return min(found, key=lambda m: m.rows, default=None)
 
 
+def counit_slice_ok(s: int, mu: int, eps: int, n: int) -> bool:
+    """Both counit laws on one coproduct slice s = Delta(x^mu), bit
+    nu*n + rho for x^nu (x) x^rho, coefficient by coefficient:
+    sum_nu eps_nu C[mu][nu][k] and sum_rho C[mu][k][rho] eps_rho are both
+    1 exactly when k = mu."""
+    for k in range(n):
+        left = sum(((s >> (nu * n + k)) & 1) * ((eps >> nu) & 1) for nu in range(n)) % 2
+        right = sum(((s >> (k * n + rho)) & 1) * ((eps >> rho) & 1) for rho in range(n)) % 2
+        if left != (k == mu) or right != (k == mu):
+            return False
+    return True
+
+
 def brute_force_coproducts(a: AlgebraSC) -> list[CoalgebraSC]:
     """Independent completeness oracle: scan every (coproduct, counit)
-    candidate through the full bialgebra checker.  Only viable for tiny
-    search spaces (n = 2 fully, n = 3 after counit filtering)."""
+    candidate with Delta(x^0) = x^0 (x) x^0 and eps(x^0) = 1 through the
+    full bialgebra checker, after counit filtering: the counit laws hold
+    slice by slice, so each slice Delta(x^mu), mu >= 1, ranges over the
+    n^2-bit values that pass ``counit_slice_ok``.  Ascending by (counit,
+    tensor).  Viable for n = 2 and n = 3."""
+    from itertools import product
+
     from f2hopf.structure import Bialgebra, CoalgebraSC, check_bialgebra
 
     n = a.n
@@ -397,11 +417,17 @@ def brute_force_coproducts(a: AlgebraSC) -> list[CoalgebraSC]:
     out = []
     for eps_rest in range(1 << (n - 1)):
         eps = 1 | (eps_rest << 1)
-        for free in range(1 << ((n - 1) * nn)):
-            c = 1 | (free << nn)
+        slices = [[s for s in range(1 << nn) if counit_slice_ok(s, mu, eps, n)]
+                  for mu in range(1, n)]
+        found = []
+        for rest in product(*slices):
+            c = 1
+            for mu, s in enumerate(rest, 1):
+                c |= s << (mu * nn)
             coalg = CoalgebraSC(n, c, eps)
             if check_bialgebra(Bialgebra(a, coalg)):
-                out.append(coalg)
+                found.append(coalg)
+        out += sorted(found, key=lambda coalg: coalg.c)
     return out
 
 
@@ -488,6 +514,67 @@ def naive_homomorphism_equations(a, b, var) -> list[tuple]:
                     eqs[r].add_pair(x, y)
             equations += [eq.emit() for eq in eqs]
     return equations
+
+
+def naive_qt_equations(b: Bialgebra) -> tuple[int, list[tuple]]:
+    """``qtri._equations`` as it was before it read H (x) H off a product
+    table: the intertwiner columns are multiplied factorwise in a
+    ``TensorProductAlgebra(a, a)``."""
+    from f2hopf.gf2 import Gf2Mat
+    from f2hopf.structure import (
+        TensorProductAlgebra,
+        dualize_coalgebra,
+        homomorphism_equations,
+        opposite_coproduct,
+        opposite_product,
+    )
+
+    a, c = b.alg, b.coalg
+    n = b.n
+
+    def var(mu, nu):
+        return mu * n + nu
+
+    dual = dualize_coalgebra(c)
+    equations = homomorphism_equations(dual, a, var)
+    equations += homomorphism_equations(dual, opposite_product(a), lambda i, j: var(j, i))
+    square = TensorProductAlgebra(a, a)
+    cop = opposite_coproduct(c)
+    for rho in range(n):
+        cols = [square.mul_vec(1 << v, c.cop(rho)) ^ square.mul_vec(cop.cop(rho), 1 << v)
+                for v in range(n * n)]
+        for lin in Gf2Mat(tuple(cols), n * n).transpose().rows:
+            if lin:
+                equations.append((0, lin, ()))
+    return n * n, equations
+
+
+def naive_quasitriangular(b: Bialgebra) -> list[tuple]:
+    """(R, R^-1, Q, class, factorisable) of every quasitriangular structure,
+    as bits, ascending by R, read from ``naive_qt_equations`` with every
+    product, unit and inverse in ``TensorProductAlgebra(a, a)``."""
+    from f2hopf import kernels
+    from f2hopf.gf2 import Gf2Mat
+    from f2hopf.structure import TensorProductAlgebra, algebra_inverse
+
+    n = b.n
+    square = TensorProductAlgebra(b.alg, b.alg)
+    out = []
+    for r in kernels.solve_quadratic(*naive_qt_equations(b)):
+        r_inv = algebra_inverse(square, r)
+        if r_inv is None:
+            continue
+        r21 = 0
+        for t in range(n * n):
+            if (r >> t) & 1:
+                mu, nu = divmod(t, n)
+                r21 |= 1 << (nu * n + mu)
+        q = square.mul_vec(r21, r)
+        klass = ("trivial" if r == square.eta else
+                 "triangular" if q == square.eta else "strict")
+        rows = tuple((q >> (mu * n)) & ((1 << n) - 1) for mu in range(n))
+        out.append((r, r_inv, q, klass, Gf2Mat(rows, n).inverse() is not None))
+    return out
 
 
 def orbit_class_rep(a: AlgebraSC, solutions) -> tuple[int, ...]:

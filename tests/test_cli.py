@@ -750,6 +750,35 @@ def test_verify_rederives_summary(tmp_path, capsys, dim, stage, field):
     assert len(fails) == 1 and want in fails[0]
 
 
+@pytest.mark.parametrize("name, old, new, status, message", [
+    ("summary_n4", '"version": "', '"version": "9.', 2, "schema error: version '9."),
+    ("summary_n4", '"dim": 4', '"dim": 4, "extra": 1', 1, "extra: not a key of the summary"),
+    ("summary_n2", '"dim": 2', '"dim": 2, "reps": {"1": 2, "2": 20, "3": 394}', 1,
+     "reps: not a key of the summary"),
+    ("reps_n4", '"counts": {', '"9": [], "counts": {', 1, "9: differs from the derived dataset"),
+])
+def test_verify_accepts_only_what_run_writes(tmp_path, capsys, name, old, new, status, message):
+    # A field of another version, or a key run never writes, fails verify;
+    # the checksum covers the payload only, so edits to the payload are
+    # written with the checksum recomputed.
+    out = tmp_path / "out"
+    dim = name[-1]
+    stage = "reps" if dim == "4" else "algebras"
+    assert run_cli(["run", "--dim", dim, "--stage", stage, "--out", str(out)]) == 0
+    target = out / f"{name}.json"
+    assert run_cli(["verify", str(target)]) == 0
+    text = target.read_text().replace(old, new, 1)
+    if "version" not in old:
+        kind, _ = load_dataset(target.read_text())
+        text = dump_dataset(kind, json.loads(text)["payload"])
+    assert text != target.read_text()
+    target.write_text(text)
+    capsys.readouterr()
+    assert run_cli(["verify", str(target)]) == status
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+
+
 def _malformed(kind: str, case: str):
     """A checksum-valid dataset of the given kind with one malformed part."""
     from f2hopf import serialize

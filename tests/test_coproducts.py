@@ -24,6 +24,7 @@ from f2hopf.structure import (
 )
 from reference import (
     brute_force_coproduct_set,
+    brute_force_coproducts,
     coproducts_per_counit,
     naive_antipode_law,
     unpack_tensor,
@@ -88,6 +89,16 @@ def test_completeness_dim2_brute_force():
         assert brute_force_coproduct_set(2, cls.label) == {
             (s.coalg.c, s.coalg.eps) for s in rs.solutions
         }
+
+
+def test_brute_force_counit_filter_drops_no_bialgebra():
+    # The oracle's counit filter only skips candidates the checker rejects:
+    # at n = 2 its scan equals the unfiltered one over all 2 x 2^4 candidates.
+    for cls in catalog(2).classes:
+        a = cls.representative
+        unfiltered = [(1 | free << 4, eps) for eps in (0b01, 0b11) for free in range(1 << 4)
+                      if check_bialgebra(Bialgebra(a, CoalgebraSC(2, 1 | free << 4, eps)))]
+        assert [(c.c, c.eps) for c in brute_force_coproducts(a)] == unfiltered, cls.label
 
 
 def test_completeness_dim3_algebra_d_brute_force():

@@ -25,7 +25,13 @@ from f2hopf.qtri import (
     yang_baxter_ok,
 )
 from f2hopf.structure import Bialgebra
-from reference import antipode_leg_transform, both_legs_antipode, coquasitriangular_via_dual
+from reference import (
+    antipode_leg_transform,
+    both_legs_antipode,
+    coquasitriangular_via_dual,
+    naive_qt_equations,
+    naive_quasitriangular,
+)
 
 
 def fixture(name):
@@ -237,6 +243,38 @@ def test_intertwiner_vacuous_when_commutative_and_cocommutative():
         if comm and cocomm:
             assert intertwiner == [], fx.name
         assert all(not pairs for _, _, pairs in intertwiner)
+
+
+def test_tensor_square_table_is_the_factorwise_product():
+    # Every basis product and the unit, also for units other than x^0.
+    from f2hopf.gf2 import Gf2Mat
+    from f2hopf.qtri import tensor_square
+    from f2hopf.structure import TensorProductAlgebra, apply_basis_change_algebra
+
+    for n in (2, 3):
+        for cls in catalog(n).classes:
+            a = cls.representative
+            p = Gf2Mat((0b11,) + tuple(1 << i for i in range(1, n)), n)  # unit x^0 + x^1
+            for alg in (a, apply_basis_change_algebra(a, p)):
+                square, want = tensor_square(alg), TensorProductAlgebra(alg, alg)
+                assert square.n == want.n and square.eta == want.eta
+                assert square.table == tuple(tuple(want.prod(v, w) for w in range(want.n))
+                                             for v in range(want.n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_table_matches_the_factorwise_oracle(n):
+    # The equations and structures read off the tensor-square table are
+    # those of the factorwise products in TensorProductAlgebra(a, a), on
+    # every Hopf class.
+    from f2hopf.qtri import _equations
+
+    dim = classify_dimension(n)
+    for cls in dim.hopf_classes():
+        bi = Bialgebra(dim.cat[cls.algebra_label].representative, cls.representative.coalg)
+        assert _equations(bi) == naive_qt_equations(bi), cls
+        assert [(s.r.bits, s.r_inv.bits, s.q.bits, s.klass, s.factorisable)
+                for s in enumerate_quasitriangular(bi)] == naive_quasitriangular(bi), cls
 
 
 def test_coquasitriangular_cross_check():

@@ -47,6 +47,16 @@ def test_counts_small(k):
         assert is_representation(ALG, r)
 
 
+def test_unit_must_act_as_the_identity():
+    from f2hopf.gf2 import Gf2Mat
+    from f2hopf.reps import Representation
+
+    zero = Gf2Mat((0, 0), 2)
+    with pytest.raises(ValueError, match="unit must act as the identity"):
+        Representation(2, (zero,) * ALG.n)
+    assert Representation(2, (Gf2Mat.identity(2),) + (zero,) * (ALG.n - 1)).k == 2
+
+
 @pytest.mark.slow
 def test_count_k3():
     reps = enumerate_reps(ALG, 3)

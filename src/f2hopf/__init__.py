@@ -9,7 +9,6 @@ __all__ = [
     "Gf2Mat",
     "Gf2Vec",
     "HopfAlgebra",
-    "catalog",
     "classify_dimension",
     "solve_coproducts",
 ]
@@ -25,10 +24,6 @@ def __getattr__(name):
         from f2hopf import structure
 
         return getattr(structure, name)
-    if name == "catalog":
-        from f2hopf.catalog import catalog
-
-        return catalog
     if name == "classify_dimension":
         from f2hopf.classify import classify_dimension
 

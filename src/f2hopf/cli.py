@@ -1,9 +1,12 @@
-"""Command-line pipeline: run the classification stages, verify emitted
-datasets, and export the quiver.
+"""Command-line pipeline: run the classification stages and verify emitted
+datasets.
 
     f2hopf run --dim 4 --stage all --out results/
+    f2hopf run --dim 3 --algebra B --out results/
     f2hopf verify results/raw_n3_B.json
-    f2hopf export --dim 4 --out results/
+
+``--algebra`` restricts the coproducts stage to one algebra label; the
+quiver stage writes the quiver as a DOT file beside its dataset.
 
 Raw coproduct solutions are cached under the output directory (or the
 directory named by F2HOPF_CACHE_ROOT), keyed by dimension, algebra label and
@@ -142,9 +145,12 @@ def _solve_one(args: tuple[int, str]) -> RawSolutionSet:
     return solve_coproducts(catalog(n)[label].representative, label)
 
 
-def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool) -> dict[str, RawSolutionSet]:
+def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool,
+                   labels: list[str] | None = None) -> dict[str, RawSolutionSet]:
+    """The raw solution set of each label (every catalog label by default),
+    read from the cache or solved."""
     cache = _cache_dir(out_dir)
-    labels = list(catalog(n).labels)
+    labels = list(catalog(n).labels) if labels is None else labels
     results: dict[str, RawSolutionSet] = {}
     todo = []
     for label in labels:
@@ -156,21 +162,22 @@ def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool) -> dict[st
             except (KeyError, TypeError, ValueError):  # DatasetError is a ValueError
                 pass  # corrupt cache entry: recompute below
         todo.append((n, label))
-    if todo:
-        if jobs > 1:
-            # Imported here: the pool brings in multiprocessing, which no
-            # other path needs.
-            from concurrent.futures import ProcessPoolExecutor
+    workers = min(jobs, len(todo))
+    if workers > 1:
+        # Imported here: the pool brings in multiprocessing, which no other
+        # path needs.  A lone solve runs in this process.
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                solved = list(pool.map(_solve_one, todo))
-        else:
-            solved = [_solve_one(item) for item in todo]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_solve_one, todo))
+    else:
+        solved = [_solve_one(item) for item in todo]
+    if todo:
         cache.mkdir(parents=True, exist_ok=True)
-        for (_, label), rs in zip(todo, solved):
-            results[label] = rs
-            _write_atomic(_cache_path(cache, n, label),
-                          dump_dataset("raw", _cache_payload(rs), compact=True))
+    for (_, label), rs in zip(todo, solved):
+        results[label] = rs
+        _write_atomic(_cache_path(cache, n, label),
+                      dump_dataset("raw", _cache_payload(rs), compact=True))
     return {label: results[label] for label in labels}
 
 
@@ -305,8 +312,9 @@ def qt_payload(by_class) -> list[dict]:
 
 
 def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
-                 use_cache: bool, mode: str) -> dict:
-    """Execute the requested stages; returns the summary dictionary."""
+                 use_cache: bool, mode: str, algebra: str | None = None) -> dict:
+    """Execute the requested stages; returns the summary dictionary.  With
+    ``algebra``, the raw stage solves that one label only."""
     cat = catalog(n)
     summary: dict = {"dim": n}
 
@@ -317,7 +325,8 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
     need_raw = stages & {"coproducts", "classify", "quiver", "fourier", "qtri", "all"}
     raw = None
     if need_raw:
-        raw = _raw_solutions(n, out_dir, jobs, use_cache)
+        raw = _raw_solutions(n, out_dir, jobs, use_cache,
+                             None if algebra is None else [algebra])
         if stages & {"coproducts", "all"}:
             for label, rs in raw.items():
                 _write(out_dir, f"raw_n{n}_{label}.json", "raw", _raw_payload(rs))
@@ -365,13 +374,26 @@ def _summary_matches_expected(summary: dict, n: int) -> bool:
 
 
 def cmd_run(args) -> int:
-    stages = set(args.stage)
+    if args.algebra is not None:
+        # --algebra restricts the coproducts stage; any other stage is
+        # refused, not dropped.
+        for stage in args.stage or ():
+            if stage != "coproducts":
+                print(f"f2hopf run: --algebra runs only the coproducts stage, not {stage!r}",
+                      file=sys.stderr)
+                return 2
+        for n in args.dim:
+            if args.algebra not in catalog(n).labels:
+                print(f"f2hopf run: no algebra {args.algebra!r} in dimension {n}",
+                      file=sys.stderr)
+                return 2
+    stages = set(args.stage or ["all" if args.algebra is None else "coproducts"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # fail before any solve
     status = 0
     for n in args.dim:
         summary = run_pipeline(
-            n, stages, out_dir, args.jobs, not args.no_cache, args.mode
+            n, stages, out_dir, args.jobs, not args.no_cache, args.mode, args.algebra
         )
         line = ", ".join(f"{k}={v}" for k, v in summary.items() if k != "dim")
         print(f"n={n}: {line}")
@@ -604,16 +626,6 @@ def cmd_verify(args) -> int:
     return status
 
 
-def cmd_export(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for n in args.dim:
-        q = build_quiver(classify_dimension(n))
-        (out_dir / f"quiver_n{n}.dot").write_text(q.to_dot())
-        print(f"wrote {out_dir / f'quiver_n{n}.dot'}")
-    return 0
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -647,64 +659,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p = sub.add_parser("verify", help="re-validate emitted datasets")
     ver_p.add_argument("paths", nargs="+")
     ver_p.set_defaults(func=cmd_verify)
-
-    exp_p = sub.add_parser("export", help="export quiver DOT files")
-    exp_p.add_argument("--dim", type=int, action="append", required=True,
-                       choices=(2, 3, 4))
-    exp_p.add_argument("--out", default="f2hopf-out")
-    exp_p.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.func(args)
     except OSError as exc:  # e.g. an --out or cache path that cannot be created
         print(f"f2hopf {args.command}: {exc}", file=sys.stderr)
         return 2
-
-
-def _algebra_conflict(args) -> str | None:
-    """The first ``run`` option that a one-algebra run would ignore, as a
-    message, or None.  Such a run solves the coproducts stage only, serially,
-    past the cache, and has no Fourier stage for ``--mode`` to steer."""
-    for stage in args.stage or ():
-        if stage != "coproducts":
-            return f"--algebra runs only the coproducts stage, not {stage!r}"
-    for option, given in (("--jobs", args.jobs > 1), ("--no-cache", args.no_cache),
-                          ("--mode computed", args.mode == "computed")):
-        if given:
-            return (f"--algebra solves one algebra serially, past the cache and "
-                    f"with no Fourier stage, so it takes no {option}")
-    return None
-
-
-def _dispatch(args) -> int:
-    if args.command == "run":
-        conflict = args.algebra and _algebra_conflict(args)
-        if conflict:
-            print(f"f2hopf run: {conflict}", file=sys.stderr)
-            return 2
-        if not args.stage:
-            args.stage = ["all"]
-        if args.algebra:
-            for n in args.dim:
-                if args.algebra not in catalog(n).labels:
-                    print(f"f2hopf run: no algebra {args.algebra!r} in dimension {n}",
-                          file=sys.stderr)
-                    return 2
-            # One-algebra runs bypass the cache and just print the counts.
-            for n in args.dim:
-                rs = solve_coproducts(catalog(n)[args.algebra].representative,
-                                      args.algebra)
-                out_dir = Path(args.out)
-                _write(out_dir, f"raw_n{n}_{args.algebra}.json", "raw",
-                       _raw_payload(rs))
-                print(f"n={n} {args.algebra}: {len(rs)} solutions, "
-                      f"{rs.hopf_count} Hopf")
-            return 0
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -114,10 +114,6 @@ class RawSolutionSet:
     def __len__(self) -> int:
         return len(self.solutions)
 
-    @property
-    def hopf_count(self) -> int:
-        return sum(1 for s in self.solutions if s.hopf)
-
     def type_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for s in self.solutions:

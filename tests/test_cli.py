@@ -26,11 +26,9 @@ def test_run_n2_summary(tmp_path):
     }
 
 
-def test_run_single_algebra(tmp_path, capsys):
+def test_run_single_algebra(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["run", "--dim", "3", "--algebra", "B", "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert "33 solutions" in captured.out and "3 Hopf" in captured.out
     _, payload = load_dataset((out / "raw_n3_B.json").read_text(), "raw")
     assert len(payload) == 33
     assert sum(1 for r in payload if r["hopf"]) == 3
@@ -221,7 +219,7 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv, error", [
     (("run", "--dim", "2", "--out", "{file}/x"), "Not a directory"),
     (("run", "--dim", "2", "--algebra", "A", "--out", "{file}/x"), "Not a directory"),
-    (("export", "--dim", "4", "--out", "{file}/x"), "Not a directory"),
+    (("run", "--dim", "4", "--stage", "quiver", "--out", "{file}/x"), "Not a directory"),
     (("run", "--dim", "2", "--out", "{file}"), "File exists"),
 ])
 def test_unwritable_out_exit_code(tmp_path, argv, error):
@@ -252,10 +250,11 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, jobs):
 
 def test_unknown_algebra_label_exit_code(tmp_path, capsys):
     out = tmp_path / "out"
-    assert run_cli(["run", "--dim", "4", "--algebra", "ZZ", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "'ZZ'" in err
-    assert not out.exists()
+    for label in ("ZZ", ""):
+        assert run_cli(["run", "--dim", "4", "--algebra", label, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(label) in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("stages", [["qtri"], ["coproducts", "classify"], ["all"]])
@@ -273,25 +272,8 @@ def test_algebra_with_another_stage_is_a_usage_error(tmp_path, capsys, stages):
     assert not out.exists()
     assert run_cli(["run", "--dim", "3", "--algebra", "B", "--stage", "coproducts",
                     "--out", str(out)]) == 0
-    assert [p.name for p in out.iterdir()] == ["raw_n3_B.json"]
-
-
-@pytest.mark.parametrize("options, named", [
-    (["--jobs", "4"], "--jobs"),
-    (["--no-cache"], "--no-cache"),
-    (["--mode", "computed"], "--mode computed"),
-])
-def test_algebra_with_an_option_it_would_ignore_is_a_usage_error(
-        tmp_path, capsys, options, named):
-    # A one-algebra run solves serially, past the cache, with no Fourier
-    # stage; an option it would drop is refused by name, and nothing is written.
-    out = tmp_path / "out"
-    argv = ["run", "--dim", "3", "--algebra", "B", "--out", str(out)] + options
-    assert run_cli(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and named in captured.err
-    assert not out.exists()
+    written = {p.name for p in out.iterdir() if p.is_file()}
+    assert written == {"raw_n3_B.json", "summary_n3.json"}
 
 
 IMPORT_PROBE = """
@@ -315,6 +297,27 @@ def test_importing_the_cli_loads_no_code_generator_and_no_pool():
     roots = {name.split(".")[0] for name in added}
     assert roots.isdisjoint({"dataclasses", "inspect", "typing", "concurrent",
                              "multiprocessing"})
+
+
+CATALOG_PROBE = """
+import json
+import f2hopf
+before = getattr(f2hopf, "catalog", None)
+from f2hopf import catalog
+print(json.dumps([before is None or before is catalog, catalog.__name__,
+                  f2hopf.catalog.__name__]))
+"""
+
+
+def test_the_package_attribute_catalog_is_the_submodule():
+    # The package re-exports no function under the submodule's name: read
+    # before or after the submodule is imported, f2hopf.catalog is never the
+    # catalog function.
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", CATALOG_PROBE], capture_output=True,
+                          text=True, timeout=120, env=env, check=True,
+                          cwd=os.path.join(os.path.dirname(__file__), ".."))
+    assert json.loads(proc.stdout) == [True, "f2hopf.catalog", "f2hopf.catalog"]
 
 
 STARTUP_PROBE = """
@@ -421,9 +424,28 @@ def test_run_solves_once_and_classifies_from_the_cache(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == first
 
 
-def test_export_dot(tmp_path):
+def test_one_algebra_run_reads_and_writes_the_cache(tmp_path, monkeypatch):
+    # --algebra filters the census pipeline: its raw file is the one a full
+    # coproducts run writes, a second run solves nothing, and --no-cache
+    # and --jobs are honoured.
+    monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
+    full = tmp_path / "full"
+    assert run_cli(["run", "--dim", "3", "--stage", "coproducts", "--out", str(full)]) == 0
+    want = (full / "raw_n3_B.json").read_bytes()
     out = tmp_path / "out"
-    assert run_cli(["export", "--dim", "2", "--out", str(out)]) == 0
+    calls = count_solves(monkeypatch)
+    for options, solves in (([], 1), ([], 0), (["--no-cache", "--jobs", "2"], 1)):
+        calls.clear()
+        argv = ["run", "--dim", "3", "--algebra", "B", "--out", str(out)] + options
+        assert run_cli(argv) == 0
+        assert [args[1] for args in calls] == ["B"] * solves
+        assert (out / "raw_n3_B.json").read_bytes() == want
+
+
+def test_export_dot(tmp_path):
+    # The quiver stage writes the quiver as a DOT file too.
+    out = tmp_path / "out"
+    assert run_cli(["run", "--dim", "2", "--stage", "quiver", "--out", str(out)]) == 0
     dot = (out / "quiver_n2.dot").read_text()
     assert dot.startswith("digraph")
     assert dot.count("->") == 4

@@ -16,7 +16,7 @@ belongs to its parent.  Each unreached function is printed with its line
 count, marked ``keep`` when KEEP names it (with the reason) and ``UNREACHED``
 otherwise.  The exit status is 1 when a function is unreached and not in
 KEEP, or when a KEEP entry names a function that no longer exists or is
-now reached; else 0.
+now reached; 2 when a command fails; else 0.
 
 Run:  python3 benchmarks/reach.py
 """
@@ -169,28 +169,24 @@ def main() -> int:
             sys.setprofile(None)
 
     defs = definitions()
+    sizes = dict(defs.values())
     reached = {defs[code.co_filename, code.co_firstlineno][0] for code in called
                if (code.co_filename, code.co_firstlineno) in defs}
-    status = 0
-    total = 0
-    for name, lines in sorted(defs.values()):
-        if name in reached:
-            continue
-        total += lines
+    unreached = sorted(sizes.keys() - reached)
+    for name in unreached:
         if name in KEEP:
-            print(f"keep       {name} ({lines} lines): {KEEP[name]}")
+            print(f"keep       {name} ({sizes[name]} lines): {KEEP[name]}")
         else:
-            print(f"UNREACHED  {name} ({lines} lines)")
-            status = 1
-    names = {name for name, _ in defs.values()}
-    for name in sorted(KEEP.keys() - (names - reached)):
+            print(f"UNREACHED  {name} ({sizes[name]} lines)")
+    stale = sorted(KEEP.keys() - set(unreached))
+    for name in stale:
         print(f"STALE      {name}: on the keep list, but "
-              f"{'reached' if name in names else 'not defined'}")
-        status = 1
-    unreached = len(names - reached)
-    print(f"{unreached} of {len(names)} functions unreached ({total} lines), "
-          f"{unreached - len(KEEP.keys() & (names - reached))} of them not on the keep list")
-    return status
+              f"{'reached' if name in sizes else 'not defined'}")
+    outside = [name for name in unreached if name not in KEEP]
+    print(f"{len(unreached)} of {len(sizes)} functions unreached "
+          f"({sum(sizes[name] for name in unreached)} lines), "
+          f"{len(outside)} of them not on the keep list")
+    return 1 if outside or stale else 0
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ def child(out_dir: str, verify: bool) -> None:
     if verify:
         argv = ["verify", *sorted(str(p) for p in Path(out_dir).glob("*.json"))]
     else:
-        argv = ["run", "--stage", "all", "--jobs", "1", "--out", out_dir]
+        argv = ["run", "--stage", "all", "--out", out_dir]
         for n in DIMS:
             argv += ["--dim", str(n)]
     t1 = time.perf_counter()
@@ -169,7 +169,7 @@ def main(argv=None):
         "machine": platform.machine(),
         "cores": os.cpu_count(),
         "backend": next(iter(runs.values()))["cold"][0]["backend"],
-        "command": "f2hopf run --dim 2 --dim 3 --dim 4 --stage all --jobs 1",
+        "command": "f2hopf run --dim 2 --dim 3 --dim 4 --stage all",
         "verify_command": "f2hopf verify <every JSON file of the cold run>",
         "rounds": ROUNDS,
         "trees": {name: {mode: summarise(results) for mode, results in by_mode.items()}

@@ -4,8 +4,8 @@
 In one process, under ``sys.setprofile`` and in a temporary directory, it
 runs:
 
-- ``run --dim 1 --dim 2 --dim 3 --dim 4 --stage all --jobs 1`` in computed
-  and in fixture mode, each with a cold cache and then a warm one;
+- ``run --dim 1 --dim 2 --dim 3 --dim 4 --stage all`` in computed and in
+  fixture mode, each with a cold cache and then a warm one;
 - ``verify`` on every dataset those runs wrote;
 - ``run --dim 3 --algebra B``.
 
@@ -138,8 +138,7 @@ def commands(tmp: Path):
         out = tmp / mode
         outs.append(out)
         for _ in ("cold", "warm"):
-            yield ["run", *dims, "--stage", "all", "--jobs", "1", "--mode", mode,
-                   "--out", str(out)]
+            yield ["run", *dims, "--stage", "all", "--mode", mode, "--out", str(out)]
     for out in outs:
         yield ["verify", *sorted(str(p) for p in out.glob("*.json"))]
     yield ["run", "--dim", "3", "--algebra", "B", "--out", str(tmp / "one")]

@@ -17,7 +17,7 @@ from functools import lru_cache
 from f2hopf import kernels
 from f2hopf.catalog import AlgebraCatalog, catalog, identify_algebra, isomorphisms
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
-from f2hopf.gf2 import Gf2Mat, mat_inv_rows, value_type
+from f2hopf.gf2 import Gf2Mat, value_type
 from f2hopf.structure import (
     Bialgebra,
     dual_bialgebra_raw,
@@ -207,7 +207,7 @@ def locate_class(dim: ClassifiedDimension, b: Bialgebra) -> BialgebraClass:
     # such p lands in the same class.
     n = dim.n
     p = isomorphisms(rep_alg, b.alg)[0]
-    c_img = kernels.transform_coproduct(b.coalg.c, n, p.rows, mat_inv_rows(p.rows, n))
+    c_img = kernels.transform_coproduct(b.coalg.c, n, p.rows)
     for cls in dim.classes[alg_label]:
         if any(target.solutions[i].coalg.c == c_img for i in cls.members):
             return cls

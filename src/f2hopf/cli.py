@@ -140,20 +140,14 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _solve_one(args: tuple[int, str]) -> RawSolutionSet:
-    n, label = args
-    return solve_coproducts(catalog(n)[label].representative, label)
-
-
-def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool,
+def _raw_solutions(n: int, out_dir: Path, use_cache: bool,
                    labels: list[str] | None = None) -> dict[str, RawSolutionSet]:
     """The raw solution set of each label (every catalog label by default),
-    read from the cache or solved."""
+    read from the cache or solved and written to it, in label order."""
     cache = _cache_dir(out_dir)
-    labels = list(catalog(n).labels) if labels is None else labels
+    cache.mkdir(parents=True, exist_ok=True)
     results: dict[str, RawSolutionSet] = {}
-    todo = []
-    for label in labels:
+    for label in catalog(n).labels if labels is None else labels:
         path = _cache_path(cache, n, label)
         if use_cache and path.exists():
             try:
@@ -161,24 +155,9 @@ def _raw_solutions(n: int, out_dir: Path, jobs: int, use_cache: bool,
                 continue
             except (KeyError, TypeError, ValueError):  # DatasetError is a ValueError
                 pass  # corrupt cache entry: recompute below
-        todo.append((n, label))
-    workers = min(jobs, len(todo))
-    if workers > 1:
-        # Imported here: the pool brings in multiprocessing, which no other
-        # path needs.  A lone solve runs in this process.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_solve_one, todo))
-    else:
-        solved = [_solve_one(item) for item in todo]
-    if todo:
-        cache.mkdir(parents=True, exist_ok=True)
-    for (_, label), rs in zip(todo, solved):
-        results[label] = rs
-        _write_atomic(_cache_path(cache, n, label),
-                      dump_dataset("raw", _cache_payload(rs), compact=True))
-    return {label: results[label] for label in labels}
+        rs = results[label] = solve_coproducts(catalog(n)[label].representative, label)
+        _write_atomic(path, dump_dataset("raw", _cache_payload(rs), compact=True))
+    return results
 
 
 def _write(out_dir: Path, name: str, kind: str, payload) -> None:
@@ -311,8 +290,8 @@ def qt_payload(by_class) -> list[dict]:
     ]
 
 
-def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
-                 use_cache: bool, mode: str, algebra: str | None = None) -> dict:
+def run_pipeline(n: int, stages: set[str], out_dir: Path, use_cache: bool,
+                 mode: str, algebra: str | None = None) -> dict:
     """Execute the requested stages; returns the summary dictionary.  With
     ``algebra``, the raw stage solves that one label only."""
     cat = catalog(n)
@@ -325,8 +304,7 @@ def run_pipeline(n: int, stages: set[str], out_dir: Path, jobs: int,
     need_raw = stages & {"coproducts", "classify", "quiver", "fourier", "qtri", "all"}
     raw = None
     if need_raw:
-        raw = _raw_solutions(n, out_dir, jobs, use_cache,
-                             None if algebra is None else [algebra])
+        raw = _raw_solutions(n, out_dir, use_cache, None if algebra is None else [algebra])
         if stages & {"coproducts", "all"}:
             for label, rs in raw.items():
                 _write(out_dir, f"raw_n{n}_{label}.json", "raw", _raw_payload(rs))
@@ -392,9 +370,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)  # fail before any solve
     status = 0
     for n in args.dim:
-        summary = run_pipeline(
-            n, stages, out_dir, args.jobs, not args.no_cache, args.mode, args.algebra
-        )
+        summary = run_pipeline(n, stages, out_dir, not args.no_cache, args.mode, args.algebra)
         line = ", ".join(f"{k}={v}" for k, v in summary.items() if k != "dim")
         print(f"n={n}: {line}")
         if not _summary_matches_expected(summary, n):
@@ -626,16 +602,6 @@ def cmd_verify(args) -> int:
     return status
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f2hopf",
@@ -651,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--algebra", default=None,
                        help="restrict the coproducts stage to one algebra label")
     run_p.add_argument("--mode", default="fixture", choices=("computed", "fixture"))
-    run_p.add_argument("--jobs", type=_positive_int, default=1)
+    # Hidden, and 1 only: perfbench/sample.py still passes --jobs 1.
+    run_p.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     run_p.add_argument("--out", default="f2hopf-out")
     run_p.add_argument("--no-cache", action="store_true")
     run_p.set_defaults(func=cmd_run)

@@ -12,16 +12,16 @@ each.
 
 An automorphism p of the algebra is a basis change that leaves the algebra
 unchanged, so it carries bialgebras to bialgebras: the coproduct by
-``kernels.transform_coproduct``, the counit eps to P eps, the antipode S to
+``kernels.coproduct_orbit``, the one implementation of that basis change
+(reading tables that ``kernels.coproduct_change`` builds once per
+automorphism and solve), the counit eps to P eps, the antipode S to
 p S p^-1, and the coalgebra type unchanged.  So each solution a search finds
-is expanded to its whole orbit (``kernels.coproduct_orbit``, reading tables
-that ``kernels.coproduct_change`` builds once per automorphism and solve),
-which is its bialgebra class, and is annotated once, with its coalgebra type
-and its antipode (or None); every image takes them along.  A counit that is the
-counit of such an image is never searched, so only one counit per orbit of
-the automorphism group is (a counit with no solutions covers no other).  On
-algebra P (F2^4) the four counits form one orbit, and the densest of their
-systems is never searched.
+is expanded to its whole orbit, which is its bialgebra class, and is
+annotated once, with its coalgebra type and its antipode (or None); every
+image takes them along.  A counit that is the counit of such an image is
+never searched, so only one counit per orbit of the automorphism group is
+(a counit with no solutions covers no other).  On algebra P (F2^4) the four
+counits form one orbit, and the densest of their systems is never searched.
 
 The solution set keeps the partition these orbits make: each solution
 records the index of its class representative, the smallest member.  The

@@ -120,9 +120,6 @@ class Gf2Vec:
         set_field(self, "n", n)
         set_field(self, "bits", bits)
 
-    def __getitem__(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
 

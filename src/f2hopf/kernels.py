@@ -38,12 +38,13 @@ are stated as (0, lin, ()) directly.  It passes the system, unreduced, to
    numbering, exactly the solutions an index-order search of their system
    would return.
 
-``transform_product`` and ``transform_coproduct`` change the basis of a
-packed structure tensor.  ``coproduct_orbit`` collects the images of a
-coproduct tensor under a list of basis changes, each prepared once by
-``coproduct_change``: its tables of P^-1 (x) P^-1 on the n-bit chunks of
-a slice turn one image into n^2 lookups, the same map as
-``transform_coproduct``.
+``transform_product`` changes the basis of a packed product tensor.
+``coproduct_orbit`` is the one implementation of the basis change of a
+coproduct tensor: it collects the images of a tensor under a list of basis
+changes, each prepared once by ``coproduct_change``, whose tables of
+P^-1 (x) P^-1 on the n-bit chunks of a slice turn one image into n^2
+lookups.  ``transform_coproduct`` reads the image under a single change
+off it.
 """
 
 from __future__ import annotations
@@ -378,45 +379,6 @@ def transform_product(v: int, n: int, p: tuple[int, ...], pinv: tuple[int, ...])
     return out
 
 
-def transform_coproduct(c: int, n: int, p: tuple[int, ...], pinv: tuple[int, ...]) -> int:
-    """Basis change of a coproduct tensor, same packed layout.
-
-    New constants C'[a][b][g] = sum P[a][m] C[m][u][r] Pinv[u][b] Pinv[r][g].
-    """
-    nn = n * n
-    mask2 = (1 << nn) - 1
-    out = 0
-    for a in range(n):
-        acc = 0
-        ra = p[a]
-        while ra:
-            low = ra & -ra
-            m = low.bit_length() - 1
-            ra ^= low
-            acc ^= (c >> (m * nn)) & mask2
-        res = 0
-        while acc:
-            low = acc & -acc
-            t = low.bit_length() - 1
-            acc ^= low
-            u, r = divmod(t, n)
-            pu = pinv[u]
-            pr = pinv[r]
-            ru = pu
-            while ru:
-                l2 = ru & -ru
-                bcol = l2.bit_length() - 1
-                ru ^= l2
-                rr = pr
-                while rr:
-                    l3 = rr & -rr
-                    gcol = l3.bit_length() - 1
-                    rr ^= l3
-                    res ^= 1 << (bcol * n + gcol)
-        out |= res << (a * nn)
-    return out
-
-
 # Rows of p, rows of p^-1 and the chunk tables of ``coproduct_change``.
 Change = tuple[tuple[int, ...], tuple[int, ...], tuple[list[int], list[int]]]
 
@@ -427,12 +389,15 @@ def coproduct_change(p: tuple[int, ...], n: int) -> Change:
     coproduct slice as two tables.
 
     Chunk u of a slice, with bits s, is x^u (x) sum of x^r over r in s, and
-    goes to Pinv[u] (x) Pinv s, as in ``transform_coproduct``.  ``images[s]``
-    is Pinv s, and ``spreads[u]`` has bit b*n set for each b in Pinv[u], so
-    the image is ``images[s] * spreads[u]``: an n-bit value times a sum of
-    powers 2^(b*n) places one copy of it at each b, without carries.
+    goes to Pinv[u] (x) Pinv s.  ``images[s]`` is Pinv s, and ``spreads[u]``
+    has bit b*n set for each b in Pinv[u], so the image is
+    ``images[s] * spreads[u]``: an n-bit value times a sum of powers 2^(b*n)
+    places one copy of it at each b, without carries.
+    Raises ValueError when p is singular.
     """
     pinv = mat_inv_rows(p, n)
+    if pinv is None:
+        raise ValueError("singular basis-change matrix")
     images = [0]
     for row in pinv:
         images += [x ^ row for x in images]
@@ -443,7 +408,8 @@ def coproduct_change(p: tuple[int, ...], n: int) -> Change:
 def coproduct_orbit(c: int, n: int, changes: list[Change]) -> dict[int, Change]:
     """The images of the coproduct tensor c under the basis changes (from
     ``coproduct_change``), as image -> the first change in list order
-    reaching it.  Each image is ``transform_coproduct`` of c, read off the
+    reaching it.  The image under p has the constants
+    C'[a][b][g] = sum P[a][m] C[m][u][r] Pinv[u][b] Pinv[r][g], read off the
     change's chunk tables.
 
     Over an algebra's automorphism group (a group, so c is one of its own
@@ -470,3 +436,10 @@ def coproduct_orbit(c: int, n: int, changes: list[Change]) -> dict[int, Change]:
             image |= res << (a * nn)
         orbit.setdefault(image, change)
     return orbit
+
+
+def transform_coproduct(c: int, n: int, p: tuple[int, ...]) -> int:
+    """Basis change of a coproduct tensor by the invertible p, same packed
+    layout: the one image ``coproduct_orbit`` finds under p alone."""
+    (image,) = coproduct_orbit(c, n, [coproduct_change(p, n)])
+    return image

@@ -14,7 +14,9 @@ the counit laws (``counit_slice_ok``, slice by slice) through the bialgebra
 checker, and ``brute_force_coproduct_set`` memoises it;
 ``coproducts_per_counit`` solves and annotates every counit's coproducts
 afresh, with no transport along automorphisms, and partitions them with
-``orbit_class_rep``, which expands each class's orbit on its own;
+``orbit_class_rep``, which expands each class's orbit on its own with
+``naive_transform_coproduct``, the packed coproduct basis change as the
+engine computed it bit by bit before it read images off chunk tables;
 ``convolution_antipode`` is the antipode as the engine found it before it
 stated S * id = eta eps = id * S on the coproduct's slices: the inverse of
 id in the tensor product algebra C* (x) A;
@@ -577,13 +579,49 @@ def naive_quasitriangular(b: Bialgebra) -> list[tuple]:
     return out
 
 
+def naive_transform_coproduct(c: int, n: int, p: tuple[int, ...], pinv: tuple[int, ...]) -> int:
+    """Basis change of a packed coproduct tensor, bit by bit, as the engine
+    computed it before ``kernels.coproduct_orbit`` read images off tables:
+    C'[a][b][g] = sum P[a][m] C[m][u][r] Pinv[u][b] Pinv[r][g]."""
+    nn = n * n
+    mask2 = (1 << nn) - 1
+    out = 0
+    for a in range(n):
+        acc = 0
+        ra = p[a]
+        while ra:
+            low = ra & -ra
+            m = low.bit_length() - 1
+            ra ^= low
+            acc ^= (c >> (m * nn)) & mask2
+        res = 0
+        while acc:
+            low = acc & -acc
+            t = low.bit_length() - 1
+            acc ^= low
+            u, r = divmod(t, n)
+            ru = pinv[u]
+            while ru:
+                l2 = ru & -ru
+                bcol = l2.bit_length() - 1
+                ru ^= l2
+                rr = pinv[r]
+                while rr:
+                    l3 = rr & -rr
+                    gcol = l3.bit_length() - 1
+                    rr ^= l3
+                    res ^= 1 << (bcol * n + gcol)
+        out |= res << (a * nn)
+    return out
+
+
 def orbit_class_rep(a: AlgebraSC, solutions) -> tuple[int, ...]:
     """The bialgebra classes of the solutions (ascending by tensor) in the
     form of ``RawSolutionSet.class_rep``: the smallest unclassified solution
     starts the next class, which is its orbit under ``automorphism_group(a)``,
-    one ``transform_coproduct`` per automorphism.  Raises when the orbits are
-    not those of a group, or when one mixes Hopf flags or coalgebra types."""
-    from f2hopf import kernels
+    one ``naive_transform_coproduct`` per automorphism.  Raises when the
+    orbits are not those of a group, or when one mixes Hopf flags or
+    coalgebra types."""
     from f2hopf.catalog import automorphism_group
     from f2hopf.gf2 import mat_inv_rows
 
@@ -594,7 +632,7 @@ def orbit_class_rep(a: AlgebraSC, solutions) -> tuple[int, ...]:
     for start, rep in enumerate(solutions):
         if class_rep[start] is not None:
             continue
-        orbit = sorted({index_of[kernels.transform_coproduct(rep.coalg.c, n, p, pinv)]
+        orbit = sorted({index_of[naive_transform_coproduct(rep.coalg.c, n, p, pinv)]
                         for p, pinv in changes})
         if orbit[0] != start or any(class_rep[i] is not None for i in orbit):
             raise RuntimeError("automorphisms do not form a group")
@@ -630,7 +668,7 @@ def classify_bialgebras_pairwise(a: AlgebraSC, raw: RawSolutionSet) -> list[set[
 
     for i, s in enumerate(raw.solutions):
         for p, pinv in auto_pairs:
-            img = kernels.transform_coproduct(s.coalg.c, n, pinv, p)
+            img = naive_transform_coproduct(s.coalg.c, n, pinv, p)
             j = index_of.get(img)
             if j is not None:
                 ri, rj = find(i), find(j)

@@ -55,9 +55,9 @@ def test_carried_partition_equals_the_orbit_oracle(n, tmp_path, monkeypatch):
         raise AssertionError("a cache entry was not read")
 
     monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
-    fresh = cli._raw_solutions(n, tmp_path, 1, True)
+    fresh = cli._raw_solutions(n, tmp_path, True)
     monkeypatch.setattr(cli, "solve_coproducts", forbidden)
-    cached = cli._raw_solutions(n, tmp_path, 1, True)
+    cached = cli._raw_solutions(n, tmp_path, True)
     assert len(list((tmp_path / "cache").iterdir())) == len(catalog(n).classes)
     for cls in catalog(n).classes:
         rs = fresh[cls.label]

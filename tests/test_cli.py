@@ -235,8 +235,8 @@ def test_unwritable_out_exit_code(tmp_path, argv, error):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
-def test_jobs_below_one_is_a_usage_error(tmp_path, jobs):
+@pytest.mark.parametrize("jobs", ["0", "-1", "two", "2", "8"])
+def test_jobs_other_than_one_is_a_usage_error(tmp_path, jobs):
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "f2hopf.cli", "run", "--dim", "2", "--jobs", jobs,
@@ -286,8 +286,8 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 def test_importing_the_cli_loads_no_code_generator_and_no_pool():
     # Measured against a snapshot, since site hooks may load typing first.
-    # dataclasses pulls in inspect, ast and dis; the pool is imported only
-    # for --jobs above 1.
+    # dataclasses pulls in inspect, ast and dis; the raw stage solves in
+    # this process, so no path imports a pool.
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
                           text=True, timeout=120, env=env, check=True,
@@ -361,20 +361,6 @@ def test_verify_missing_file_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1 and "missing.json" in err
 
 
-def test_parallel_jobs_identical(tmp_path):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    assert run_cli(["run", "--dim", "3", "--stage", "all",
-                    "--out", str(serial)]) == 0
-    assert run_cli(["run", "--dim", "3", "--stage", "all", "--jobs", "4",
-                    "--no-cache", "--out", str(parallel)]) == 0
-    written = sorted(serial.glob("*.json")) + sorted(serial.glob("*.dot"))
-    assert {p.name.split("_")[0] for p in written} == {
-        "algebras", "raw", "classes", "quiver", "fourier", "qt", "summary"}
-    for path in written:
-        assert path.read_bytes() == (parallel / path.name).read_bytes(), path.name
-
-
 def rebind(monkeypatch, fn, new) -> None:
     """Replace fn by new under every name an f2hopf module holds for it."""
     for name, mod in list(sys.modules.items()):
@@ -427,14 +413,14 @@ def test_run_solves_once_and_classifies_from_the_cache(tmp_path, monkeypatch):
 def test_one_algebra_run_reads_and_writes_the_cache(tmp_path, monkeypatch):
     # --algebra filters the census pipeline: its raw file is the one a full
     # coproducts run writes, a second run solves nothing, and --no-cache
-    # and --jobs are honoured.
+    # is honoured.
     monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
     full = tmp_path / "full"
     assert run_cli(["run", "--dim", "3", "--stage", "coproducts", "--out", str(full)]) == 0
     want = (full / "raw_n3_B.json").read_bytes()
     out = tmp_path / "out"
     calls = count_solves(monkeypatch)
-    for options, solves in (([], 1), ([], 0), (["--no-cache", "--jobs", "2"], 1)):
+    for options, solves in (([], 1), ([], 0), (["--no-cache"], 1)):
         calls.clear()
         argv = ["run", "--dim", "3", "--algebra", "B", "--out", str(out)] + options
         assert run_cli(argv) == 0

@@ -48,9 +48,9 @@ KEEP: dict[str, str] = {
     "catalog.AlgebraClass.commutative": ACCEPTANCE,
     "catalog.AlgebraClass.orbit_size": ORACLE,
     "catalog._algebra_equations": ORACLE,
-    "catalog._catalog_label": ORACLE,
     "catalog.classify_algebras": TRACED,
     "catalog.enumerate_algebras": TRACED,
+    "catalog.identify_algebra": TRACED,
     "catalog.standardize_unit": ORACLE,
     "classify.ClassifiedDimension.census": ACCEPTANCE,
     "classify.QuiverGraph.arrow": ACCEPTANCE,
@@ -89,8 +89,8 @@ KEEP: dict[str, str] = {
     "golden.qt_family_dd": ORACLE,
     "golden.qt_family_gg": ORACLE,
     "golden.qt_family_grassmann_plane": ACCEPTANCE,
+    "kernels.Equation.add_var": ACCEPTANCE,
     "kernels.transform_coproduct": TRACED,
-    "kernels.transform_product": TRACED,
     "qtri.QuasiTriangularStructure.triangular": ACCEPTANCE,
     "qtri._cqt_equations": ACCEPTANCE,
     "qtri.coquasitriangular_direct": ACCEPTANCE,
@@ -98,8 +98,10 @@ KEEP: dict[str, str] = {
     "reps.equivalence_classes": ACCEPTANCE,
     "reps.invariant_line": ACCEPTANCE,
     "reps.regular_rep": ACCEPTANCE,
-    "structure.AlgebraSC.commutative": ACCEPTANCE,
     "structure.AlgebraSC.mul_vec": ORACLE,
+    "structure.TensorProductAlgebra.n": ACCEPTANCE,
+    "structure.TensorProductAlgebra.prod": ACCEPTANCE,
+    "structure.algebra_equations": ORACLE,
     "structure.apply_basis_change": ORACLE,
     "structure.apply_basis_change_algebra": ORACLE,
     "structure.apply_basis_change_coalgebra": ORACLE,

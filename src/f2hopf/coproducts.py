@@ -1,14 +1,17 @@
 """For a fixed algebra, every coalgebra structure making it a bialgebra.
 
-The counits are the unital algebra maps H -> F2.  For each, the counit
-identities and coassociativity (the dual H* an algebra with unit the
-counit, stated by ``structure.algebra_equations``) and compatibility (Delta
-an algebra map H -> H (x) H, stated by ``structure.homomorphism_equations``)
-are one quadratic XOR system in the bits of the coproduct tensor, solved by
-``kernels.solve_quadratic``.  Its elimination step removes the linear
-equations before the backtracker searches the remaining bits.  The counit
-and coassociativity laws depend only on (n, eps) and are built once for
-each.
+The counits are the unital algebra maps H -> F2.  Each counit eps that is
+searched is solved after the basis change P_eps of ``counit_basis``,
+z_0 = x^0 and z_k = x^k + eps(x^k) x^0: P_eps is its own inverse, keeps
+the algebra in standard form and turns eps into e^0.  In that basis
+Delta(1) = 1 (x) 1 and the counit laws pin every bit of the coproduct
+tensor with an index 0, and coassociativity and compatibility (Delta an
+algebra map) are stated over the (n-1)^3 bits of the reduced coproduct on
+ker eps, so no product in the system names a pinned bit
+(``_coproduct_equations``).  The system is solved by
+``kernels.solve_quadratic``, whose elimination step removes the linear
+equations before the backtracker searches the remaining bits, and each
+solution is carried back by P_eps with ``kernels.coproduct_orbit``.
 
 An automorphism p of the algebra is a basis change that leaves the algebra
 unchanged, so it carries bialgebras to bialgebras: the coproduct by
@@ -34,14 +37,21 @@ from __future__ import annotations
 from functools import lru_cache
 
 from f2hopf import kernels
-from f2hopf.catalog import automorphism_group, identify_algebra
-from f2hopf.gf2 import Gf2Mat, mat_mul_rows, parity, set_field, value_type
+from f2hopf.catalog import _catalog_label, automorphism_group, identify_algebra
+from f2hopf.gf2 import (
+    Gf2Mat,
+    bits_of,
+    mat_mul_rows,
+    parity,
+    set_field,
+    spread_table,
+    value_type,
+)
+from f2hopf.kernels import Equation
 from f2hopf.structure import (
     AlgebraSC,
     Bialgebra,
     CoalgebraSC,
-    TensorProductAlgebra,
-    algebra_equations,
     dualize_coalgebra,
     homomorphism_equations,
     solve_antipode,
@@ -56,30 +66,127 @@ def enumerate_counits(a: AlgebraSC) -> list[int]:
         a.n, homomorphism_equations(a, AlgebraSC(1, 1), lambda i, j: i))
 
 
-def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
-    """Bialgebra constraints as XOR equations over the coproduct tensor, as
-    (number of variables, equations).
+def counit_basis(n: int, eps: int) -> tuple[int, ...]:
+    """Rows of the basis change P_eps: z_0 = x^0 and
+    z_k = x^k + eps(x^k) x^0.  P_eps is its own inverse, keeps the unit at
+    z_0 and turns the counit eps into e^0."""
+    return tuple((1 << k) | ((eps >> k) & 1) for k in range(n))
 
-    Variable mu*n^2 + nu*n + rho is bit C[mu][nu][rho] of the packed
-    coproduct tensor, so a solution mask is the tensor.  It is also
-    coefficient mu of e^nu e^rho in the dual algebra, and the counit laws and
-    coassociativity say that the dual is an algebra with unit eps.
-    Delta(1) = 1 (x) 1 and compatibility say that Delta: a -> a (x) a is a
-    unital algebra map.
+
+def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
+    """Bialgebra constraints on (a, eps) as XOR equations over the coproduct
+    tensor in the basis z of ``counit_basis``, as (number of variables,
+    equations).
+
+    Variable mu*n^2 + nu*n + rho is bit C[mu][nu][rho] of the packed tensor
+    in that basis, so a solution mask is the tensor; P_eps carries it back.
+    There the counit is e^0, so Delta(1) = 1 (x) 1 and the counit laws fix
+    every bit with an index 0, one pin per bit.  The rest is stated over the
+    reduced coproduct D on ker eps, spanned by z_1..z_(n-1):
+    Delta(x) = x (x) 1 + 1 (x) x + D(x), and D is coassociative and obeys
+
+        D(xy) = x (x) y + y (x) x + D(x)(y (x) 1 + 1 (x) y)
+                + (x (x) 1 + 1 (x) x) D(y) + D(x) D(y),
+
+    one equation per (x, y) = (z_p, z_q) and coefficient z_al (x) z_be, all
+    indices at least 1 (ker eps is an ideal, so nothing leaves ker eps (x)
+    ker eps).  No equation names a pinned bit.  A commutative algebra states
+    only p <= q: the equations of (z_q, z_p) are the same.  The pins and
+    coassociativity depend on n alone and are built once per n
+    (``_reduced_laws``); compatibility reads tables of the product in the
+    basis z.
     """
     n = a.n
     nn = n * n
-    return n * nn, [*_coalgebra_laws(n, eps),
-                    *homomorphism_equations(a, TensorProductAlgebra(a, a),
-                                            lambda mu, t: mu * nn + t)]
+    p_eps = counit_basis(n, eps)
+    b = AlgebraSC(n, kernels.transform_product(a.v, n, p_eps, p_eps))
+    ker = range(1, n)
+    prod = [[b.prod(x, y) for y in range(n)] for x in range(n)]
+    # target[al]: the (nu, nu2) with coefficient al in z_nu z_nu2;
+    # left[x][al] and right[x][al]: the nu (a mask) with coefficient al in
+    # z_x z_nu and in z_nu z_x.
+    target = [[] for _ in range(n)]
+    left = [[0] * n for _ in range(n)]
+    right = [[0] * n for _ in range(n)]
+    for x in ker:
+        for y in ker:
+            for al in bits_of(prod[x][y]):
+                target[al].append((x, y))
+                left[x][al] |= 1 << y
+                right[y][al] |= 1 << x
+    spread = spread_table(n)
+    # slices[m]: bit s*nn for each bit s of m.
+    slices = [0]
+    for s in range(n):
+        slices += [w | 1 << (s * nn) for w in slices]
+    # terms[al][be]: D(z_p) D(z_q) at z_al (x) z_be, as the products of
+    # bit nu*n + rho of D(z_p) and bit nu2*n + rho2 of D(z_q); diagonal[al][be]:
+    # the same for p = q, folded by ``_fold``.
+    terms = [[[(nu * n + rho, nu2 * n + rho2) for nu, nu2 in target[al]
+               for rho, rho2 in target[be]] for be in range(n)] for al in range(n)]
+    diagonal = [[_fold(t) for t in row] for row in terms]
+    equations = list(_reduced_laws(n))
+    for p in ker:
+        for q in range(p, n) if a.commutative else ker:
+            for al in ker:
+                for be in ker:
+                    lin = ((slices[prod[p][q]] << (al * n + be))
+                           ^ (spread[right[q][al]] << (p * nn + be))
+                           ^ (right[q][be] << (p * nn + al * n))
+                           ^ (spread[left[p][al]] << (q * nn + be))
+                           ^ (left[p][be] << (q * nn + al * n)))
+                    const = (p == al and q == be) ^ (q == al and p == be)
+                    if p < q:
+                        pairs = [(p * nn + t, q * nn + t2) for t, t2 in terms[al][be]]
+                    elif p > q:
+                        pairs = [(q * nn + t2, p * nn + t) for t, t2 in terms[al][be]]
+                    else:
+                        square, folded = diagonal[al][be]
+                        lin ^= square << (p * nn)
+                        pairs = [(p * nn + t, p * nn + t2) for t, t2 in folded]
+                    equations.append((int(const), lin, tuple(pairs)))
+    return n * nn, equations
+
+
+def _fold(terms: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """Products x_t x_t2 of one slice's bits as (linear mask, pairs):
+    x_t x_t is x_t, and a product listed twice cancels."""
+    square = 0
+    pairs: set[tuple[int, int]] = set()
+    for t, t2 in terms:
+        if t == t2:
+            square ^= 1 << t
+        else:
+            pairs ^= {(t, t2) if t < t2 else (t2, t)}
+    return square, sorted(pairs)
 
 
 @lru_cache(maxsize=None)
-def _coalgebra_laws(n: int, eps: int) -> tuple[tuple, ...]:
-    """The counit laws and coassociativity over the coproduct tensor's bits:
-    the dual algebra has unit eps and is associative."""
+def _reduced_laws(n: int) -> tuple[tuple, ...]:
+    """The equations of ``_coproduct_equations`` that depend on n alone: the
+    pins of the bits with an index 0 (C[mu][nu][rho] is 1 exactly when
+    nu = 0 and mu = rho, or rho = 0 and mu = nu), then coassociativity of
+    the reduced coproduct, one equation per (mu, a, b, c) for coefficient
+    z_a (x) z_b (x) z_c of (D (x) id) D(z_mu) = (id (x) D) D(z_mu)."""
     nn = n * n
-    return tuple(algebra_equations(n, eps, lambda p, q, r: r * nn + p * n + q))
+    equations = []
+    for mu in range(n):
+        for nu in range(n):
+            for rho in range(n):
+                if 0 in (mu, nu, rho):
+                    one = (nu == 0 and mu == rho) or (rho == 0 and mu == nu)
+                    equations.append((int(one), 1 << (mu * nn + nu * n + rho), ()))
+    ker = range(1, n)
+    for mu in ker:
+        for a in ker:
+            for b in ker:
+                for c in ker:
+                    eq = Equation()
+                    for lam in ker:
+                        eq.add_pair(lam * nn + a * n + b, mu * nn + lam * n + c)
+                        eq.add_pair(lam * nn + b * n + c, mu * nn + a * n + lam)
+                    equations.append(eq.emit())
+    return tuple(equations)
 
 
 @value_type
@@ -122,14 +229,22 @@ class RawSolutionSet:
 
 
 def coalgebra_type(c: CoalgebraSC) -> str:
-    """Label of the algebra isomorphic to the dual of the coalgebra."""
-    return identify_algebra(dualize_coalgebra(c))
+    """Label of the algebra isomorphic to the dual of the coalgebra.  The
+    dual of a coalgebra is an algebra, so it is labelled by its invariant
+    alone, without checking the algebra axioms, and memoised per dual
+    tensor: the duals of many classes are the same algebra."""
+    dual = dualize_coalgebra(c)
+    return _catalog_label(dual.n, dual.v, dual.eta)
 
 
 def solve_coproduct_tensors(a: AlgebraSC, eps: int) -> list[int]:
     """All coproduct tensors compatible with the algebra and counit,
-    ascending as packed tensors."""
-    return kernels.solve_quadratic(*_coproduct_equations(a, eps))
+    ascending as packed tensors: the solutions of ``_coproduct_equations``,
+    carried back to the basis of a by P_eps."""
+    n = a.n
+    back = [kernels.coproduct_change(counit_basis(n, eps), n)]
+    return sorted(next(iter(kernels.coproduct_orbit(c, n, back)))
+                  for c in kernels.solve_quadratic(*_coproduct_equations(a, eps)))
 
 
 def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:

@@ -14,12 +14,15 @@ and states  const ^ XOR(lin bits) ^ XOR(x_i & x_j) == 0.
 Over F2 squares are linear (x*x = x), so i == j never appears in pairs.
 
 Each builder states its system in this format: every algebra map in it
-(coproduct, counit, representation, isomorphism, the legs of an R-matrix or
-form) through ``structure.homomorphism_equations``, and the unit and
-associativity laws of a product (an enumerated algebra, the dual algebra of
-a coproduct) through ``structure.algebra_equations``, which folds its terms
-with ``Equation``; the intertwiners of two representations are linear and
-are stated as (0, lin, ()) directly.  It passes the system, unreduced, to
+(counit, representation, isomorphism, the legs of an R-matrix or form)
+through ``structure.homomorphism_equations``; the unit and associativity
+laws of an enumerated algebra through ``structure.algebra_equations``,
+which folds its terms with ``Equation``; the coproduct system, in the basis
+where its counit is e^0, from tables of the algebra's product
+(``coproducts._coproduct_equations``: pins for the bits the counit laws
+fix, then the reduced coproduct's laws, whose products name no pinned
+bit); the intertwiners of two representations are linear and are stated as
+(0, lin, ()) directly.  It passes the system, unreduced, to
 ``solve_quadratic``, which runs one path:
 
 1. Elimination.  ``eliminate`` row-reduces the product-free equations with

@@ -14,7 +14,9 @@ algebra's multiplication tables, without forming H* (x) H.
 
 The axioms searched for are stated as XOR equations by two builders:
 ``algebra_equations`` (a product has a given unit and is associative) and
-``homomorphism_equations`` (a linear map is a unital algebra map).
+``homomorphism_equations`` (a linear map is a unital algebra map).  The
+coproduct search states its system from the algebra's product tables, in
+the basis where the counit is e^0 (``coproducts._coproduct_equations``).
 """
 
 from __future__ import annotations
@@ -365,16 +367,22 @@ def algebra_equations(n: int, eta: int, var) -> list[tuple]:
                 for i in bits_of(eta):
                     eq.add_var(side(i, q, r))
                 equations.append(eq.emit())
-    # When the unit is e_0 itself, the unit laws pin every product with e_0,
-    # and associativity at a triple containing 0 reads 0 = 0 once they are
-    # substituted: it is not emitted.
+    # When the unit is e_0 itself, the unit laws pin every product with e_0:
+    # var(0, c, g) = [c = g] and var(a, 0, g) = [a = g].  Associativity at a
+    # triple containing 0 then reads 0 = 0 and is not emitted, and its
+    # lambda = 0 terms are stated as the linear terms they become.
     first = int(eta == 1)
     for a in range(first, n):
         for b in range(first, n):
             for c in range(first, n):
                 for g in range(n):
                     eq = Equation()
-                    for lam in range(n):
+                    if first:
+                        if c == g:
+                            eq.add_var(var(a, b, 0))
+                        if a == g:
+                            eq.add_var(var(b, c, 0))
+                    for lam in range(first, n):
                         eq.add_pair(var(a, b, lam), var(lam, c, g))
                         eq.add_pair(var(b, c, lam), var(a, lam, g))
                     equations.append(eq.emit())

@@ -12,6 +12,8 @@ off two algebra isomorphisms;
 ``brute_force_coproducts`` scans every coproduct candidate that passes
 the counit laws (``counit_slice_ok``, slice by slice) through the bialgebra
 checker, and ``brute_force_coproduct_set`` memoises it;
+``naive_coproduct_equations`` states a counit's coproduct system in the
+algebra's own basis, with no pinned bits removed;
 ``coproducts_per_counit`` solves and annotates every counit's coproducts
 afresh, with no transport along automorphisms, and partitions them with
 ``orbit_class_rep``, which expands each class's orbit on its own with
@@ -468,6 +470,27 @@ def coproducts_per_counit(a: AlgebraSC) -> RawSolutionSet:
                                      solve_antipode(Bialgebra(a, coalg))))
     found.sort(key=lambda s: s.coalg.c)
     return RawSolutionSet(identify_algebra(a), a, tuple(found), orbit_class_rep(a, found))
+
+
+def naive_coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
+    """The coproduct system of (a, eps) in a's own basis, as the engine
+    stated it before it searched each counit in its own basis: the counit
+    laws and coassociativity say that the dual algebra has unit eps and is
+    associative (``structure.algebra_equations``), and Delta(1) = 1 (x) 1 and
+    compatibility that Delta: a -> a (x) a is a unital algebra map
+    (``structure.homomorphism_equations``).  Variable mu*n^2 + nu*n + rho is
+    bit C[mu][nu][rho], so a solution mask is the coproduct tensor."""
+    from f2hopf.structure import (
+        TensorProductAlgebra,
+        algebra_equations,
+        homomorphism_equations,
+    )
+
+    n = a.n
+    nn = n * n
+    return n * nn, (algebra_equations(n, eps, lambda p, q, r: r * nn + p * n + q)
+                    + homomorphism_equations(a, TensorProductAlgebra(a, a),
+                                             lambda mu, t: mu * nn + t))
 
 
 def convolution_antipode(b: Bialgebra):

@@ -138,16 +138,26 @@ def test_cache_entry_with_bad_classes_recomputed(tmp_path, monkeypatch, capsys, 
 
 
 def test_warm_run_transforms_no_coproduct(tmp_path, monkeypatch):
-    # A cold run expands each bialgebra class's orbit once; a warm run reads
-    # the classes from the cache.
-    from f2hopf import kernels
+    # A cold run carries each solution a search finds back from its counit's
+    # basis once and expands each bialgebra class's orbit once; a warm run
+    # reads the classes from the cache.
+    from f2hopf import coproducts, kernels
 
     out = tmp_path / "out"
     monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
     calls = count_calls(monkeypatch, kernels.coproduct_orbit)
+    searched = []
+    solve = coproducts.solve_coproduct_tensors
+
+    def recorded(a, eps):
+        tensors = solve(a, eps)
+        searched.extend(tensors)
+        return tensors
+
+    rebind(monkeypatch, solve, recorded)
     assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
     _, classes = load_dataset((out / "classes_n3.json").read_text(), "classes")
-    assert len(calls) == len(classes)
+    assert len(calls) == len(searched) + len(classes)
     calls.clear()
     assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
     assert calls == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from f2hopf import coproducts
+from f2hopf import coproducts, kernels
 from f2hopf.catalog import BASIS_NAMES, automorphism_group, catalog
 from f2hopf.classify import classify_bialgebras
 from f2hopf.coproducts import (
@@ -16,17 +16,15 @@ from f2hopf.golden import HOPF_RAW_COUNTS, RAW_COUNTS, RAW_TYPE_COUNTS
 from f2hopf.structure import (
     Bialgebra,
     CoalgebraSC,
-    TensorProductAlgebra,
-    algebra_equations,
     apply_basis_change_algebra,
     check_bialgebra,
-    homomorphism_equations,
 )
 from reference import (
     brute_force_coproduct_set,
     brute_force_coproducts,
     coproducts_per_counit,
     naive_antipode_law,
+    naive_coproduct_equations,
     unpack_tensor,
     unpack_vec,
 )
@@ -174,12 +172,16 @@ def test_transported_solutions_match_a_search_of_every_counit(n):
         _assert_transport_matches_per_counit_solve(cls.representative)
 
 
-def test_transport_on_a_non_representative_algebra(monkeypatch):
+def _non_representative_p():
     # P in the basis 1, 1 + x, y, z: still in standard form, but the change
     # is not an automorphism, so the algebra is not the catalog's tensor.
     p_rep = catalog(4)["P"].representative
-    a = apply_basis_change_algebra(p_rep, Gf2Mat((0b0001, 0b0011, 0b0100, 0b1000), 4))
-    assert a.is_standard and a != p_rep
+    return apply_basis_change_algebra(p_rep, Gf2Mat((0b0001, 0b0011, 0b0100, 0b1000), 4))
+
+
+def test_transport_on_a_non_representative_algebra(monkeypatch):
+    a = _non_representative_p()
+    assert a.is_standard and a != catalog(4)["P"].representative
     searched = _count_calls(monkeypatch, "solve_coproduct_tensors")
     solve_coproducts(a)
     # the four counits form one orbit, and only the smallest is searched
@@ -214,22 +216,19 @@ def test_one_search_per_counit_orbit(monkeypatch):
     assert (counits, orbits) == (48, 38)
 
 
-def test_memoised_laws_match_fresh_builders():
-    # Every counit system of n = 2..4 (the 38 searched among them): the
-    # memoised counit and coassociativity laws, then compatibility, equal
-    # the equations both builders state afresh.
+def test_counit_systems_match_the_naive_builder():
+    # Every counit system of n = 2..4 (the 38 searched among them), and those
+    # of an algebra that is not a catalog representative: searched in the
+    # counit's own basis and carried back, each has the solutions of the
+    # system stated in the algebra's basis.
+    algebras = [cls.representative for n in (2, 3, 4) for cls in catalog(n).classes]
     systems = 0
-    for n in (2, 3, 4):
-        nn = n * n
-        for cls in catalog(n).classes:
-            a = cls.representative
-            for eps in enumerate_counits(a):
-                fresh = (algebra_equations(n, eps, lambda p, q, r: r * nn + p * n + q)
-                         + homomorphism_equations(a, TensorProductAlgebra(a, a),
-                                                  lambda mu, t: mu * nn + t))
-                assert coproducts._coproduct_equations(a, eps) == (n * nn, fresh)
-                systems += 1
-    assert systems == 48
+    for a in algebras + [_non_representative_p()]:
+        for eps in enumerate_counits(a):
+            want = kernels.solve_quadratic(*naive_coproduct_equations(a, eps))
+            assert solve_coproduct_tensors(a, eps) == want, (a, eps)
+            systems += 1
+    assert systems == 48 + 4
 
 
 def test_one_annotation_per_class(monkeypatch):

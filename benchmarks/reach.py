@@ -99,7 +99,6 @@ KEEP: dict[str, str] = {
     "reps.invariant_line": ACCEPTANCE,
     "reps.regular_rep": ACCEPTANCE,
     "structure.AlgebraSC.mul_vec": ORACLE,
-    "structure.TensorProductAlgebra.n": ACCEPTANCE,
     "structure.TensorProductAlgebra.prod": ACCEPTANCE,
     "structure.algebra_equations": ORACLE,
     "structure.apply_basis_change": ORACLE,

@@ -121,10 +121,15 @@ def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
         slices += [w | 1 << (s * nn) for w in slices]
     # terms[al][be]: D(z_p) D(z_q) at z_al (x) z_be, as the products of
     # bit nu*n + rho of D(z_p) and bit nu2*n + rho2 of D(z_q); diagonal[al][be]:
-    # the same for p = q, folded by ``_fold``.
+    # the same for p = q, as an ``Equation``, which folds x_t x_t into x_t
+    # and cancels a product listed twice.
     terms = [[[(nu * n + rho, nu2 * n + rho2) for nu, nu2 in target[al]
                for rho, rho2 in target[be]] for be in range(n)] for al in range(n)]
-    diagonal = [[_fold(t) for t in row] for row in terms]
+    diagonal = [[Equation() for _ in range(n)] for _ in range(n)]
+    for al in range(n):
+        for be in range(n):
+            for t, t2 in terms[al][be]:
+                diagonal[al][be].add_pair(t, t2)
     equations = list(_reduced_laws(n))
     for p in ker:
         for q in range(p, n) if a.commutative else ker:
@@ -141,24 +146,11 @@ def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
                     elif p > q:
                         pairs = [(q * nn + t2, p * nn + t) for t, t2 in terms[al][be]]
                     else:
-                        square, folded = diagonal[al][be]
+                        _, square, folded = diagonal[al][be].emit()
                         lin ^= square << (p * nn)
                         pairs = [(p * nn + t, p * nn + t2) for t, t2 in folded]
                     equations.append((int(const), lin, tuple(pairs)))
     return n * nn, equations
-
-
-def _fold(terms: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
-    """Products x_t x_t2 of one slice's bits as (linear mask, pairs):
-    x_t x_t is x_t, and a product listed twice cancels."""
-    square = 0
-    pairs: set[tuple[int, int]] = set()
-    for t, t2 in terms:
-        if t == t2:
-            square ^= 1 << t
-        else:
-            pairs ^= {(t, t2) if t < t2 else (t2, t)}
-    return square, sorted(pairs)
 
 
 @lru_cache(maxsize=None)

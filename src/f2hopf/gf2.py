@@ -227,8 +227,9 @@ class Gf2Mat:
             k >>= 1
         return acc
 
-    def order(self, limit: int = 1 << 20) -> int:
-        """Multiplicative order; raises if the matrix is singular."""
+    def order(self) -> int:
+        """Multiplicative order; raises if the matrix is singular.  The loop
+        ends, since an invertible matrix has finite order."""
         if self.inverse() is None:
             raise ValueError("singular matrix has no multiplicative order")
         acc = self
@@ -236,8 +237,6 @@ class Gf2Mat:
         while not acc.is_identity():
             acc = acc * self
             k += 1
-            if k > limit:
-                raise RuntimeError("order exceeds limit")
         return k
 
 

@@ -9,23 +9,20 @@ XOR equations in the bits of R, and the intertwiner conditions are linear,
 so ``kernels.solve_quadratic``, the solve path that finds coproducts,
 enumerates all solutions: its elimination step removes the linear
 conditions and the backtracker searches what is left.  Every product,
-unit and inverse in H (x) H is read from ``tensor_square``, a table of its
-basis products built once per algebra; those in H (x) H (x) H and
-(H (x) H)* from a ``structure.TensorProductAlgebra``, multiplied factorwise
-from its legs (the cube is the square tensored with H).  Invertibility is
-``structure.algebra_inverse`` in either.
+unit and inverse in H (x) H, H (x) H (x) H and (H (x) H)* is read from a
+``structure.TensorProductAlgebra``, from its table of basis products; the
+square is ``structure.tensor_square``, built once per algebra, and the cube
+is the square tensored with H.  Invertibility is
+``structure.algebra_inverse`` in each.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from f2hopf import kernels
 from f2hopf.classify import ClassifiedDimension
-from f2hopf.gf2 import Gf2Mat, bits_of, spread_table, value_type
+from f2hopf.gf2 import Gf2Mat, bits_of, value_type
 from f2hopf.kernels import Equation
 from f2hopf.structure import (
-    AlgebraSC,
     Bialgebra,
     TensorProductAlgebra,
     TensorSquareElement,
@@ -34,6 +31,7 @@ from f2hopf.structure import (
     homomorphism_equations,
     opposite_coproduct,
     opposite_product,
+    tensor_square,
 )
 
 
@@ -60,44 +58,6 @@ class QuasiTriangularStructure:
     @property
     def triangular(self) -> bool:
         return self.klass in ("trivial", "triangular")
-
-
-@value_type
-class TensorSquare:
-    """H (x) H on the product basis, read off its table of basis products:
-    ``table[v][w]`` is e_v e_w.  It is read wherever an ``AlgebraSC`` is,
-    through n, eta and mul_vec; ``tensor_square`` builds it."""
-
-    n: int
-    eta: int
-    table: tuple[tuple[int, ...], ...]
-
-    def mul_vec(self, x: int, y: int) -> int:
-        table = self.table
-        ys = list(bits_of(y))
-        acc = 0
-        while x:
-            low = x & -x
-            row = table[low.bit_length() - 1]
-            x ^= low
-            for w in ys:
-                acc ^= row[w]
-        return acc
-
-
-@lru_cache(maxsize=None)
-def tensor_square(a: AlgebraSC) -> TensorSquare:
-    """The square of a, as ``TensorProductAlgebra(a, a)`` multiplies it:
-    for v = i*n + j and w = k*n + l, e_v e_w = x^i x^k (x) x^j x^l, that is
-    spread(x^i x^k) * x^j x^l (``gf2.spread_table``), a copy of
-    x^j x^l in the slice of each term of x^i x^k.  One multiplication per
-    entry."""
-    n = a.n
-    spread = spread_table(n)
-    prods = [[a.prod(i, k) for k in range(n)] for i in range(n)]
-    table = tuple(tuple(spread[prods[i][k]] * prods[j][l] for k in range(n) for l in range(n))
-                  for i in range(n) for j in range(n))
-    return TensorSquare(n * n, spread[a.eta] * a.eta, table)
 
 
 def _equations(b: Bialgebra) -> tuple[int, list[tuple]]:
@@ -190,7 +150,7 @@ def yang_baxter_ok(b: Bialgebra, r: TensorSquareElement) -> bool:
     (i*n + j)*n + k is x^i (x) x^j (x) x^k (standard form assumed, so the
     unit is basis element 0)."""
     n = b.n
-    cube = TensorProductAlgebra(TensorProductAlgebra(b.alg, b.alg), b.alg)
+    cube = TensorProductAlgebra(tensor_square(b.alg), b.alg)
     r12 = 0
     r13 = 0
     r23 = 0

@@ -6,7 +6,9 @@ Rank-3 tensors are packed flat into one integer with index
 slice at (mu, nu) is the coefficient vector of x^mu * x^nu; for a coproduct
 tensor C the n^2-bit slice at mu is Delta(x^mu) as an element of H (x) H,
 whose bit nu*n + rho stands for x^nu (x) x^rho.  Tensor products of
-algebras (``TensorProductAlgebra``) are never packed but multiply factorwise.
+algebras (``TensorProductAlgebra``) are never packed but multiply from one
+table of their basis products, built on first read; ``tensor_square``
+keeps the one of a (x) a per algebra.
 The antipode S is the two-sided inverse of id under convolution,
 S * id = eta eps = id * S: ``solve_antipode`` states that as one linear
 system over the n^2 bits of S, read off the slices of the coproduct and the
@@ -257,8 +259,9 @@ def check_coalgebra(c: CoalgebraSC) -> AxiomReport:
 
 @value_type
 class TensorProductAlgebra:
-    """The tensor product algebra a (x) b on the product basis, computed
-    factorwise from its two factors, which may be tensor products too.
+    """The tensor product algebra a (x) b on the product basis, multiplied
+    from its table of basis products; either factor may be a tensor product
+    too.
 
     x^i (x) y^j is basis element i*b.n + j, so (x^i (x) y^j)(x^k (x) y^l)
     = x^i x^k (x) y^j y^l, and the unit is eta_a (x) eta_b.  It is read
@@ -276,47 +279,42 @@ class TensorProductAlgebra:
     def eta(self) -> int:
         return sum(self.b.eta << (i * self.b.n) for i in bits_of(self.a.eta))
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """``table[v][w]`` is e_v e_w, built on first read: for v = i*m + j
+        and w = k*m + l, with m = b.n, it is spread(x^i x^k) * y^j y^l, where
+        spread(s) has bit t*m for each bit t of s, so the product places a
+        copy of y^j y^l in the slice of each term of x^i x^k, without
+        carries.  One multiplication per entry."""
+        a, b = self.a, self.b
+        m = b.n
+        spread = [[sum(1 << (t * m) for t in bits_of(a.prod(i, k))) for k in range(a.n)]
+                  for i in range(a.n)]
+        prods = [[b.prod(j, l) for l in range(m)] for j in range(m)]
+        return tuple(tuple(s * p for s in spread[i] for p in prods[j])
+                     for i in range(a.n) for j in range(m))
+
     def prod(self, mu: int, nu: int) -> int:
-        """The Kronecker product of the two factor products."""
-        m = self.b.n
-        i, j = divmod(mu, m)
-        k, l = divmod(nu, m)
-        pa = self.a.prod(i, k)
-        if not pa:
-            return 0
-        pb = self.b.prod(j, l)
-        acc = 0
-        while pa:
-            term = pa & -pa
-            acc ^= pb << ((term.bit_length() - 1) * m)
-            pa ^= term
-        return acc
+        return self.table[mu][nu]
 
     def mul_vec(self, x: int, y: int) -> int:
-        """Product of two packed vectors, term by term and factorwise; bits
-        are walked inline, since this runs for every column of an inverse."""
-        m = self.b.n
-        a_prod, b_prod = self.a.prod, self.b.prod
-        ys = []
-        while y:
-            low = y & -y
-            ys.append(divmod(low.bit_length() - 1, m))
-            y ^= low
+        """Product of two packed vectors, one table row per bit of x."""
+        table = self.table
+        ys = list(bits_of(y))
         acc = 0
         while x:
             low = x & -x
-            i, j = divmod(low.bit_length() - 1, m)
+            row = table[low.bit_length() - 1]
             x ^= low
-            for k, l in ys:
-                pa = a_prod(i, k)
-                if pa:
-                    pb = b_prod(j, l)
-                    # pa (x) pb: a copy of pb in the slice of each term of pa.
-                    while pa:
-                        term = pa & -pa
-                        acc ^= pb << ((term.bit_length() - 1) * m)
-                        pa ^= term
+            for w in ys:
+                acc ^= row[w]
         return acc
+
+
+@lru_cache(maxsize=None)
+def tensor_square(a: AlgebraSC) -> TensorProductAlgebra:
+    """a (x) a, memoised, so that its table is built once per algebra."""
+    return TensorProductAlgebra(a, a)
 
 
 def algebra_inverse(alg: AlgebraSC | TensorProductAlgebra, x: int) -> int | None:
@@ -463,7 +461,7 @@ def check_bialgebra(b: Bialgebra) -> AxiomReport:
     # eps(1) = 1 and Delta(1) = 1 (x) 1.
     if parity(a.eta & c.eps) != 1:
         return AxiomReport(False, "counit-of-unit", ())
-    square = TensorProductAlgebra(a, a)
+    square = tensor_square(a)
     delta_unit = 0
     for mu in bits_of(a.eta):
         delta_unit ^= c.cop(mu)

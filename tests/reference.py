@@ -25,8 +25,9 @@ id in the tensor product algebra C* (x) A;
 ``naive_homomorphism_equations`` is the homomorphism builder as it was
 before it read each entry's variable once, one ``kernels.Equation`` per
 equation; ``naive_qt_equations`` and ``naive_quasitriangular`` are the
-R-matrix search as it was before it read H (x) H off a product table, with
-every product multiplied factorwise;
+R-matrix search as it was before it read the intertwiner columns off
+tensor-square table entries, with every product taken by ``mul_vec`` of a
+``TensorProductAlgebra``;
 ``classify_bialgebras_pairwise`` and ``coquasitriangular_via_dual`` reach
 the engine's bialgebra classes and coquasitriangular forms by other routes.
 The last section holds helpers that only tests use: a quartic algebra, the
@@ -238,6 +239,27 @@ def naive_killing_form(v, r, n):
     """Quantum Killing form Q = R21 R, where R21 swaps the legs of R."""
     r21 = tuple(tuple(r[nu][mu] for nu in range(n)) for mu in range(n))
     return naive_tensor_square_product(v, r21, r, n)
+
+
+def naive_yang_baxter(v, r, n) -> bool:
+    """R12 R13 R23 == R23 R13 R12 in H (x) H (x) H, for R an n x n 0/1
+    matrix (``unpack_square``) and the unit x^0.  Elements are sets of the
+    triples (i, j, k) standing for x^i (x) x^j (x) x^k; each leg is
+    multiplied by the structure constants v."""
+    def leg(legs):  # R in the two given legs, the unit in the third
+        return {tuple(mu if t == legs[0] else nu if t == legs[1] else 0 for t in range(3))
+                for mu in range(n) for nu in range(n) if r[mu][nu]}
+
+    def mul(x, y):
+        out = set()
+        for p in x:
+            for q in y:
+                prods = [[i for i in range(n) if v[p[t]][q[t]][i]] for t in range(3)]
+                out ^= {(i, j, k) for i in prods[0] for j in prods[1] for k in prods[2]}
+        return out
+
+    r12, r13, r23 = leg((0, 1)), leg((0, 2)), leg((1, 2))
+    return mul(mul(r12, r13), r23) == mul(mul(r23, r13), r12)
 
 
 def naive_algebra_maps(a, b) -> list[int]:
@@ -542,9 +564,9 @@ def naive_homomorphism_equations(a, b, var) -> list[tuple]:
 
 
 def naive_qt_equations(b: Bialgebra) -> tuple[int, list[tuple]]:
-    """``qtri._equations`` as it was before it read H (x) H off a product
-    table: the intertwiner columns are multiplied factorwise in a
-    ``TensorProductAlgebra(a, a)``."""
+    """``qtri._equations`` as it was before it read the intertwiner columns
+    off the entries of the tensor-square table: each column is a product of
+    two vectors in a ``TensorProductAlgebra(a, a)``."""
     from f2hopf.gf2 import Gf2Mat
     from f2hopf.structure import (
         TensorProductAlgebra,

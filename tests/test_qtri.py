@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from f2hopf.catalog import BASIS_NAMES, catalog
@@ -24,13 +26,16 @@ from f2hopf.qtri import (
     qt_pairs,
     yang_baxter_ok,
 )
-from f2hopf.structure import Bialgebra
+from f2hopf.structure import Bialgebra, TensorSquareElement
 from reference import (
     antipode_leg_transform,
     both_legs_antipode,
     coquasitriangular_via_dual,
     naive_qt_equations,
     naive_quasitriangular,
+    naive_yang_baxter,
+    unpack_square,
+    unpack_tensor,
 )
 
 
@@ -187,6 +192,11 @@ def test_trivial_only_exclusions():
         assert len(sols) == 1 and sols[0].trivial, name
 
 
+def _naive_yang_baxter(bi, r):
+    n = bi.n
+    return naive_yang_baxter(unpack_tensor(bi.alg.v, n), unpack_square(r.bits, n), n)
+
+
 def test_yang_baxter_everywhere():
     for n in (2, 3, 4):
         dim = classify_dimension(n)
@@ -197,9 +207,27 @@ def test_yang_baxter_everywhere():
             )
             for s in by_cls[(cls.algebra_label, cls.coalgebra_type)]:
                 assert yang_baxter_ok(bi, s.r), (n, cls.algebra_label)
+                assert _naive_yang_baxter(bi, s.r), (n, cls.algebra_label)
     gra = small_bialgebra("gra")
     for s in enumerate_quasitriangular(gra):
         assert yang_baxter_ok(gra, s.r)
+        assert _naive_yang_baxter(gra, s.r)
+
+
+def test_yang_baxter_matches_the_naive_check_off_the_r_matrices():
+    # Random elements of H (x) H for digital u_q(sl_2), none an R-matrix:
+    # the check must reject those the leg-by-leg oracle rejects.
+    bi = dsl2_presentation().bi
+    rs = {s.r.bits for s in enumerate_quasitriangular(bi)}
+    rng = random.Random(47)
+    elements = []
+    while len(elements) < 50:
+        bits = rng.getrandbits(16)
+        if bits not in rs:
+            elements.append(TensorSquareElement(4, bits))
+    results = [yang_baxter_ok(bi, r) for r in elements]
+    assert results == [_naive_yang_baxter(bi, r) for r in elements]
+    assert not all(results)
 
 
 def test_antipode_leg_identities():
@@ -243,23 +271,6 @@ def test_intertwiner_vacuous_when_commutative_and_cocommutative():
         if comm and cocomm:
             assert intertwiner == [], fx.name
         assert all(not pairs for _, _, pairs in intertwiner)
-
-
-def test_tensor_square_table_is_the_factorwise_product():
-    # Every basis product and the unit, also for units other than x^0.
-    from f2hopf.gf2 import Gf2Mat
-    from f2hopf.qtri import tensor_square
-    from f2hopf.structure import TensorProductAlgebra, apply_basis_change_algebra
-
-    for n in (2, 3):
-        for cls in catalog(n).classes:
-            a = cls.representative
-            p = Gf2Mat((0b11,) + tuple(1 << i for i in range(1, n)), n)  # unit x^0 + x^1
-            for alg in (a, apply_basis_change_algebra(a, p)):
-                square, want = tensor_square(alg), TensorProductAlgebra(alg, alg)
-                assert square.n == want.n and square.eta == want.eta
-                assert square.table == tuple(tuple(want.prod(v, w) for w in range(want.n))
-                                             for v in range(want.n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

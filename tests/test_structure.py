@@ -307,14 +307,22 @@ def test_tensor_square_associative():
 
 
 def test_tensor_square_matches_naive_product():
-    # Every catalog algebra of dimension 2..4, and one moved by a basis
-    # change so that its unit is not basis element 0.
+    # Every catalog algebra of dimension 2..4; one moved by a basis change
+    # so that its unit is not basis element 0; and every one of dimension
+    # 2 and 3 moved to the unit x^0 + x^1.  Every basis product is checked
+    # for n <= 3.
     algebras = [c.representative for n in (2, 3, 4) for c in catalog(n).classes]
     p = next(m for m in enumerate_invertible(3) if m.rows[0] != 1)
     moved = apply_basis_change_algebra(catalog(3)["G"].representative, p)
     assert moved.eta != 1
+    algebras.append(moved)
+    for n in (2, 3):
+        p = Gf2Mat((0b11,) + tuple(1 << i for i in range(1, n)), n)
+        for c in catalog(n).classes:
+            algebras.append(apply_basis_change_algebra(c.representative, p))
+            assert algebras[-1].eta == 0b11
     rng = random.Random(31)
-    for a in algebras + [moved]:
+    for a in algebras:
         n = a.n
         square = TensorProductAlgebra(a, a)
         assert check_algebra(square), a
@@ -325,8 +333,11 @@ def test_tensor_square_matches_naive_product():
             x, y = rng.getrandbits(n * n), rng.getrandbits(n * n)
             want = naive_tensor_square_product(v, unpack_square(x, n), unpack_square(y, n), n)
             assert unpack_square(square.mul_vec(x, y), n) == want, (a, x, y)
-        for _ in range(20):  # basis products, the Kronecker product of a's
-            mu, nu = rng.randrange(n * n), rng.randrange(n * n)
+        if n <= 3:
+            basis = [(mu, nu) for mu in range(n * n) for nu in range(n * n)]
+        else:  # 20 random basis products
+            basis = [(rng.randrange(n * n), rng.randrange(n * n)) for _ in range(20)]
+        for mu, nu in basis:  # the Kronecker product of a's
             want = naive_tensor_square_product(
                 v, unpack_square(1 << mu, n), unpack_square(1 << nu, n), n)
             assert unpack_square(square.prod(mu, nu), n) == want, (a, mu, nu)

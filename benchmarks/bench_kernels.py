@@ -24,10 +24,13 @@ them from the memo, as most systems of a census do.
 Every time is the median of ROUNDS runs.
 
 ``--tree NAME=SRC`` (repeatable) times the engine whose source is the
-directory SRC, such as a checkout of an older commit's ``src``, in a fresh
-interpreter; without it, the ``src`` next to this script is timed.  The
-numbers of each tree, the core count and the Python version go to
-benchmarks/BENCH_kernel.json (or the path given with --out).
+directory SRC, such as a checkout of an older commit's ``src``; without it,
+the ``src`` next to this script is timed.  Each tree is timed in CHILDREN
+fresh interpreters, which alternate between the trees, so a drift in
+machine load reaches each tree alike; a tree's suites report the median of
+each time over its children, and every child's numbers are kept under
+``runs``.  The numbers of each tree, the core count and the Python version
+go to benchmarks/BENCH_kernel.json (or the path given with --out).
 
 Run:  python benchmarks/bench_kernels.py [--tree parent=../old/src --tree change=src]
 """
@@ -45,6 +48,8 @@ import time
 from pathlib import Path
 
 ROUNDS = 10
+CHILDREN = 3
+TIMES = ("build_s", "eliminate_s", "search_order_s")
 
 
 def workload_algebras():
@@ -141,6 +146,23 @@ def suites() -> dict:
     return record
 
 
+def median_suites(runs: list[dict]) -> dict:
+    """The suites of one tree from its children's records: every time the
+    median over the children, every count as all children found it."""
+    suites = {}
+    for name, first in runs[0].items():
+        recs = [run[name] for run in runs]
+        counts = {key: value for key, value in first.items()
+                  if key not in TIMES and key != "seconds"}
+        if any({key: rec[key] for key in counts} != counts for rec in recs):
+            raise RuntimeError(f"{name}: the children disagree on the counts")
+        suites[name] = dict(counts, **{key: round(statistics.median(rec[key] for rec in recs), 6)
+                                      for key in TIMES})
+        suites[name]["seconds"] = {
+            "greedy": round(statistics.median(rec["seconds"]["greedy"] for rec in recs), 6)}
+    return suites
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(Path(__file__).with_name("BENCH_kernel.json")))
@@ -159,14 +181,19 @@ def main(argv=None):
         "machine": platform.machine(),
         "cores": os.cpu_count(),
         "rounds": ROUNDS,
+        "children": CHILDREN,
         "trees": {},
     }
-    for name, src in trees.items():
-        print(f"tree {name}: {src}", file=sys.stderr, flush=True)
-        env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-        proc = subprocess.run([sys.executable, __file__, "--child"], env=env,
-                              stdout=subprocess.PIPE, text=True, check=True)
-        record["trees"][name] = {"suites": json.loads(proc.stdout)}
+    runs: dict[str, list] = {name: [] for name in trees}
+    for child in range(CHILDREN):
+        for name, src in trees.items():
+            print(f"child {child + 1}/{CHILDREN}, tree {name}: {src}", file=sys.stderr, flush=True)
+            env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+            proc = subprocess.run([sys.executable, __file__, "--child"], env=env,
+                                  stdout=subprocess.PIPE, text=True, check=True)
+            runs[name].append(json.loads(proc.stdout))
+    for name, tree_runs in runs.items():
+        record["trees"][name] = {"suites": median_suites(tree_runs), "runs": tree_runs}
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}")
 

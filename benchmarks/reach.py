@@ -52,7 +52,6 @@ KEEP: dict[str, str] = {
     "catalog.enumerate_algebras": TRACED,
     "catalog.identify_algebra": TRACED,
     "catalog.standardize_unit": ORACLE,
-    "classify.ClassifiedDimension.census": ACCEPTANCE,
     "classify.QuiverGraph.arrow": ACCEPTANCE,
     "classify.QuiverGraph.hopf_arrows": ACCEPTANCE,
     "classify.QuiverGraph.total_bialgebras": ACCEPTANCE,

@@ -5,8 +5,10 @@ datasets.
     f2hopf run --dim 3 --algebra B --out results/
     f2hopf verify results/raw_n3_B.json
 
-``--algebra`` restricts the coproducts stage to one algebra label; the
-quiver stage writes the quiver as a DOT file beside its dataset.
+``run`` builds every kind of dataset in one table, ``_datasets``; the quiver
+stage also writes a DOT file, and ``--algebra`` restricts the coproducts
+stage to one algebra label.  ``verify`` re-derives a file by looking up its
+kind in the same table, on a fresh solve.
 
 Raw coproduct solutions are cached under the output directory (or the
 directory named by F2HOPF_CACHE_ROOT), keyed by dimension, algebra label and
@@ -60,7 +62,10 @@ from f2hopf.structure import (
     dualize_coalgebra,
 )
 
-STAGES = ("algebras", "coproducts", "classify", "quiver", "fourier", "qtri", "reps", "all")
+# The stage that writes each dataset kind, in the order a run writes them.
+DATASET_STAGE = {"algebras": "algebras", "raw": "coproducts", "classes": "classify",
+                 "quiver": "quiver", "fourier": "fourier", "qt": "qtri", "reps": "reps"}
+STAGES = (*DATASET_STAGE.values(), "all")
 
 
 def _raw_payload(rs: RawSolutionSet) -> list[dict]:
@@ -158,11 +163,6 @@ def _raw_solutions(n: int, out_dir: Path, use_cache: bool,
         rs = results[label] = solve_coproducts(catalog(n)[label].representative, label)
         _write_atomic(path, dump_dataset("raw", _cache_payload(rs), compact=True))
     return results
-
-
-def _write(out_dir: Path, name: str, kind: str, payload) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(dump_dataset(kind, payload))
 
 
 def reps_payload() -> dict:
@@ -290,56 +290,67 @@ def qt_payload(by_class) -> list[dict]:
     ]
 
 
-def run_pipeline(n: int, stages: set[str], out_dir: Path, use_cache: bool,
-                 mode: str, algebra: str | None = None) -> dict:
-    """Execute the requested stages; returns the summary dictionary.  With
-    ``algebra``, the raw stage solves that one label only."""
-    cat = catalog(n)
-    summary: dict = {"dim": n}
+def _datasets(n: int, stages: set[str], raw, dim, mode: str, summary: dict):
+    """The dataset table: yield (file name, kind, payload) for every file the
+    stages write for dimension n; the quiver's DOT text has kind "dot".
+    ``raw()`` gives the raw solution sets by label and ``dim()`` the
+    classified dimension, each called only by a dataset that reads it.  The
+    counts of the stages that ran go into ``summary``."""
+    def wants(kind: str) -> bool:
+        return bool(stages & {DATASET_STAGE[kind], "all"})
 
-    if stages & {"algebras", "all"}:
-        _write(out_dir, f"algebras_n{n}.json", "algebras", algebras_payload(n))
-    summary["algebras"] = len(cat.classes)
+    if wants("algebras"):
+        yield f"algebras_n{n}.json", "algebras", algebras_payload(n)
+    summary["algebras"] = len(catalog(n).classes)
+    if wants("raw"):
+        for label, rs in raw().items():
+            yield f"raw_n{n}_{label}.json", "raw", _raw_payload(rs)
+    if wants("classes"):
+        yield f"classes_n{n}.json", "classes", classes_payload(dim())
+    if wants("quiver"):
+        q = build_quiver(dim())
+        yield f"quiver_n{n}.json", "quiver", quiver_payload(q)
+        yield f"quiver_n{n}.dot", "dot", q.to_dot()
+    if wants("fourier"):
+        fixture = n == 4 and mode == "fixture"
+        yield (f"fourier_n{n}.json", "fourier",
+               fixture_fourier_payload() if fixture else fourier_payload(dim()))
+    if any(map(wants, ("classes", "quiver", "fourier", "qt"))):
+        _, summary["bialgebras"], summary["hopf"] = dim().census()
+    if wants("qt"):
+        from f2hopf.qtri import qt_by_class, qt_pairs
 
-    need_raw = stages & {"coproducts", "classify", "quiver", "fourier", "qtri", "all"}
-    raw = None
-    if need_raw:
-        raw = _raw_solutions(n, out_dir, use_cache, None if algebra is None else [algebra])
-        if stages & {"coproducts", "all"}:
-            for label, rs in raw.items():
-                _write(out_dir, f"raw_n{n}_{label}.json", "raw", _raw_payload(rs))
-
-    if stages & {"classify", "quiver", "fourier", "qtri", "all"}:
-        dim = classify_raw(n, raw)
-        if stages & {"classify", "all"}:
-            _write(out_dir, f"classes_n{n}.json", "classes", classes_payload(dim))
-        summary["bialgebras"] = len(dim.all_classes())
-        summary["hopf"] = len(dim.hopf_classes())
-
-        if stages & {"quiver", "all"}:
-            q = build_quiver(dim)
-            _write(out_dir, f"quiver_n{n}.json", "quiver", quiver_payload(q))
-            (out_dir / f"quiver_n{n}.dot").write_text(q.to_dot())
-
-        if stages & {"fourier", "all"}:
-            payload = (fixture_fourier_payload() if n == 4 and mode == "fixture"
-                       else fourier_payload(dim))
-            _write(out_dir, f"fourier_n{n}.json", "fourier", payload)
-
-        if stages & {"qtri", "all"}:
-            from f2hopf.qtri import qt_by_class, qt_pairs
-
-            by_class = qt_by_class(dim)
-            _write(out_dir, f"qt_n{n}.json", "qt", qt_payload(by_class))
-            summary["qt_pairs"] = qt_pairs(by_class)
-
-    if stages & {"reps", "all"} and n == 4:
+        by_class = qt_by_class(dim())
+        yield f"qt_n{n}.json", "qt", qt_payload(by_class)
+        summary["qt_pairs"] = qt_pairs(by_class)
+    if wants("reps") and n == 4:
         payload = reps_payload()
-        _write(out_dir, f"reps_n{n}.json", "reps", payload)
+        yield f"reps_n{n}.json", "reps", payload
         summary["reps"] = payload["counts"]
 
-    _write(out_dir, f"summary_n{n}.json", "summary", summary)
+
+def run_pipeline(n: int, stages: set[str], out_dir: Path, use_cache: bool,
+                 mode: str, algebra: str | None = None) -> dict:
+    """Write every dataset of the requested stages into out_dir, then the
+    summary, which is returned.  With ``algebra``, only that label is solved."""
+    raw = functools.cache(lambda: _raw_solutions(
+        n, out_dir, use_cache, None if algebra is None else [algebra]))
+    dim = functools.cache(lambda: classify_raw(n, raw()))
+    summary: dict = {"dim": n}
+    for name, kind, payload in _datasets(n, stages, raw, dim, mode, summary):
+        (out_dir / name).write_text(payload if kind == "dot" else dump_dataset(kind, payload))
+    (out_dir / f"summary_n{n}.json").write_text(dump_dataset("summary", summary))
     return summary
+
+
+def _derived(kind: str, n: int, mode: str, label: str | None):
+    """The payload of one kind that ``run`` writes for dimension n, read off
+    the dataset table in that Fourier mode, on a fresh solve (never the
+    cache) of ``label`` alone or of the whole dimension."""
+    items = _datasets(n, {DATASET_STAGE[kind]},
+                      lambda: {label: solve_catalog_algebra(n, label)},
+                      lambda: classify_dimension(n), mode, {})
+    return next(payload for _, k, payload in items if k == kind)
 
 
 def _summary_matches_expected(summary: dict, n: int) -> bool:
@@ -384,19 +395,19 @@ def verify_dataset(path: Path) -> list[str]:
 
     The records of algebras, raw and fourier files are first checked on
     their own (axioms, antipode, the identities of the Fourier data); when
-    they pass, every list dataset is compared with the one derived afresh.
+    they pass, every dataset is compared with the one derived afresh.
     """
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:
         raise DatasetError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     kind, payload = load_dataset(text)
-    if kind == "reps":
-        return _reps_problems(payload)
     if kind == "summary":
         return _summary_problems(payload)
-    if kind not in ("algebras", "raw", "fourier", "classes", "quiver", "qt"):
+    if kind not in DATASET_STAGE:
         raise DatasetError(f"unknown schema kind {kind!r}")
+    if kind == "reps":
+        return _reps_problems(payload)
     if not isinstance(payload, list) or not all(isinstance(r, dict) for r in payload):
         return ["payload is not a list of records"]
     check = {"algebras": _algebra_record_problems, "raw": _raw_record_problems,
@@ -486,7 +497,7 @@ def _reps_problems(payload) -> list[str]:
                 ok = False
             if not ok:
                 problems.append(f"k={k}[{i}]: not a representation")
-    want = reps_payload()
+    want = _derived("reps", 4, "computed", None)
     for key in sorted(want.keys() | payload.keys()):
         if canonical_json(payload.get(key)) != canonical_json(want.get(key)):
             problems.append(f"{key}: differs from the derived dataset")
@@ -516,9 +527,9 @@ def _summary_problems(payload) -> list[str]:
 
 def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
     """Compare a list dataset, record by record, with the one ``run`` writes
-    for the dimension its records name, derived from a fresh solve (never
-    from the cache).  Fields are compared by their canonical JSON, so 1,
-    1.0 and true differ.
+    for the dimension its records name, read off the dataset table on a
+    fresh solve (``_derived``).  Fields are compared by their canonical
+    JSON, so 1, 1.0 and true differ.
 
     algebras and raw records carry their dimension, and raw records their
     algebra: a raw file holds the solutions of one algebra, and an empty one
@@ -530,37 +541,25 @@ def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
     """
     # The records of algebras and raw files passed their own checks, so
     # each names a catalog dimension and algebra.
+    mode, label = "computed", None
     if kind == "algebras":
         dims = {rec["dim"] for rec in payload}
         if len(dims) != 1:
             return ["records of no single dimension"]
         n = dims.pop()
-        want = algebras_payload(n)
     elif kind == "raw":
         names = {(rec["dim"], rec["algebra"]) for rec in payload}
         if len(names) != 1:
             return ["records of more than one algebra"] if names else []
         n, label = names.pop()
-        want = _raw_payload(solve_catalog_algebra(n, label))
     elif kind == "fourier" and any("name" in rec for rec in payload):
-        n = 4
-        want = fixture_fourier_payload()
+        n, mode = 4, "fixture"
     else:
-        labels = {str(label) for rec in payload for label in _record_labels(kind, rec)}
+        labels = {str(name) for rec in payload for name in _record_labels(kind, rec)}
         n = next((n for n in sorted(RELATIONS) if labels <= RELATIONS[n].keys()), None)
         if n is None:
             return ["algebra labels of no single dimension"]
-        dim = classify_dimension(n)
-        if kind == "classes":
-            want = classes_payload(dim)
-        elif kind == "quiver":
-            want = quiver_payload(build_quiver(dim))
-        elif kind == "fourier":
-            want = fourier_payload(dim)
-        else:
-            from f2hopf.qtri import qt_by_class
-
-            want = qt_payload(qt_by_class(dim))
+    want = _derived(kind, n, mode, label)
     problems = []
     if len(payload) != len(want):
         problems.append(f"{len(payload)} records, the derived dataset of n={n} has {len(want)}")

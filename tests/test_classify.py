@@ -401,3 +401,49 @@ def test_antipode_orders():
         cocomm = catalog(4)[cls.coalgebra_type].commutative
         if comm or cocomm:
             assert cls.representative.antipode.power(2).is_identity()
+
+
+# The Hopf classes that are their own duals: for n = 4, G is the paper's
+# x^4 = 0 algebra and NF its digital u_q(sl_2).
+SELF_DUAL = {2: (2, [("A", "A")]), 3: (2, []),
+             4: (22, [("D", "D"), ("E", "E"), ("G", "G"), ("NF", "NF")])}
+
+
+@pytest.mark.parametrize("n", sorted(SELF_DUAL))
+def test_duality_is_an_involution_on_the_classes(n):
+    # H -> H* on the classes of dimension n, each dual placed twice: by
+    # locate_class, and by the oracles, which carry it onto the catalog
+    # algebra with naive_transform_coproduct and read its class off the
+    # orbit partition of orbit_class_rep.
+    from f2hopf.gf2 import mat_inv_rows
+    from reference import naive_transform_coproduct
+
+    dim = classify_dimension(n)
+    partition = {label: orbit_class_rep(dim.cat[label].representative, dim.raw[label].solutions)
+                 for label in dim.cat.labels}
+    index = {label: {s.coalg.c: i for i, s in enumerate(dim.raw[label].solutions)}
+             for label in dim.cat.labels}
+    dual_of, paired = {}, {}
+    for cls in dim.all_classes():
+        key = (cls.algebra_label, min(cls.members))
+        b = Bialgebra(dim.cat[cls.algebra_label].representative, cls.representative.coalg)
+        d = dual_bialgebra(b)
+        found = locate_class(dim, d)
+        label = found.algebra_label
+        p = isomorphisms(dim.cat[label].representative, d.alg)[0].rows
+        c_img = naive_transform_coproduct(d.coalg.c, n, p, mat_inv_rows(p, n))
+        rep = partition[label][index[label][c_img]]
+        assert rep == min(found.members), key
+        assert (label, found.coalgebra_type) == (cls.coalgebra_type, cls.algebra_label)
+        assert found.hopf == cls.hopf
+        dual_of[key] = (label, rep)
+        paired[key] = self_duality_pairing(b) is not None
+    assert len(dual_of) == CENSUS[n][1]
+    assert all(dual_of[dual_of[key]] == key for key in dual_of)
+    fixed = [key for key in dual_of if dual_of[key] == key]
+    assert all(paired[key] == (key in fixed) for key in dual_of)
+    count, hopf_types = SELF_DUAL[n]
+    assert len(fixed) == count
+    hopf_fixed = [(cls.algebra_label, cls.coalgebra_type) for cls in dim.hopf_classes()
+                  if (cls.algebra_label, min(cls.members)) in fixed]
+    assert sorted(hopf_fixed) == hopf_types

@@ -26,6 +26,16 @@ def test_run_n2_summary(tmp_path):
     }
 
 
+def test_run_prints_the_summary_in_key_order(tmp_path, capsys):
+    # One line per dimension, its counts in the order the stages fill them.
+    assert run_cli(["run", "--dim", "2", "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out == "n=2: algebras=3, bialgebras=4, hopf=3, qt_pairs=1\n"
+    assert run_cli(["run", "--dim", "4", "--stage", "all", "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out == (
+        "n=4: algebras=25, bialgebras=286, hopf=20, qt_pairs=28, "
+        "reps={'1': 2, '2': 20, '3': 394}\n")
+
+
 def test_run_single_algebra(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["run", "--dim", "3", "--algebra", "B", "--out", str(out)]) == 0
@@ -474,12 +484,21 @@ def test_verify_solves_each_algebra_once(tmp_path, monkeypatch):
     assert sorted(args[1] for args in calls) == sorted(catalog(3).labels)
 
 
-def test_verify_fixture_fourier_does_not_classify(tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    assert run_cli(["run", "--dim", "4", "--stage", "fourier", "--out", str(out)]) == 0
+# The algebras each file's verification solves (fourier_n4 is in fixture mode).
+VERIFY_SOLVES = {"fourier_n4": [], "algebras_n3": [], "raw_n3_B": ["B"]}
+
+
+@pytest.mark.parametrize("name", VERIFY_SOLVES)
+def test_verify_solves_only_what_the_file_needs(datasets_n3, monkeypatch, name):
+    # verify reads a file's kind off the dataset table, which solves only
+    # what that kind's payload reads: a raw file its one algebra, and none
+    # of these files the classification of a dimension.
+    from f2hopf import classify
+
+    classify.solve_catalog_algebra.cache_clear()
     calls = count_solves(monkeypatch)  # and fails on any classify_dimension call
-    assert run_cli(["verify", str(out / "fourier_n4.json")]) == 0
-    assert calls == []
+    assert run_cli(["verify", str(datasets_n3 / f"{name}.json")]) == 0
+    assert [args[1] for args in calls] == VERIFY_SOLVES[name]
 
 
 def test_reps_stage_tensor_table(tmp_path):

@@ -29,19 +29,14 @@ import time
 from pathlib import Path
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat
 from f2hopf.golden import (
     DUAL_REPS,
-    REP_1,
-    REP_1BAR,
-    REP_2,
-    REP_2BAR,
     REP_COUNTS,
     TENSOR_TABLE,
+    dsl2_named_reps,
     dsl2_presentation,
 )
 from f2hopf.reps import (
-    Representation,
     decompose,
     dual_rep,
     enumerate_reps,
@@ -71,11 +66,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     h = dsl2_presentation()
-    named = {
-        key: Representation(fx["s"].nrows, (Gf2Mat.identity(fx["s"].nrows),
-                                            fx["s"], fx["x"], fx["w"]))
-        for key, fx in (("1", REP_1), ("1b", REP_1BAR), ("2", REP_2), ("2b", REP_2BAR))
-    }
+    named = dsl2_named_reps()
 
     def decompositions():
         table = {(a, b): decompose(tensor_rep(h, named[a], named[b]), named)

@@ -76,12 +76,9 @@ KEEP: dict[str, str] = {
     "gf2.Gf2Mat.power": ACCEPTANCE,
     "gf2.Gf2Mat.to_lists": ORACLE,
     "gf2.Gf2Vec.coords": ORACLE,
-    "gf2.LinearSolution.count": ORACLE,
-    "gf2.LinearSolution.solutions": ORACLE,
     "gf2._gl_rows": ORACLE,
     "gf2.enumerate_invertible": TRACED,
     "gf2.gl_order": ORACLE,
-    "gf2.vec": ORACLE,
     "golden.NamedCoproduct.hopf": ACCEPTANCE,
     "golden.qt_cbplus_star_nontrivial": ORACLE,
     "golden.qt_dsl2_standard": ORACLE,
@@ -97,7 +94,6 @@ KEEP: dict[str, str] = {
     "reps.equivalence_classes": ACCEPTANCE,
     "reps.invariant_line": ACCEPTANCE,
     "reps.regular_rep": ACCEPTANCE,
-    "structure.AlgebraSC.mul_vec": ORACLE,
     "structure.TensorProductAlgebra.prod": ACCEPTANCE,
     "structure.algebra_equations": ORACLE,
     "structure.apply_basis_change": ORACLE,

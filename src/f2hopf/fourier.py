@@ -43,10 +43,10 @@ def _right_integral(a: AlgebraSC, chi: int, name: str) -> Gf2Vec:
             if (chi >> beta) & 1:
                 row ^= 1 << mu
             rows.append(row)
-    sol = solve_linear(Gf2Mat(tuple(rows), n), Gf2Vec(len(rows), 0))
-    if sol is None or len(sol.nullspace) != 1:
+    _, nullspace = solve_linear(rows, n, 0)
+    if len(nullspace) != 1:
         raise IntegralError(f"{name} space is not one-dimensional")
-    return sol.nullspace[0]
+    return Gf2Vec(n, nullspace[0])
 
 
 def right_integral(h: HopfAlgebra) -> Gf2Vec:

@@ -7,7 +7,11 @@ format, so serialized fixtures stay stable.  All arithmetic is exact.
 
 There is one elimination: ``_row_reduce`` runs Gauss-Jordan on packed rows,
 and the rank, the inverse, the linear solve and the enumeration of GL(n, F2)
-all read their answer off its pivot rows.
+all read their answer off its pivot rows.  Like ``rank_rows`` and
+``mat_inv_rows``, ``solve_linear`` works on packed ints: it takes the rows
+and one int whose bit i is row i's constant, and answers with the
+particular solution and the nullspace basis as ints.  ``Gf2Vec`` and
+``Gf2Mat`` are the values the engine hands out.
 
 ``value_type``, the lowest piece of the package, makes the immutable value
 classes that every module declares.
@@ -122,15 +126,6 @@ class Gf2Vec:
 
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-
-def vec(coords) -> Gf2Vec:
-    coords = list(coords)
-    bits = 0
-    for i, c in enumerate(coords):
-        if c & 1:
-            bits |= 1 << i
-    return Gf2Vec(len(coords), bits)
 
 
 @value_type
@@ -302,52 +297,34 @@ def mat_inv_rows(rows, n: int) -> tuple[int, ...] | None:
     return tuple(pivots[c] >> n for c in range(n))
 
 
-@value_type
-class LinearSolution:
-    """Particular solution plus a basis of the homogeneous nullspace."""
+def solve_linear(rows, ncols: int, rhs: int) -> tuple[int, list[int]] | None:
+    """Solve the packed system row_i . x = bit i of rhs over F2 in ``ncols``
+    unknowns; None when it is inconsistent.
 
-    particular: Gf2Vec
-    nullspace: tuple[Gf2Vec, ...]
-
-    @property
-    def count(self) -> int:
-        return 1 << len(self.nullspace)
-
-    def solutions(self) -> Iterator[Gf2Vec]:
-        """All solutions, in ascending order of the free-bit combination."""
-        for mask in range(self.count):
-            bits = self.particular.bits
-            for i in bits_of(mask):
-                bits ^= self.nullspace[i].bits
-            yield Gf2Vec(self.particular.n, bits)
-
-
-def solve_linear(a: Gf2Mat, b: Gf2Vec) -> LinearSolution | None:
-    """Solve Ax = b over F2; None when inconsistent.
-
-    The particular solution is the one with every free variable set to 0,
-    which makes the output deterministic.
+    Returns (particular, nullspace): the solution with every free variable
+    0, and one basis vector of the homogeneous solutions per free column,
+    in ascending order of that column.
     """
-    if a.nrows != b.n:
-        raise ValueError("A and b have different numbers of rows")
-    n = a.cols
+    rows = tuple(rows)
+    if rhs >> len(rows):
+        raise ValueError("rhs has a bit beyond the last row")
     pivots = _row_reduce(
-        (r | ((b.bits >> i) & 1) << n for i, r in enumerate(a.rows)), n
+        (r | ((rhs >> i) & 1) << ncols for i, r in enumerate(rows)), ncols
     )
     if pivots is None:
         return None  # 0 = 1
     particular = 0
     for col, row in pivots.items():
-        particular |= ((row >> n) & 1) << col
-    basis = []
-    for free in range(n):
+        particular |= ((row >> ncols) & 1) << col
+    nullspace = []
+    for free in range(ncols):
         if free in pivots:
             continue
         v = 1 << free
         for col, row in pivots.items():
             v |= ((row >> free) & 1) << col
-        basis.append(Gf2Vec(n, v))
-    return LinearSolution(Gf2Vec(n, particular), tuple(basis))
+        nullspace.append(v)
+    return particular, nullspace
 
 
 # --- enumeration of GL(n, F2) ------------------------------------------------

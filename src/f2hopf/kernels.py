@@ -52,7 +52,7 @@ off it.
 
 from __future__ import annotations
 
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, mat_inv_rows, solve_linear, spread_table
+from f2hopf.gf2 import bits_of, mat_inv_rows, solve_linear, spread_table
 
 # The kernel implementation, as benchmark records name it.
 BACKEND = "python"
@@ -106,12 +106,10 @@ def eliminate(nvars: int, equations):
     equations = list(equations)
     linear = [(const, lin) for const, lin, pairs in equations if not pairs]
     rhs = sum((const & 1) << k for k, (const, _) in enumerate(linear))
-    sol = solve_linear(Gf2Mat(tuple(lin for _, lin in linear), nvars),
-                       Gf2Vec(len(linear), rhs))
+    sol = solve_linear((lin for _, lin in linear), nvars, rhs)
     if sol is None:
         return None
-    particular = sol.particular.bits
-    directions = [d.bits for d in sol.nullspace]
+    particular, directions = sol
     # subst[v]: the free variables whose direction sets variable v.
     subst = [0] * nvars
     for k, d in enumerate(directions):

@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 
 from f2hopf.gf2 import (
     Gf2Mat,
-    Gf2Vec,
     bits_of,
     mat_inv_rows,
     parity,
@@ -219,37 +218,32 @@ def check_algebra(a: AlgebraSC) -> AxiomReport:
 
 
 def check_coalgebra(c: CoalgebraSC) -> AxiomReport:
-    """Coassociativity and the two counit identities."""
+    """Coassociativity and the two counit identities, one loop over the bits
+    nu*n + rho of each Delta(x^mu).  Bit alpha*n*n + beta*n + gamma stands
+    for x^alpha (x) x^beta (x) x^gamma; wide[nu] is Delta(x^nu) with bit
+    alpha*n + beta moved to alpha*n*n + beta*n.  (Delta (x) id) Delta(x^mu)
+    is the XOR of wide[nu] << rho, and (id (x) Delta) Delta(x^mu) that of
+    Delta(x^rho) << nu*n*n."""
     n = c.n
-    for mu in range(n):
-        # (Delta (x) id) Delta vs (id (x) Delta) Delta, in the n^3 bit space
-        # with basis index alpha*n*n + beta*n + gamma.
-        lhs = 0
-        rhs = 0
-        for t in bits_of(c.cop(mu)):
-            nu, gamma = divmod(t, n)
-            for t2 in bits_of(c.cop(nu)):
-                alpha, beta = divmod(t2, n)
-                lhs ^= 1 << (alpha * n * n + beta * n + gamma)
-        for t in bits_of(c.cop(mu)):
-            alpha, rho = divmod(t, n)
-            for t2 in bits_of(c.cop(rho)):
-                beta, gamma = divmod(t2, n)
-                rhs ^= 1 << (alpha * n * n + beta * n + gamma)
+    full = (1 << n) - 1
+    spread = spread_table(n)
+    cops = [c.cop(mu) for mu in range(n)]
+    wide = [sum(spread[(cop >> (alpha * n)) & full] << (alpha * n * n) for alpha in range(n))
+            for cop in cops]
+    for mu, cop in enumerate(cops):
+        lhs = rhs = left = right = 0
+        for t in bits_of(cop):
+            nu, rho = divmod(t, n)
+            lhs ^= wide[nu] << rho
+            rhs ^= cops[rho] << (nu * n * n)
+            left ^= ((c.eps >> nu) & 1) << rho
+            right ^= ((c.eps >> rho) & 1) << nu
         if lhs != rhs:
             diff = lhs ^ rhs
             t = (diff & -diff).bit_length() - 1
             alpha, rest = divmod(t, n * n)
             beta, gamma = divmod(rest, n)
             return AxiomReport(False, "coassociativity", (mu, alpha, beta, gamma))
-        left = 0
-        right = 0
-        for t in bits_of(c.cop(mu)):
-            nu, rho = divmod(t, n)
-            if (c.eps >> nu) & 1:
-                left ^= 1 << rho
-            if (c.eps >> rho) & 1:
-                right ^= 1 << nu
         if left != 1 << mu:
             return AxiomReport(False, "counit-left", (mu,))
         if right != 1 << mu:
@@ -324,15 +318,18 @@ def algebra_inverse(alg: AlgebraSC | TensorProductAlgebra, x: int) -> int | None
     In an associative algebra it has at most one solution; more than one
     raises ``ValueError``, since the product cannot be associative."""
     n, eta = alg.n, alg.eta
-    # Column q holds the coefficients of x e_q, then those of e_q x.
-    cols = Gf2Mat(tuple(alg.mul_vec(x, 1 << q) | alg.mul_vec(1 << q, x) << n
-                        for q in range(n)), 2 * n)
-    sol = solve_linear(cols.transpose(), Gf2Vec(2 * n, eta | eta << n))
+    # Row t holds, over q, coefficient t of x e_q, then of e_q x for t >= n.
+    rows = [0] * (2 * n)
+    for q in range(n):
+        for t in bits_of(alg.mul_vec(x, 1 << q) | alg.mul_vec(1 << q, x) << n):
+            rows[t] |= 1 << q
+    sol = solve_linear(rows, n, eta | eta << n)
     if sol is None:
         return None
-    if sol.nullspace:
+    y, nullspace = sol
+    if nullspace:
         raise ValueError("inverse is not unique: the product is not associative")
-    return sol.particular.bits
+    return y
 
 
 @lru_cache(maxsize=None)
@@ -546,12 +543,12 @@ def solve_antipode(b: Bialgebra) -> Gf2Mat | None:
                     row |= masks[s][tau] << (k * n)
                 rhs |= (counit & unit[tau]) << len(rows)
                 rows.append(row)
-    sol = solve_linear(Gf2Mat(tuple(rows), n * n), Gf2Vec(len(rows), rhs))
+    sol = solve_linear(rows, n * n, rhs)
     if sol is None:
         return None
-    if sol.nullspace:
+    s, nullspace = sol
+    if nullspace:
         raise ValueError("antipode is not unique: the convolution is not associative")
-    s = sol.particular.bits
     return Gf2Mat(tuple((s >> (nu * n)) & full for nu in range(n)), n)
 
 

@@ -732,6 +732,54 @@ def test_verify_rederives_algebras_raw_and_fourier(tmp_path, datasets_n3, name, 
     assert any(DATASET_EDITS[name, field] in line for line in verify_failures(target))
 
 
+def test_verify_antipode_law_refuses_every_single_bit_flip():
+    # Each Hopf record of n = 2..4 passes the antipode law, and each record
+    # with one bit of its antipode flipped, or a row dropped or added, fails it.
+    from f2hopf.catalog import catalog
+    from f2hopf.classify import solve_catalog_algebra
+    from f2hopf.cli import _raw_payload, _raw_record_problems
+
+    records = flips = 0
+    for n in (2, 3, 4):
+        for label in catalog(n).labels:
+            for i, rec in enumerate(_raw_payload(solve_catalog_algebra(n, label))):
+                if not rec["hopf"]:
+                    continue
+                records += 1
+                assert _raw_record_problems(i, rec) == []
+                rows = [int(r, 16) for r in rec["antipode"].split(",")]
+                edits = [rows[:-1], rows + [0]]
+                for bit in range(n * n):
+                    flipped = list(rows)
+                    flipped[bit // n] ^= 1 << (bit % n)
+                    edits.append(flipped)
+                    flips += 1
+                for edit in edits:
+                    bad = {**rec, "antipode": ",".join(format(r, "x") for r in edit)}
+                    assert _raw_record_problems(i, bad) == [f"{label}[{i}]: antipode law fails"]
+    assert (records, flips) == (125, 1924)
+
+
+def test_run_writes_exactly_the_summary_keys_verify_accepts(tmp_path):
+    # The summary of run --stage all passes verify, and verify refuses every
+    # census key, "reps" or other key that summary does not have.
+    from f2hopf.cli import CENSUS_KEYS, _summary_problems
+
+    out = tmp_path / "out"
+    dims = [arg for n in (1, 2, 3, 4) for arg in ("--dim", str(n))]
+    assert run_cli(["run", *dims, "--stage", "all", "--out", str(out)]) == 0
+    for n in (1, 2, 3, 4):
+        target = out / f"summary_n{n}.json"
+        assert run_cli(["verify", str(target)]) == 0
+        summary = load_dataset(target.read_text(), "summary")[1]
+        assert _summary_problems(summary) == []
+        absent = {"dim", *CENSUS_KEYS, "reps", "extra"} - summary.keys()
+        assert absent == ({"extra"} if n == 4 else {"reps", "extra"})
+        for key in absent:
+            problems = _summary_problems({**summary, key: 0})
+            assert f"{key}: not a key of the summary of n={n}" in problems
+
+
 @pytest.mark.parametrize("field", ["counts", "image", "tensor_table", "duals"])
 def test_verify_rederives_reps(tmp_path, capsys, field):
     out = tmp_path / "out"

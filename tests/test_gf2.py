@@ -190,7 +190,8 @@ class _Pair:
             raise ValueError("negative left")
 
 
-@pytest.mark.parametrize("value", [Gf2Vec(3, 5), Gf2Mat((1, 2), 2), _Pair(1)])
+@pytest.mark.parametrize("value", [
+    Gf2Vec(3, 5), Gf2Mat((1, 2), 2), Gf2Mat.identity(2).mul_vec(Gf2Vec(2, 1)), _Pair(1)])
 def test_value_types_refuse_assignment_and_deletion(value):
     field = next(iter(type(value).__annotations__))
     with pytest.raises(AttributeError):

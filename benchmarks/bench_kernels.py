@@ -27,9 +27,10 @@ Every time is the median of ROUNDS runs.
 directory SRC, such as a checkout of an older commit's ``src``; without it,
 the ``src`` next to this script is timed.  Each tree is timed in CHILDREN
 fresh interpreters, which alternate between the trees, so a drift in
-machine load reaches each tree alike; a tree's suites report the median of
-each time over its children, and every child's numbers are kept under
-``runs``.  The numbers of each tree, the core count and the Python version
+machine load reaches each tree alike, and every other child runs the trees
+in reverse order, so neither always goes first; a tree's suites report the
+median of each time over its children, and every child's numbers are kept
+under ``runs``.  The numbers of each tree, the core count and the Python version
 go to benchmarks/BENCH_kernel.json (or the path given with --out).
 
 Run:  python benchmarks/bench_kernels.py [--tree parent=../old/src --tree change=src]
@@ -182,11 +183,13 @@ def main(argv=None):
         "cores": os.cpu_count(),
         "rounds": ROUNDS,
         "children": CHILDREN,
+        "tree_order": "given order for odd children, reversed for even children",
         "trees": {},
     }
     runs: dict[str, list] = {name: [] for name in trees}
+    order = list(trees.items())
     for child in range(CHILDREN):
-        for name, src in trees.items():
+        for name, src in (order[::-1] if child % 2 else order):
             print(f"child {child + 1}/{CHILDREN}, tree {name}: {src}", file=sys.stderr, flush=True)
             env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
             proc = subprocess.run([sys.executable, __file__, "--child"], env=env,

@@ -25,10 +25,13 @@ must exit 0: the census matched ``golden.CENSUS`` and every file verified.
 ``--tree NAME=SRC`` (repeatable) times the engine whose source is the
 directory SRC, such as a checkout of an older commit's ``src``; the rounds
 alternate between the trees, so a drift in machine speed reaches each
-alike.  Without it, the ``src`` next to this script is timed.  The medians
-and quartiles over the rounds, every run's numbers, the core count, the
-Python version and the kernel backend go to benchmarks/BENCH_pipeline.json
-(or the path given with --out).
+alike, and every other round runs the trees in reverse order, so neither
+always goes first.  Before round 1 each tree runs one untimed warm-up round
+(cold, warm and verify), because the first rounds of a fresh process tree
+read slower than the rest.  Without ``--tree``, the ``src`` next to this
+script is timed.  The medians and quartiles over the rounds, every run's
+numbers, the core count, the Python version and the kernel backend go to
+benchmarks/BENCH_pipeline.json (or the path given with --out).
 
 Run:  python benchmarks/bench_pipeline.py [--tree parent=../old/src --tree change=src]
 """
@@ -51,6 +54,7 @@ from pathlib import Path
 
 DIMS = (2, 3, 4)
 ROUNDS = 10
+WARMUP_ROUNDS = 1
 # (module, function) pairs whose calls each run counts.
 COUNTED = (("coproducts", "solve_coproducts"), ("coproducts", "solve_coproduct_tensors"),
            ("coproducts", "coalgebra_type"), ("coproducts", "solve_antipode"),
@@ -149,11 +153,17 @@ def main(argv=None):
     trees = dict(t.split("=", 1) for t in args.tree) if args.tree else {"src": default}
     modes = ("cold", "warm", "verify")
     runs = {name: {mode: [] for mode in modes} for name in trees}
-    for _ in range(ROUNDS):
-        for name, src in trees.items():
+    order = list(trees.items())
+    # Round 0 is the untimed warm-up; from round 1 on, odd rounds run the
+    # trees in the given order and even rounds in reverse.
+    for rnd in range(WARMUP_ROUNDS + ROUNDS):
+        for name, src in (order if rnd % 2 else order[::-1]):
             with tempfile.TemporaryDirectory(prefix="bench-pipeline-") as tmp:
                 for mode in modes:
                     result = run_child(Path(tmp) / "out", mode, str(Path(src).resolve()))
+                    if rnd < WARMUP_ROUNDS:
+                        print(f"{name} {mode}: warm-up, wall {result['wall_s']:.3f}s", flush=True)
+                        continue
                     runs[name][mode].append(result)
                     print(f"{name} {mode}: wall {result['wall_s']:.3f}s, "
                           f"{result['solve_coproducts_calls']} solves, "
@@ -172,6 +182,8 @@ def main(argv=None):
         "command": "f2hopf run --dim 2 --dim 3 --dim 4 --stage all",
         "verify_command": "f2hopf verify <every JSON file of the cold run>",
         "rounds": ROUNDS,
+        "warmup_rounds": WARMUP_ROUNDS,
+        "tree_order": "given order on odd rounds, reversed on even rounds",
         "trees": {name: {mode: summarise(results) for mode, results in by_mode.items()}
                   for name, by_mode in runs.items()},
     }

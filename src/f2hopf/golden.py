@@ -614,18 +614,9 @@ def qt_dsl2_standard() -> list[int]:
     1.1 + y.x + z.x + z.y + x.y + x.z (the two y.y terms cancel), and the
     a = 1 case adds u.u = (y+z).(y+z).
     """
-    names = BASIS_NAMES[4]
-    out = []
-    for a in (0, 1):
-        terms = ["1.1", "y.x", "z.x", "z.y", "x.y", "x.z"]
-        if a:
-            terms += ["y.y", "y.z", "z.y", "z.z"]
-        bits = 0
-        for t in terms:
-            i, j = t.split(".")
-            bits ^= 1 << (names.index(i) * 4 + names.index(j))
-        out.append(bits)
-    return sorted(out)
+    base = "1.1 y.x z.x z.y x.y x.z"
+    return sorted(parse_tensor_terms(base + extra, BASIS_NAMES[4])
+                  for extra in ("", " y.y y.z z.y z.z"))
 
 
 def qt_cbplus_star_nontrivial() -> int:

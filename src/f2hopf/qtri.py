@@ -3,16 +3,17 @@ on each bialgebra, quantum Killing forms, triangular/factorisable
 classification, the Yang-Baxter check, and the dual (coquasitriangular)
 picture.
 
-R lives in H (x) H as an n^2-bit vector.  The counit and hexagon
-identities say that its legs are algebra maps (``_equations``), quadratic
-XOR equations in the bits of R, and the intertwiner conditions are linear,
-so ``kernels.solve_quadratic``, the solve path that finds coproducts,
-enumerates all solutions: its elimination step removes the linear
-conditions and the backtracker searches what is left.  Every product,
-unit and inverse in H (x) H, H (x) H (x) H and (H (x) H)* is read from a
-``structure.TensorProductAlgebra``, from its table of basis products; the
-square is ``structure.tensor_square``, built once per algebra, and the cube
-is the square tensored with H.  Invertibility is
+R, its inverse and its Killing form Q = R21 R are packed ints in H (x) H,
+bit mu*n + nu for x^mu (x) x^nu, as in the qt dataset.  The counit and
+hexagon identities say that its legs are algebra maps (``_equations``),
+quadratic XOR equations in the bits of R, and the intertwiner conditions
+are linear, so ``kernels.solve_quadratic``, the solve path that finds
+coproducts, enumerates all solutions: its elimination step removes the
+linear conditions and the backtracker searches what is left.  Every
+product, unit and inverse in H (x) H, H (x) H (x) H and (H (x) H)* is read
+from a ``structure.TensorProductAlgebra``, from its table of basis
+products; the square is ``structure.tensor_square``, built once per
+algebra, and the cube is the square tensored with H.  Invertibility is
 ``structure.algebra_inverse`` in each.
 """
 
@@ -20,12 +21,11 @@ from __future__ import annotations
 
 from f2hopf import kernels
 from f2hopf.classify import ClassifiedDimension
-from f2hopf.gf2 import Gf2Mat, bits_of, value_type
+from f2hopf.gf2 import Gf2Mat, bits_of, mat_inv_rows, value_type
 from f2hopf.kernels import Equation
 from f2hopf.structure import (
     Bialgebra,
     TensorProductAlgebra,
-    TensorSquareElement,
     algebra_inverse,
     dualize_coalgebra,
     homomorphism_equations,
@@ -38,16 +38,17 @@ from f2hopf.structure import (
 @value_type
 class QuasiTriangularStructure:
     """A universal R-matrix with its inverse, its quantum Killing form and
-    its class.
+    its class.  R, R^-1 and Q are packed ints, bit mu*n + nu for
+    x^mu (x) x^nu.
 
     ``factorisable`` means Q = R21 R is nondegenerate as a map H* -> H
     (f |-> (f (x) id) Q), i.e. its n x n coefficient matrix is invertible;
     this does not depend on the choice of basis.
     """
 
-    r: TensorSquareElement
-    r_inv: TensorSquareElement
-    q: TensorSquareElement  # quantum Killing form R21 R
+    r: int
+    r_inv: int
+    q: int  # quantum Killing form R21 R
     klass: str  # trivial | triangular | strict
     factorisable: bool
 
@@ -99,53 +100,53 @@ def _equations(b: Bialgebra) -> tuple[int, list[tuple]]:
     return n * n, equations
 
 
-def swap_legs(r: TensorSquareElement) -> TensorSquareElement:
-    n = r.n
+def swap_legs(r: int, n: int) -> int:
+    """R21: the legs of r in H (x) H swapped."""
     out = 0
-    for t in bits_of(r.bits):
+    for t in bits_of(r):
         mu, nu = divmod(t, n)
         out |= 1 << (nu * n + mu)
-    return TensorSquareElement(n, out)
+    return out
 
 
-def killing_form(b: Bialgebra, r: TensorSquareElement) -> TensorSquareElement:
-    return TensorSquareElement(r.n, tensor_square(b.alg).mul_vec(swap_legs(r).bits, r.bits))
+def killing_form(b: Bialgebra, r: int) -> int:
+    return tensor_square(b.alg).mul_vec(swap_legs(r, b.n), r)
 
 
-def classify_r(b: Bialgebra, r: TensorSquareElement, r_inv: TensorSquareElement):
+def classify_r(b: Bialgebra, r: int, r_inv: int):
     """Class of R (trivial: R = 1 (x) 1; triangular: Q = R21 R = 1 (x) 1;
     strict otherwise) and whether it is factorisable: Q nondegenerate as a
-    map H* -> H, i.e. its coefficient matrix invertible."""
+    map H* -> H, i.e. its coefficient matrix, row mu the n bits from mu*n,
+    invertible."""
+    n = b.n
     q = killing_form(b, r)
     unit = tensor_square(b.alg).eta
-    if r.bits == unit:
+    if r == unit:
         klass = "trivial"
-    elif q.bits == unit:
+    elif q == unit:
         klass = "triangular"
     else:
         klass = "strict"
-    factorisable = q.matrix().inverse() is not None
+    rows = tuple((q >> (mu * n)) & ((1 << n) - 1) for mu in range(n))
+    factorisable = mat_inv_rows(rows, n) is not None
     return QuasiTriangularStructure(r, r_inv, q, klass, factorisable)
 
 
 def enumerate_quasitriangular(b: Bialgebra) -> list[QuasiTriangularStructure]:
     """All quasitriangular structures, ascending by R bit pattern."""
-    n = b.n
     square = tensor_square(b.alg)
     out = []
-    for bits in kernels.solve_quadratic(*_equations(b)):
-        inv = algebra_inverse(square, bits)
-        if inv is None:
-            continue
-        r = TensorSquareElement(n, bits)
-        out.append(classify_r(b, r, TensorSquareElement(n, inv)))
+    for r in kernels.solve_quadratic(*_equations(b)):
+        r_inv = algebra_inverse(square, r)
+        if r_inv is not None:
+            out.append(classify_r(b, r, r_inv))
     return out
 
 
 # --- Yang-Baxter in H (x) H (x) H ------------------------------------------------
 
 
-def yang_baxter_ok(b: Bialgebra, r: TensorSquareElement) -> bool:
+def yang_baxter_ok(b: Bialgebra, r: int) -> bool:
     """R12 R13 R23 == R23 R13 R12 in H (x) H (x) H, whose basis element
     (i*n + j)*n + k is x^i (x) x^j (x) x^k (standard form assumed, so the
     unit is basis element 0)."""
@@ -154,7 +155,7 @@ def yang_baxter_ok(b: Bialgebra, r: TensorSquareElement) -> bool:
     r12 = 0
     r13 = 0
     r23 = 0
-    for t in bits_of(r.bits):
+    for t in bits_of(r):
         mu, nu = divmod(t, n)
         r12 |= 1 << (mu * n * n + nu * n)
         r13 |= 1 << (mu * n * n + nu)

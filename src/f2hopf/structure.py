@@ -142,24 +142,6 @@ class HopfAlgebra:
 
 
 @value_type
-class TensorSquareElement:
-    """Element of H (x) H as an n^2-bit vector, bit mu*n + nu = x^mu (x) x^nu."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.bits >> self.n**2:
-            raise ValueError("bits outside n^2 range")
-
-    def matrix(self) -> Gf2Mat:
-        n = self.n
-        return Gf2Mat(
-            tuple((self.bits >> (mu * n)) & ((1 << n) - 1) for mu in range(n)), n
-        )
-
-
-@value_type
 class AxiomReport:
     """Outcome of an axiom check; on failure, the first violated axiom and
     index tuple in lexicographic order."""

@@ -520,17 +520,15 @@ def convolution_antipode(b: Bialgebra):
     id = sum_mu e^mu (x) x^mu in the convolution algebra
     C* (x) A = ``TensorProductAlgebra(dualize_coalgebra(c), a)``, found by
     ``algebra_inverse``, which raises ``ValueError`` when it is not unique."""
-    from f2hopf.structure import (
-        TensorProductAlgebra,
-        TensorSquareElement,
-        algebra_inverse,
-        dualize_coalgebra,
-    )
+    from f2hopf.gf2 import Gf2Mat
+    from f2hopf.structure import TensorProductAlgebra, algebra_inverse, dualize_coalgebra
 
     n = b.n
     conv = TensorProductAlgebra(dualize_coalgebra(b.coalg), b.alg)
     s = algebra_inverse(conv, sum(1 << (mu * n + mu) for mu in range(n)))
-    return None if s is None else TensorSquareElement(n, s).matrix()
+    if s is None:
+        return None
+    return Gf2Mat(tuple((s >> (mu * n)) & ((1 << n) - 1) for mu in range(n)), n)
 
 
 def naive_homomorphism_equations(a, b, var) -> list[tuple]:
@@ -741,7 +739,7 @@ def coquasitriangular_via_dual(b: Bialgebra) -> list[int]:
     out = []
     for s in enumerate_quasitriangular(std):
         bits = 0
-        for t in bits_of(s.r.bits):
+        for t in bits_of(s.r):
             al, be = divmod(t, n)
             for mu in bits_of(p.rows[al]):
                 for nu in bits_of(p.rows[be]):
@@ -817,30 +815,28 @@ def check_antipode_identities(h):
 def antipode_leg_transform(h, r):
     """(S (x) id) R, which must equal the inverse on a Hopf algebra."""
     from f2hopf.gf2 import bits_of
-    from f2hopf.structure import TensorSquareElement
 
     n = h.n
     out = 0
-    for t in bits_of(r.bits):
+    for t in bits_of(r):
         mu, nu = divmod(t, n)
         for i in bits_of(h.s.rows[mu]):
             out ^= 1 << (i * n + nu)
-    return TensorSquareElement(n, out)
+    return out
 
 
 def both_legs_antipode(h, r):
     """(S (x) S) R, invariant for every quasitriangular structure."""
     from f2hopf.gf2 import bits_of
-    from f2hopf.structure import TensorSquareElement
 
     n = h.n
     out = 0
-    for t in bits_of(r.bits):
+    for t in bits_of(r):
         mu, nu = divmod(t, n)
         for i in bits_of(h.s.rows[mu]):
             for j in bits_of(h.s.rows[nu]):
                 out ^= 1 << (i * n + j)
-    return TensorSquareElement(n, out)
+    return out
 
 
 def conjugate(rep, p):

@@ -264,20 +264,20 @@ def test_criterion_8_grassmann_plane_never_factorisable():
     want = dict(qt_family_grassmann_plane())
     double_form = parse_tensor_terms("1.1 x.y y.x z.z", names)
     ok = len(sols) == 16
-    ok &= sorted(s.r.bits for s in sols) == sorted(want)
+    ok &= sorted(s.r for s in sols) == sorted(want)
     for s in sols:
-        ok &= s.triangular == want.get(s.r.bits)
+        ok &= s.triangular == want.get(s.r)
         ok &= s.factorisable == (not s.triangular)
         if not s.triangular:
-            ok &= s.q.bits == double_form
+            ok &= s.q == double_form
     # independent oracle: naive Killing form and GF(2) rank for every R
     v = unpack_tensor(bi.alg.v, 4)
     for s in sols:
-        q = naive_killing_form(v, unpack_square(s.r.bits, 4), 4)
-        ok &= q == unpack_square(s.q.bits, 4)
+        q = naive_killing_form(v, unpack_square(s.r, 4), 4)
+        ok &= q == unpack_square(s.q, 4)
         ok &= (naive_rank(q) == 4) == s.factorisable
     canonical = parse_tensor_terms("1.1 x.y", names)
-    ok &= any(s.r.bits == canonical for s in sols)
+    ok &= any(s.r == canonical for s in sols)
     q = naive_killing_form(v, unpack_square(canonical, 4), 4)
     rank = naive_rank(q)
     ok &= q == unpack_square(double_form, 4) and rank == 4

@@ -57,7 +57,6 @@ def test_unit_must_act_as_the_identity():
     assert Representation(2, (Gf2Mat.identity(2),) + (zero,) * (ALG.n - 1)).k == 2
 
 
-@pytest.mark.slow
 def test_count_k3():
     reps = enumerate_reps(ALG, 3)
     assert len(reps) == REP_COUNTS[3]

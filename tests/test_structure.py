@@ -7,7 +7,7 @@ from f2hopf import kernels
 from f2hopf.catalog import BASIS_NAMES, catalog
 from f2hopf.classify import BialgebraClass, classify_dimension
 from f2hopf.coproducts import RawSolution, solve_coproducts
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, enumerate_invertible
+from f2hopf.gf2 import Gf2Mat, enumerate_invertible
 from f2hopf.golden import (
     COPRODUCTS_DIM3,
     NamedCoproduct,
@@ -37,7 +37,6 @@ from f2hopf.structure import (
     solve_antipode,
     tensor_bit,
     TensorProductAlgebra,
-    TensorSquareElement,
 )
 from reference import (
     check_antipode_identities,
@@ -586,8 +585,7 @@ def test_structure_values_are_immutable_and_equal_within_one_class():
     a = catalog(2)["B"].representative
     c = CoalgebraSC(a.n, a.v, a.eta)
     assert a != c and c != a
-    assert Gf2Vec(2, 1) != TensorSquareElement(2, 1)
-    for value in (a, c, Bialgebra(a, dualize_algebra(a)), TensorSquareElement(2, 1)):
+    for value in (a, c, Bialgebra(a, dualize_algebra(a))):
         field = next(iter(type(value).__annotations__))
         with pytest.raises(AttributeError):
             setattr(value, field, 0)
@@ -614,11 +612,8 @@ def test_structure_values_defaults_keywords_and_validation():
         AlgebraSC(2, 0, eta=4)
     with pytest.raises(ValueError):
         CoalgebraSC(2, 1 << 8, 1)
-    with pytest.raises(ValueError):
-        TensorSquareElement(2, 1 << 4)
 
 
 def test_structure_value_repr_names_class_and_fields():
     assert repr(AlgebraSC(1, 1)) == "AlgebraSC(n=1, v=1, eta=1)"
     assert repr(CoalgebraSC(1, 1, 1)) == "CoalgebraSC(n=1, c=1, eps=1)"
-    assert repr(TensorSquareElement(2, 9)) == "TensorSquareElement(n=2, bits=9)"

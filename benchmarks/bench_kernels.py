@@ -83,7 +83,7 @@ def searched_counits():
             for eps in enumerate_counits(a):
                 if eps not in covered:
                     searched.append((a, eps))
-                    covered |= {sum(parity(row & eps) << i for i, row in enumerate(p.rows))
+                    covered |= {sum(parity(row & eps) << i for i, row in enumerate(p))
                                 for p in autos}
     return searched
 

@@ -71,11 +71,6 @@ KEEP: dict[str, str] = {
     "fourier.holonomy": ACCEPTANCE,
     "fourier.right_cointegral": ORACLE,
     "fourier.transport_matrix": ACCEPTANCE,
-    "gf2.Gf2Mat.__getitem__": ORACLE,
-    "gf2.Gf2Mat.mul_vec": ACCEPTANCE,
-    "gf2.Gf2Mat.power": ACCEPTANCE,
-    "gf2.Gf2Mat.to_lists": ORACLE,
-    "gf2.Gf2Vec.coords": ORACLE,
     "gf2._gl_rows": ORACLE,
     "gf2.enumerate_invertible": TRACED,
     "gf2.gl_order": ORACLE,

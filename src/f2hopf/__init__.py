@@ -6,8 +6,6 @@ __all__ = [
     "AlgebraSC",
     "Bialgebra",
     "CoalgebraSC",
-    "Gf2Mat",
-    "Gf2Vec",
     "HopfAlgebra",
     "classify_dimension",
     "solve_coproducts",
@@ -16,10 +14,6 @@ __all__ = [
 
 def __getattr__(name):
     # Lazy re-exports keep `import f2hopf` cheap.
-    if name in ("Gf2Mat", "Gf2Vec"):
-        from f2hopf import gf2
-
-        return getattr(gf2, name)
     if name in ("AlgebraSC", "CoalgebraSC", "Bialgebra", "HopfAlgebra"):
         from f2hopf import structure
 

@@ -21,7 +21,7 @@ import operator
 from functools import lru_cache, partial
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, gl_order, rank_rows, value_type
+from f2hopf.gf2 import gl_order, rank_rows, value_type
 from f2hopf.structure import (
     AlgebraSC,
     algebra_equations,
@@ -156,7 +156,7 @@ class AlgebraClass:
         return self.representative.commutative
 
     @property
-    def automorphisms(self) -> tuple[Gf2Mat, ...]:
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         return automorphism_group(self.representative)
 
     @property
@@ -232,7 +232,7 @@ def catalog(n: int) -> AlgebraCatalog:
     return AlgebraCatalog(n, tuple(classes), invariant_label)
 
 
-def isomorphisms(a: AlgebraSC, b: AlgebraSC) -> list[Gf2Mat]:
+def isomorphisms(a: AlgebraSC, b: AlgebraSC) -> list[tuple[int, ...]]:
     """Every algebra isomorphism from a onto b, in lexicographic order of the
     rows tuple (the order of gf2.enumerate_invertible).
 
@@ -251,12 +251,12 @@ def isomorphisms(a: AlgebraSC, b: AlgebraSC) -> list[Gf2Mat]:
     for mask in kernels.solve_quadratic(n * n, equations):
         rows = tuple((mask >> (n * (n - 1 - i))) & row_mask for i in range(n))
         if rank_rows(rows) == n:
-            out.append(Gf2Mat(rows, n))
+            out.append(rows)
     return out
 
 
 @lru_cache(maxsize=None)
-def automorphism_group(a: AlgebraSC) -> tuple[Gf2Mat, ...]:
+def automorphism_group(a: AlgebraSC) -> tuple[tuple[int, ...], ...]:
     """All unit-fixing basis changes preserving the tensor exactly, in
     lexicographic row order.  Memoised: a catalog class and every coproduct
     solve of an algebra share one group, solved on first use."""
@@ -265,7 +265,7 @@ def automorphism_group(a: AlgebraSC) -> tuple[Gf2Mat, ...]:
     return tuple(isomorphisms(a, a))
 
 
-def standardize_unit(a: AlgebraSC) -> tuple[AlgebraSC, Gf2Mat]:
+def standardize_unit(a: AlgebraSC) -> tuple[AlgebraSC, tuple[int, ...]]:
     """Basis change moving the unit to basis index 0.
 
     The first row of the change matrix is the unit combination; the remaining
@@ -282,7 +282,7 @@ def standardize_unit(a: AlgebraSC) -> tuple[AlgebraSC, Gf2Mat]:
             break
         if rank_rows(rows + [r]) > len(rows):
             rows.append(r)
-    p = Gf2Mat(tuple(rows), n)
+    p = tuple(rows)
     from f2hopf.structure import apply_basis_change_algebra
 
     std = apply_basis_change_algebra(a, p)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from f2hopf import kernels
 from f2hopf.catalog import AlgebraCatalog, catalog, identify_algebra, isomorphisms
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
-from f2hopf.gf2 import Gf2Mat, value_type
+from f2hopf.gf2 import mat_transpose_rows, value_type
 from f2hopf.structure import (
     Bialgebra,
     dual_bialgebra_raw,
@@ -207,7 +207,7 @@ def locate_class(dim: ClassifiedDimension, b: Bialgebra) -> BialgebraClass:
     # such p lands in the same class.
     n = dim.n
     p = isomorphisms(rep_alg, b.alg)[0]
-    c_img = kernels.transform_coproduct(b.coalg.c, n, p.rows)
+    c_img = kernels.transform_coproduct(b.coalg.c, n, p)
     for cls in dim.classes[alg_label]:
         if any(target.solutions[i].coalg.c == c_img for i in cls.members):
             return cls
@@ -217,7 +217,7 @@ def locate_class(dim: ClassifiedDimension, b: Bialgebra) -> BialgebraClass:
 # --- self-duality pairings ------------------------------------------------------
 
 
-def self_duality_pairing(b: Bialgebra) -> Gf2Mat | None:
+def self_duality_pairing(b: Bialgebra) -> tuple[int, ...] | None:
     """Lexicographically smallest invertible bialgebra self-pairing, if any.
 
     P[mu][nu] = <x^mu, x^nu> is a self-pairing when <ab, c> = <a (x) b, Delta c>,
@@ -229,5 +229,5 @@ def self_duality_pairing(b: Bialgebra) -> Gf2Mat | None:
     whose transpose is also among them.
     """
     isos = isomorphisms(b.alg, dualize_coalgebra(b.coalg))
-    rows = {p.rows for p in isos}
-    return next((p for p in isos if p.transpose().rows in rows), None)
+    found = set(isos)
+    return next((p for p in isos if mat_transpose_rows(p) in found), None)

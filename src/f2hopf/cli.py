@@ -41,7 +41,7 @@ from f2hopf.classify import (
     solve_catalog_algebra,
 )
 from f2hopf.coproducts import RawSolution, RawSolutionSet, solve_coproducts
-from f2hopf.gf2 import bits_of
+from f2hopf.gf2 import bits_of, mat_mul_rows, mat_order_rows, mat_transpose_rows
 from f2hopf.golden import CENSUS, HOPF_FIXTURES_DIM4, REP_COUNTS
 from f2hopf.serialize import (
     DatasetError,
@@ -178,9 +178,8 @@ def reps_payload() -> dict:
     for k in (1, 2, 3):
         reps = enumerate_reps(h.alg, k)
         # The representations share their image matrices: format each once.
-        distinct = {m.rows: m for r in reps for m in r.images}
-        hexes = {rows: mat_to_hex(m) for rows, m in distinct.items()}
-        payload[str(k)] = [[hexes[m.rows] for m in r.images] for r in reps]
+        hexes = {m: mat_to_hex(m) for m in {m for r in reps for m in r.images}}
+        payload[str(k)] = [[hexes[m] for m in r.images] for r in reps]
         payload["counts"][str(k)] = len(reps)
     named = dsl2_named_reps()
     payload["tensor_table"] = {
@@ -237,12 +236,12 @@ def _fourier_record(h, type_labels: list[str], dual_basis=None, name=None) -> di
     data = fourier_data(h, dual_basis)
     rec = {
         "type": type_labels,
-        "I": tensor_to_hex(data.integral.bits),
+        "I": tensor_to_hex(data.integral),
         "F": mat_to_hex(data.f),
         "F_sharp": mat_to_hex(data.f_sharp),
         "identification": mat_to_hex(data.dual_identification),
         "transport": mat_to_hex(data.transport),
-        "transport_order": data.transport.order(),
+        "transport_order": mat_order_rows(data.transport),
     }
     if name is not None:
         rec["name"] = name
@@ -453,7 +452,7 @@ def _raw_record_problems(i: int, rec: dict) -> list[str]:
     if rec["hopf"] != ("antipode" in rec):
         return [f"{label}[{i}]: hopf flag mismatch"]
     if "antipode" in rec:
-        s = mat_from_hex(rec["antipode"], n).rows
+        s = mat_from_hex(rec["antipode"], n)
         fails = [f"{label}[{i}]: antipode law fails"]
         if len(s) != n:
             return fails
@@ -472,16 +471,23 @@ def _fourier_identity_problems(i: int, rec: dict) -> list[str]:
     """The identities that hold within one fourier record.  The unit is the
     basis element x^0 and F[mu][nu] = I(x^nu x^mu), so row 0 of F is the
     integral I and F# is F transposed; the transport is F times the
-    identification and has order transport_order."""
+    identification and has order transport_order.  n is F's row count, and
+    a record whose n has no catalog is refused before any matrix is read:
+    the order of an n x n matrix can reach 2^n - 1."""
     integral = tensor_from_hex(rec["I"])
     if not isinstance(rec["F"], str):
         raise TypeError(f"F is {type(rec['F']).__name__}, not a hex string")
     n = len(rec["F"].split(","))
+    if n not in RELATIONS:
+        return [f"record {i}: no catalog for dimension {n!r}"]
     f, f_sharp, ident, transport = (mat_from_hex(rec[key], n) for key in
                                     ("F", "F_sharp", "identification", "transport"))
-    if f.rows[0] != integral or f_sharp != f.transpose():
+    if len(ident) != n:
+        raise ValueError(f"identification has {len(ident)} rows, not {n}")
+    if f[0] != integral or f_sharp != mat_transpose_rows(f):
         return [f"record {i}: F and F_sharp are not the pairings of I"]
-    if f * ident != transport or transport.order() != rec["transport_order"]:
+    if (mat_mul_rows(f, ident) != transport
+            or mat_order_rows(transport) != rec["transport_order"]):
         return [f"record {i}: transport is not F * identification of its order"]
     return []
 

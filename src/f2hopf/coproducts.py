@@ -39,7 +39,6 @@ from functools import lru_cache
 from f2hopf import kernels
 from f2hopf.catalog import _catalog_label, automorphism_group, identify_algebra
 from f2hopf.gf2 import (
-    Gf2Mat,
     bits_of,
     mat_mul_rows,
     parity,
@@ -183,13 +182,15 @@ def _reduced_laws(n: int) -> tuple[tuple, ...]:
 
 @value_type
 class RawSolution:
-    """One coproduct solution with its annotations."""
+    """One coproduct solution with its annotations: the coalgebra type and
+    the antipode's packed rows, None when the bialgebra is not Hopf."""
 
     coalg: CoalgebraSC
     type_label: str
-    antipode: Gf2Mat | None
+    antipode: tuple[int, ...] | None
 
-    def __init__(self, coalg: CoalgebraSC, type_label: str, antipode: Gf2Mat | None):
+    def __init__(self, coalg: CoalgebraSC, type_label: str,
+                 antipode: tuple[int, ...] | None):
         set_field(self, "coalg", coalg)
         set_field(self, "type_label", type_label)
         set_field(self, "antipode", antipode)
@@ -251,7 +252,7 @@ def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
     if label is None:
         label = identify_algebra(a)
     n = a.n
-    changes = [kernels.coproduct_change(p.rows, n) for p in automorphism_group(a)]
+    changes = [kernels.coproduct_change(p, n) for p in automorphism_group(a)]
     found: dict[int, RawSolution] = {}
     least: dict[int, int] = {}  # tensor -> smallest tensor of its class
     covered: set[int] = set()
@@ -276,7 +277,7 @@ def solve_coproducts(a: AlgebraSC, label: str | None = None) -> RawSolutionSet:
                     coalg=CoalgebraSC(n, image, image_eps),
                     type_label=type_label,
                     antipode=None if antipode is None else
-                    Gf2Mat(mat_mul_rows(mat_mul_rows(p, antipode.rows), pinv), n),
+                    mat_mul_rows(mat_mul_rows(p, antipode), pinv),
                 )
     tensors = sorted(found)
     index_of = {c: i for i, c in enumerate(tensors)}

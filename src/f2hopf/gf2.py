@@ -1,17 +1,16 @@
 """Exact linear algebra over the two-element field.
 
-Vectors and matrices are bit-packed into Python integers: coordinate i of a
-vector lives at bit i (least significant bit first), and a matrix is a tuple
-of packed rows in row-major order.  This layout is part of the on-disk
-format, so serialized fixtures stay stable.  All arithmetic is exact.
+A vector is an int: coordinate i lives at bit i (least significant bit
+first).  A matrix is the tuple of its packed rows, bit j of row i holding
+entry (i, j); every matrix the engine computes is square, so the row count
+gives the shape.  This layout is part of the on-disk format, so serialized
+fixtures stay stable.  All arithmetic is exact.
 
 There is one elimination: ``_row_reduce`` runs Gauss-Jordan on packed rows,
-and the rank, the inverse, the linear solve and the enumeration of GL(n, F2)
-all read their answer off its pivot rows.  Like ``rank_rows`` and
-``mat_inv_rows``, ``solve_linear`` works on packed ints: it takes the rows
-and one int whose bit i is row i's constant, and answers with the
-particular solution and the nullspace basis as ints.  ``Gf2Vec`` and
-``Gf2Mat`` are the values the engine hands out.
+and the rank, the inverse, the order, the linear solve and the enumeration
+of GL(n, F2) all read their answer off its pivot rows.  ``solve_linear``
+takes the rows and one int whose bit i is row i's constant, and answers
+with the particular solution and the nullspace basis as ints.
 
 ``value_type``, the lowest piece of the package, makes the immutable value
 classes that every module declares.
@@ -111,134 +110,12 @@ def spread_table(n: int) -> tuple[int, ...]:
     return tuple(spread)
 
 
-@value_type
-class Gf2Vec:
-    """Length-n vector over F2; coordinate i is bit i of ``bits``."""
-
-    n: int
-    bits: int
-
-    def __init__(self, n: int, bits: int):
-        if bits >> n:
-            raise ValueError("set coordinate outside [0, n)")
-        set_field(self, "n", n)
-        set_field(self, "bits", bits)
-
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-
-@value_type
-class Gf2Mat:
-    """rows x cols matrix over F2, packed one integer per row (bit j = column j)."""
-
-    rows: tuple[int, ...]
-    cols: int
-
-    def __init__(self, rows: tuple[int, ...], cols: int):
-        for r in rows:
-            if r >> cols:
-                raise ValueError("set entry outside column range")
-        set_field(self, "rows", rows)
-        set_field(self, "cols", cols)
-
-    @classmethod
-    def from_rows(cls, row_lists) -> "Gf2Mat":
-        rows = []
-        cols = None
-        for row in row_lists:
-            row = list(row)
-            if cols is None:
-                cols = len(row)
-            elif len(row) != cols:
-                raise ValueError("ragged rows")
-            bits = 0
-            for j, c in enumerate(row):
-                if c & 1:
-                    bits |= 1 << j
-            rows.append(bits)
-        return cls(tuple(rows), cols or 0)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Mat":
-        return cls(tuple(1 << i for i in range(n)), n)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return (self.rows[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
-
-    def __mul__(self, other: "Gf2Mat") -> "Gf2Mat":
-        if self.cols != other.nrows:
-            raise ValueError("shape mismatch in product")
-        return Gf2Mat(mat_mul_rows(self.rows, other.rows), other.cols)
-
-    def mul_vec(self, v: Gf2Vec) -> Gf2Vec:
-        """Matrix times column vector: (Mv)_i = sum_j M[i][j] v_j."""
-        if self.cols != v.n:
-            raise ValueError("shape mismatch")
-        bits = 0
-        for i, r in enumerate(self.rows):
-            if parity(r & v.bits):
-                bits |= 1 << i
-        return Gf2Vec(self.nrows, bits)
-
-    def transpose(self) -> "Gf2Mat":
-        out = [0] * self.cols
-        for i, r in enumerate(self.rows):
-            for j in bits_of(r):
-                out[j] |= 1 << i
-        return Gf2Mat(tuple(out), self.nrows)
-
-    def inverse(self) -> "Gf2Mat | None":
-        """Two-sided inverse, or None when the matrix is singular."""
-        if self.nrows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        inv = mat_inv_rows(self.rows, self.cols)
-        if inv is None:
-            return None
-        return Gf2Mat(inv, self.cols)
-
-    def is_identity(self) -> bool:
-        return self.nrows == self.cols and all(
-            r == 1 << i for i, r in enumerate(self.rows)
-        )
-
-    def power(self, k: int) -> "Gf2Mat":
-        if self.nrows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        acc = Gf2Mat.identity(self.cols)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
-    def order(self) -> int:
-        """Multiplicative order; raises if the matrix is singular.  The loop
-        ends, since an invertible matrix has finite order."""
-        if self.inverse() is None:
-            raise ValueError("singular matrix has no multiplicative order")
-        acc = self
-        k = 1
-        while not acc.is_identity():
-            acc = acc * self
-            k += 1
-        return k
-
-
-# --- raw row-tuple helpers (hot paths work on these directly) ---------------
+# --- matrices: tuples of packed rows ---------------------------------------
 
 
 def mat_mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product a b: row i is the sum of the rows of b that row i of a
+    selects."""
     out = []
     for ra in a:
         acc = 0
@@ -249,6 +126,31 @@ def mat_mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             r ^= low
         out.append(acc)
     return tuple(out)
+
+
+def mat_transpose_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The transpose of a square matrix."""
+    out = [0] * len(rows)
+    for i, r in enumerate(rows):
+        for j in bits_of(r):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
+def mat_order_rows(rows: tuple[int, ...]) -> int:
+    """Multiplicative order of a square matrix.  Raises ``ValueError`` when
+    a row has a bit at or beyond the row count (not square) or the matrix
+    is singular; an invertible matrix has finite order, so the loop ends."""
+    n = len(rows)
+    if any(r >> n for r in rows) or mat_inv_rows(rows, n) is None:
+        raise ValueError("only an invertible square matrix has a multiplicative order")
+    identity = tuple(1 << i for i in range(n))
+    acc = rows
+    k = 1
+    while acc != identity:
+        acc = mat_mul_rows(acc, rows)
+        k += 1
+    return k
 
 
 def _row_reduce(rows, ncols: int) -> dict[int, int] | None:
@@ -344,14 +246,14 @@ def _gl_rows(n: int, fix_unit: bool) -> tuple[tuple[int, ...], ...]:
     return tuple(prefixes)
 
 
-def enumerate_invertible(n: int, fix_unit: bool = False) -> list[Gf2Mat]:
+def enumerate_invertible(n: int, fix_unit: bool = False) -> list[tuple[int, ...]]:
     """All invertible n x n matrices, rows chosen lexicographically smallest
     first, so the stream order is reproducible.  With ``fix_unit`` only
     matrices whose row 0 is the first standard basis vector are produced.
     """
     if not 1 <= n <= 8:
         raise ValueError("dimension out of supported range")
-    return [Gf2Mat(rows, n) for rows in _gl_rows(n, fix_unit)]
+    return list(_gl_rows(n, fix_unit))
 
 
 def gl_order(n: int) -> int:

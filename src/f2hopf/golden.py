@@ -12,7 +12,7 @@ from __future__ import annotations
 
 
 from f2hopf.catalog import BASIS_NAMES, parse_element
-from f2hopf.gf2 import Gf2Mat, value_type
+from f2hopf.gf2 import value_type
 from f2hopf.structure import Bialgebra, CoalgebraSC, HopfAlgebra
 
 
@@ -42,17 +42,14 @@ def coalgebra_from_terms(
     return CoalgebraSC(n, c, parse_element(eps, names))
 
 
-def antipode_matrix(names: tuple[str, ...], **images: str) -> Gf2Mat:
+def antipode_matrix(names: tuple[str, ...], **images: str) -> tuple[int, ...]:
     """Antipode from generator images; the unit maps to itself."""
-    n = len(names)
-    rows = [1]
-    for name in names[1:]:
-        rows.append(parse_element(images[name], names))
-    return Gf2Mat(tuple(rows), n)
+    return (1, *(parse_element(images[name], names) for name in names[1:]))
 
 
-def mat(rows: list[list[int]]) -> Gf2Mat:
-    return Gf2Mat.from_rows(rows)
+def mat(rows: list[list[int]]) -> tuple[int, ...]:
+    """The packed rows of a matrix written as lists of 0/1 entries."""
+    return tuple(sum(c << j for j, c in enumerate(row)) for row in rows)
 
 
 @value_type
@@ -64,7 +61,7 @@ class NamedCoproduct:
     algebra_label: str
     coalg: CoalgebraSC
     dual_label: str
-    antipode: Gf2Mat | None = None
+    antipode: tuple[int, ...] | None = None
 
     @property
     def hopf(self) -> bool:
@@ -271,11 +268,11 @@ class HopfFixture:
     name: str
     nickname: str
     coalg: CoalgebraSC
-    antipode: Gf2Mat
+    antipode: tuple[int, ...]
     integral: int  # packed I vector
-    fourier: Gf2Mat
-    dual_basis: Gf2Mat  # row mu = image of dual basis element y_mu
-    transport: Gf2Mat
+    fourier: tuple[int, ...]
+    dual_basis: tuple[int, ...]  # row mu = image of dual basis element y_mu
+    transport: tuple[int, ...]
 
     def bialgebra(self) -> Bialgebra:
         from f2hopf.catalog import catalog
@@ -306,7 +303,7 @@ def _hf(alg, typ, name, nick, coalg, s, integral, fourier, dual_basis, transport
         antipode=antipode_matrix(names, **s) if isinstance(s, dict) else s,
         integral=parse_element(integral, names),
         fourier=mat(fourier),
-        dual_basis=Gf2Mat(tuple(parse_element(e, names) for e in dual_basis), 4),
+        dual_basis=tuple(parse_element(e, names) for e in dual_basis),
         transport=mat(transport),
     )
 
@@ -655,8 +652,9 @@ def dsl2_named_reps() -> dict:
 
     out = {}
     for key, fx in (("1", REP_1), ("1b", REP_1BAR), ("2", REP_2), ("2b", REP_2BAR)):
-        k = fx["s"].nrows
-        out[key] = Representation(k, (Gf2Mat.identity(k), fx["s"], fx["x"], fx["w"]))
+        k = len(fx["s"])
+        identity = tuple(1 << i for i in range(k))
+        out[key] = Representation(k, (identity, fx["s"], fx["x"], fx["w"]))
     return out
 
 # Tensor product decomposition table, entries name the equivalent

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from f2hopf import kernels
 from f2hopf.classify import ClassifiedDimension
-from f2hopf.gf2 import Gf2Mat, bits_of, mat_inv_rows, value_type
+from f2hopf.gf2 import bits_of, mat_inv_rows, mat_transpose_rows, value_type
 from f2hopf.kernels import Equation
 from f2hopf.structure import (
     Bialgebra,
@@ -94,7 +94,7 @@ def _equations(b: Bialgebra) -> tuple[int, list[tuple]]:
             for row_u in left:
                 col ^= row_u[v]
             cols.append(col)
-        for lin in Gf2Mat(tuple(cols), n * n).transpose().rows:
+        for lin in mat_transpose_rows(cols):
             if lin:
                 equations.append((0, lin, ()))
     return n * n, equations

@@ -16,38 +16,46 @@ from __future__ import annotations
 
 
 from f2hopf import kernels
-from f2hopf.gf2 import Gf2Mat, Gf2Vec, bits_of, rank_rows, set_field, value_type
+from f2hopf.gf2 import (
+    bits_of,
+    mat_mul_rows,
+    mat_transpose_rows,
+    parity,
+    rank_rows,
+    set_field,
+    value_type,
+)
 from f2hopf.structure import AlgebraSC, HopfAlgebra, homomorphism_equations, matrix_algebra
 
 
 @value_type
 class Representation:
     """A unital algebra map into k x k matrices; images[mu] is the image of
-    basis element mu (images[0] is the identity)."""
+    basis element mu, the k packed rows of a matrix (images[0] is the
+    identity)."""
 
     k: int
-    images: tuple[Gf2Mat, ...]
+    images: tuple[tuple[int, ...], ...]
 
-    def __init__(self, k: int, images: tuple[Gf2Mat, ...]):
-        if not images[0].is_identity():
+    def __init__(self, k: int, images: tuple[tuple[int, ...], ...]):
+        if images[0] != tuple(1 << i for i in range(k)):
             raise ValueError("the unit must act as the identity")
         set_field(self, "k", k)
         set_field(self, "images", images)
 
-    def image_of(self, coeffs: int) -> Gf2Mat:
+    def image_of(self, coeffs: int) -> tuple[int, ...]:
         rows = [0] * self.k
         for mu in bits_of(coeffs):
             for i in range(self.k):
-                rows[i] ^= self.images[mu].rows[i]
-        return Gf2Mat(tuple(rows), self.k)
+                rows[i] ^= self.images[mu][i]
+        return tuple(rows)
 
 
 def is_representation(a: AlgebraSC, rep: Representation) -> bool:
     for mu in range(a.n):
         for nu in range(a.n):
-            prod = rep.images[mu] * rep.images[nu]
-            want = rep.image_of(a.prod(mu, nu))
-            if prod.rows != want.rows:
+            prod = mat_mul_rows(rep.images[mu], rep.images[nu])
+            if prod != rep.image_of(a.prod(mu, nu)):
                 return False
     return True
 
@@ -65,7 +73,7 @@ def enumerate_reps(a: AlgebraSC, k: int) -> list[Representation]:
     row_mask = (1 << k) - 1
     image_mask = (1 << kk) - 1
     # The image matrices by their k^2 bits, each built once and shared.
-    matrices: dict[int, Gf2Mat] = {}
+    matrices: dict[int, tuple[int, ...]] = {}
     out = []
     for mask in kernels.solve_quadratic(a.n * kk, equations):
         images = []
@@ -73,8 +81,7 @@ def enumerate_reps(a: AlgebraSC, k: int) -> list[Representation]:
             bits = mask & image_mask
             m = matrices.get(bits)
             if m is None:
-                m = matrices[bits] = Gf2Mat(
-                    tuple((bits >> (i * k)) & row_mask for i in range(k)), k)
+                m = matrices[bits] = tuple((bits >> (i * k)) & row_mask for i in range(k))
             images.append(m)
             mask >>= kk
         out.append(Representation(k, tuple(images)))
@@ -102,17 +109,16 @@ def equivalence_classes(reps: list[Representation]) -> list[list[int]]:
 # --- Hopf-side constructions ----------------------------------------------------
 
 
-def _kron(a: Gf2Mat, b: Gf2Mat) -> Gf2Mat:
-    ka, kb = a.nrows, b.nrows
+def _kron(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    kb = len(b)
     rows = []
-    for i in range(ka):
-        for p in range(kb):
+    for ra in a:
+        for rb in b:
             row = 0
-            for j in range(ka):
-                if (a.rows[i] >> j) & 1:
-                    row |= b.rows[p] << (j * kb)
+            for j in bits_of(ra):
+                row |= rb << (j * kb)
             rows.append(row)
-    return Gf2Mat(tuple(rows), ka * kb)
+    return tuple(rows)
 
 
 def tensor_rep(h: HopfAlgebra, r1: Representation, r2: Representation) -> Representation:
@@ -126,8 +132,8 @@ def tensor_rep(h: HopfAlgebra, r1: Representation, r2: Representation) -> Repres
             nu, rho = divmod(t, n)
             m = _kron(r1.images[nu], r2.images[rho])
             for i in range(k):
-                rows[i] ^= m.rows[i]
-        images.append(Gf2Mat(tuple(rows), k))
+                rows[i] ^= m[i]
+        images.append(tuple(rows))
     return Representation(k, tuple(images))
 
 
@@ -135,7 +141,7 @@ def dual_rep(h: HopfAlgebra, r: Representation) -> Representation:
     """Image of x^mu = transpose of r(S x^mu)."""
     images = []
     for mu in range(h.n):
-        images.append(r.image_of(h.s.rows[mu]).transpose())
+        images.append(mat_transpose_rows(r.image_of(h.s[mu])))
     return Representation(r.k, tuple(images))
 
 
@@ -148,20 +154,20 @@ def regular_rep(a: AlgebraSC) -> Representation:
         for j in range(n):
             for i in bits_of(a.prod(mu, j)):
                 rows[i] |= 1 << j
-        images.append(Gf2Mat(tuple(rows), n))
+        images.append(tuple(rows))
     return Representation(n, tuple(images))
 
 
 def direct_sum(r1: Representation, r2: Representation) -> Representation:
-    k = r1.k + r2.k
     images = []
     for m1, m2 in zip(r1.images, r2.images):
-        rows = list(m1.rows) + [r << r1.k for r in m2.rows]
-        images.append(Gf2Mat(tuple(rows), k))
-    return Representation(k, tuple(images))
+        images.append(m1 + tuple(r << r1.k for r in m2))
+    return Representation(r1.k + r2.k, tuple(images))
 
 
-def equivalent_by_conjugation(r1: Representation, r2: Representation) -> Gf2Mat | None:
+def equivalent_by_conjugation(
+    r1: Representation, r2: Representation
+) -> tuple[int, ...] | None:
     """The conjugation P with P r1(x) P^-1 = r2(x) for all x whose rows tuple
     is lexicographically smallest (the first in gf2.enumerate_invertible
     order), or None when r1 and r2 are not equivalent.
@@ -183,16 +189,16 @@ def equivalent_by_conjugation(r1: Representation, r2: Representation) -> Gf2Mat 
                 # (P a)[i][j] + (b P)[i][j] = sum_l P[i][l] a[l][j] + b[i][l] P[l][j]
                 lin = 0
                 for l in range(k):
-                    if (a.rows[l] >> j) & 1:
+                    if (a[l] >> j) & 1:
                         lin ^= 1 << var(i, l)
-                    if (b.rows[i] >> l) & 1:
+                    if (b[i] >> l) & 1:
                         lin ^= 1 << var(l, j)
                 equations.append((0, lin, ()))
     row_mask = (1 << k) - 1
     for mask in kernels.solve_quadratic(k * k, equations):
         rows = tuple((mask >> var(i, 0)) & row_mask for i in range(k))
         if rank_rows(rows) == k:
-            return Gf2Mat(rows, k)
+            return rows
     return None
 
 
@@ -217,9 +223,10 @@ def decompose(rep: Representation, candidates: dict[str, Representation]):
 def invariant_line(rep: Representation, vec_bits: int, character: Representation) -> bool:
     """Whether the given vector spans a subrepresentation isomorphic to the
     one-dimensional character."""
-    v = Gf2Vec(rep.k, vec_bits)
     for m, ch in zip(rep.images, character.images):
-        want_bits = v.bits if ch.rows[0] & 1 else 0
-        if m.mul_vec(v).bits != want_bits:
+        image = 0
+        for i, row in enumerate(m):
+            image |= parity(row & vec_bits) << i
+        if image != (vec_bits if ch[0] & 1 else 0):
             return False
     return True

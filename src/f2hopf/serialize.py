@@ -19,7 +19,6 @@ import json
 import re
 
 from f2hopf import __version__
-from f2hopf.gf2 import Gf2Mat
 from f2hopf.structure import AlgebraSC
 
 SCHEMA_PREFIX = "f2hopf/"
@@ -33,14 +32,19 @@ def tensor_from_hex(s: str) -> int:
     return int(s, 16)
 
 
-def mat_to_hex(m: Gf2Mat) -> str:
-    return ",".join(format(r, "x") for r in m.rows)
+def mat_to_hex(m: tuple[int, ...]) -> str:
+    return ",".join(format(r, "x") for r in m)
 
 
-def mat_from_hex(s: str, cols: int) -> Gf2Mat:
+def mat_from_hex(s: str, n: int) -> tuple[int, ...]:
+    """The packed rows of a matrix of n columns; the row count is left to
+    the caller."""
     if not isinstance(s, str):
         raise TypeError(f"matrix is {type(s).__name__}, not a hex string")
-    return Gf2Mat(tuple(int(p, 16) for p in s.split(",")), cols)
+    rows = tuple(int(p, 16) for p in s.split(","))
+    if any(r >> n for r in rows):
+        raise ValueError("set entry outside column range")
+    return rows
 
 
 def algebra_record(label: str, a: AlgebraSC, relations: str) -> dict[str, object]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from f2hopf.gf2 import (
-    Gf2Mat,
     bits_of,
     mat_inv_rows,
     parity,
@@ -125,8 +124,11 @@ class Bialgebra:
 
 @value_type
 class HopfAlgebra:
+    """A bialgebra with its antipode S, the n packed rows of S: row mu is
+    S(x^mu)."""
+
     bi: Bialgebra
-    s: Gf2Mat
+    s: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -489,7 +491,7 @@ def _product_masks(a: AlgebraSC) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(tables)
 
 
-def solve_antipode(b: Bialgebra) -> Gf2Mat | None:
+def solve_antipode(b: Bialgebra) -> tuple[int, ...] | None:
     """The antipode matrix when one exists, else None; row mu is S(x^mu).
 
     S is the two-sided inverse of id under convolution: for every mu,
@@ -531,7 +533,7 @@ def solve_antipode(b: Bialgebra) -> Gf2Mat | None:
     s, nullspace = sol
     if nullspace:
         raise ValueError("antipode is not unique: the convolution is not associative")
-    return Gf2Mat(tuple((s >> (nu * n)) & full for nu in range(n)), n)
+    return tuple((s >> (nu * n)) & full for nu in range(n))
 
 
 # --- duality, opposites, basis change ---------------------------------------
@@ -598,30 +600,30 @@ def opposite(b: Bialgebra, which: str) -> Bialgebra:
     raise ValueError("which must be 'product' or 'coproduct'")
 
 
-def apply_basis_change_algebra(a: AlgebraSC, p: Gf2Mat) -> AlgebraSC:
+def apply_basis_change_algebra(a: AlgebraSC, p: tuple[int, ...]) -> AlgebraSC:
     """Structure constants in the new basis z_a = sum_m P[a][m] x^m."""
     n = a.n
-    pinv = mat_inv_rows(p.rows, n)
+    pinv = mat_inv_rows(p, n)
     if pinv is None:
         raise ValueError("singular basis-change matrix")
-    v = transform_product(a.v, n, p.rows, pinv)
+    v = transform_product(a.v, n, p, pinv)
     eta = 0
     for i in bits_of(a.eta):
         eta ^= pinv[i]
     return AlgebraSC(n, v, eta)
 
 
-def apply_basis_change_coalgebra(c: CoalgebraSC, p: Gf2Mat) -> CoalgebraSC:
+def apply_basis_change_coalgebra(c: CoalgebraSC, p: tuple[int, ...]) -> CoalgebraSC:
     n = c.n
-    out = transform_coproduct(c.c, n, p.rows)  # ValueError when p is singular
+    out = transform_coproduct(c.c, n, p)  # ValueError when p is singular
     eps = 0
     for a in range(n):
-        if parity(p.rows[a] & c.eps):
+        if parity(p[a] & c.eps):
             eps |= 1 << a
     return CoalgebraSC(n, out, eps)
 
 
-def apply_basis_change(struct, p: Gf2Mat):
+def apply_basis_change(struct, p: tuple[int, ...]):
     if isinstance(struct, AlgebraSC):
         return apply_basis_change_algebra(struct, p)
     if isinstance(struct, CoalgebraSC):

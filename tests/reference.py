@@ -309,13 +309,13 @@ def naive_rank(m):
 def naive_conjugation(r1, r2):
     """The first matrix p of gf2.enumerate_invertible(k) with p m p^-1 = m2 for
     every pair of images (m, m2) of r1 and r2, or None."""
-    from f2hopf.gf2 import enumerate_invertible
+    from f2hopf.gf2 import enumerate_invertible, mat_inv_rows
 
     if r1.k != r2.k:
         return None
     for p in enumerate_invertible(r1.k):
-        pinv = p.inverse()
-        if all((p * m * pinv).rows == m2.rows for m, m2 in zip(r1.images, r2.images)):
+        pinv = mat_inv_rows(p, r1.k)
+        if all(conjugated(p, m, pinv) == m2 for m, m2 in zip(r1.images, r2.images)):
             return p
     return None
 
@@ -323,15 +323,16 @@ def naive_conjugation(r1, r2):
 def naive_orbit_partition(reps):
     """Indices of reps grouped by their orbit under conjugation by all of
     GL(k); classes ordered by smallest index, members ascending."""
-    from f2hopf.gf2 import enumerate_invertible
+    from f2hopf.gf2 import enumerate_invertible, mat_inv_rows
 
     if not reps:
         return []
-    group = [(p, p.inverse()) for p in enumerate_invertible(reps[0].k)]
+    k = reps[0].k
+    group = [(p, mat_inv_rows(p, k)) for p in enumerate_invertible(k)]
     classes: dict = {}
     for i, r in enumerate(reps):
         orbit_min = min(
-            tuple((p * m * pinv).rows for m in r.images) for p, pinv in group
+            tuple(conjugated(p, m, pinv) for m in r.images) for p, pinv in group
         )
         classes.setdefault(orbit_min, []).append(i)
     return list(classes.values())
@@ -343,7 +344,7 @@ def naive_identification(coalg, target):
     sends the dual's unit to the target's unit and moves the dual onto the
     target's structure constants.  Row mu is the image of the dual basis
     element y_mu."""
-    from f2hopf.gf2 import enumerate_invertible
+    from f2hopf.gf2 import enumerate_invertible, mat_inv_rows
     from f2hopf.structure import apply_basis_change_algebra, dualize_coalgebra
 
     dual = dualize_coalgebra(coalg)
@@ -351,10 +352,10 @@ def naive_identification(coalg, target):
         img_unit = 0
         for i in range(dual.n):
             if (dual.eta >> i) & 1:
-                img_unit ^= m.rows[i]
+                img_unit ^= m[i]
         if img_unit != target.eta:
             continue
-        if apply_basis_change_algebra(dual, m.inverse()).v == target.v:
+        if apply_basis_change_algebra(dual, mat_inv_rows(m, dual.n)).v == target.v:
             return m
     return None
 
@@ -364,7 +365,7 @@ def pairing_ok(b, p) -> bool:
     <ab, c> = <a (x) b, Delta c>, <a, bc> = <Delta a, b (x) c>, <1, .> = eps,
     <., 1> = eps, with P invertible.  Every axiom is checked on every triple
     of basis elements."""
-    from f2hopf.gf2 import bits_of, parity
+    from f2hopf.gf2 import bits_of, mat_inv_rows, mat_transpose_rows, parity
 
     a, c = b.alg, b.coalg
     n = b.n
@@ -372,28 +373,28 @@ def pairing_ok(b, p) -> bool:
         left_unit = 0
         right_unit = 0
         for mu in bits_of(a.eta):
-            left_unit ^= (p.rows[mu] >> nu) & 1
-            right_unit ^= (p.rows[nu] >> mu) & 1
+            left_unit ^= (p[mu] >> nu) & 1
+            right_unit ^= (p[nu] >> mu) & 1
         if left_unit != (c.eps >> nu) & 1 or right_unit != (c.eps >> nu) & 1:
             return False
-    if p.inverse() is None:
+    if mat_inv_rows(p, n) is None:
         return False
-    pt = p.transpose()
+    pt = mat_transpose_rows(p)
     for mu in range(n):
         for nu in range(n):
             for rho in range(n):
-                lhs = parity(a.prod(mu, nu) & pt.rows[rho])
+                lhs = parity(a.prod(mu, nu) & pt[rho])
                 rhs = 0
                 for t in bits_of(c.cop(rho)):
                     al, be = divmod(t, n)
-                    rhs ^= ((p.rows[mu] >> al) & 1) & ((p.rows[nu] >> be) & 1)
+                    rhs ^= ((p[mu] >> al) & 1) & ((p[nu] >> be) & 1)
                 if lhs != rhs:
                     return False
-                lhs2 = parity(p.rows[mu] & a.prod(nu, rho))
+                lhs2 = parity(p[mu] & a.prod(nu, rho))
                 rhs2 = 0
                 for t in bits_of(c.cop(mu)):
                     al, be = divmod(t, n)
-                    rhs2 ^= ((p.rows[al] >> nu) & 1) & ((p.rows[be] >> rho) & 1)
+                    rhs2 ^= ((p[al] >> nu) & 1) & ((p[be] >> rho) & 1)
                 if lhs2 != rhs2:
                     return False
     return True
@@ -408,10 +409,10 @@ def naive_self_duality_pairing(b):
 
     eps = b.coalg.eps
     found = [m for m in enumerate_invertible(b.n)
-             if m.rows[0] == eps
-             and sum((row & 1) << i for i, row in enumerate(m.rows)) == eps
+             if m[0] == eps
+             and sum((row & 1) << i for i, row in enumerate(m)) == eps
              and pairing_ok(b, m)]
-    return min(found, key=lambda m: m.rows, default=None)
+    return min(found, default=None)
 
 
 def counit_slice_ok(s: int, mu: int, eps: int, n: int) -> bool:
@@ -520,7 +521,6 @@ def convolution_antipode(b: Bialgebra):
     id = sum_mu e^mu (x) x^mu in the convolution algebra
     C* (x) A = ``TensorProductAlgebra(dualize_coalgebra(c), a)``, found by
     ``algebra_inverse``, which raises ``ValueError`` when it is not unique."""
-    from f2hopf.gf2 import Gf2Mat
     from f2hopf.structure import TensorProductAlgebra, algebra_inverse, dualize_coalgebra
 
     n = b.n
@@ -528,7 +528,7 @@ def convolution_antipode(b: Bialgebra):
     s = algebra_inverse(conv, sum(1 << (mu * n + mu) for mu in range(n)))
     if s is None:
         return None
-    return Gf2Mat(tuple((s >> (mu * n)) & ((1 << n) - 1) for mu in range(n)), n)
+    return tuple((s >> (mu * n)) & ((1 << n) - 1) for mu in range(n))
 
 
 def naive_homomorphism_equations(a, b, var) -> list[tuple]:
@@ -565,7 +565,7 @@ def naive_qt_equations(b: Bialgebra) -> tuple[int, list[tuple]]:
     """``qtri._equations`` as it was before it read the intertwiner columns
     off the entries of the tensor-square table: each column is a product of
     two vectors in a ``TensorProductAlgebra(a, a)``."""
-    from f2hopf.gf2 import Gf2Mat
+    from f2hopf.gf2 import mat_transpose_rows
     from f2hopf.structure import (
         TensorProductAlgebra,
         dualize_coalgebra,
@@ -588,7 +588,7 @@ def naive_qt_equations(b: Bialgebra) -> tuple[int, list[tuple]]:
     for rho in range(n):
         cols = [square.mul_vec(1 << v, c.cop(rho)) ^ square.mul_vec(cop.cop(rho), 1 << v)
                 for v in range(n * n)]
-        for lin in Gf2Mat(tuple(cols), n * n).transpose().rows:
+        for lin in mat_transpose_rows(cols):
             if lin:
                 equations.append((0, lin, ()))
     return n * n, equations
@@ -599,7 +599,7 @@ def naive_quasitriangular(b: Bialgebra) -> list[tuple]:
     as bits, ascending by R, read from ``naive_qt_equations`` with every
     product, unit and inverse in ``TensorProductAlgebra(a, a)``."""
     from f2hopf import kernels
-    from f2hopf.gf2 import Gf2Mat
+    from f2hopf.gf2 import mat_inv_rows
     from f2hopf.structure import TensorProductAlgebra, algebra_inverse
 
     n = b.n
@@ -618,7 +618,7 @@ def naive_quasitriangular(b: Bialgebra) -> list[tuple]:
         klass = ("trivial" if r == square.eta else
                  "triangular" if q == square.eta else "strict")
         rows = tuple((q >> (mu * n)) & ((1 << n) - 1) for mu in range(n))
-        out.append((r, r_inv, q, klass, Gf2Mat(rows, n).inverse() is not None))
+        out.append((r, r_inv, q, klass, mat_inv_rows(rows, n) is not None))
     return out
 
 
@@ -669,7 +669,7 @@ def orbit_class_rep(a: AlgebraSC, solutions) -> tuple[int, ...]:
     from f2hopf.gf2 import mat_inv_rows
 
     n = a.n
-    changes = [(p.rows, mat_inv_rows(p.rows, n)) for p in automorphism_group(a)]
+    changes = [(p, mat_inv_rows(p, n)) for p in automorphism_group(a)]
     index_of = {s.coalg.c: i for i, s in enumerate(solutions)}
     class_rep: list[int | None] = [None] * len(solutions)
     for start, rep in enumerate(solutions):
@@ -697,9 +697,9 @@ def classify_bialgebras_pairwise(a: AlgebraSC, raw: RawSolutionSet) -> list[set[
     n = a.n
     auto_pairs = []
     for m in enumerate_invertible(n):
-        pinv = mat_inv_rows(m.rows, n)
-        if kernels.transform_product(a.v, n, m.rows, pinv) == a.v:
-            auto_pairs.append((m.rows, pinv))
+        pinv = mat_inv_rows(m, n)
+        if kernels.transform_product(a.v, n, m, pinv) == a.v:
+            auto_pairs.append((m, pinv))
     index_of = {s.coalg.c: i for i, s in enumerate(raw.solutions)}
     parent = list(range(len(raw.solutions)))
 
@@ -741,8 +741,8 @@ def coquasitriangular_via_dual(b: Bialgebra) -> list[int]:
         bits = 0
         for t in bits_of(s.r):
             al, be = divmod(t, n)
-            for mu in bits_of(p.rows[al]):
-                for nu in bits_of(p.rows[be]):
+            for mu in bits_of(p[al]):
+                for nu in bits_of(p[be]):
                     bits ^= 1 << (mu * n + nu)
         out.append(bits)
     return sorted(out)
@@ -785,8 +785,8 @@ def check_antipode_identities(h):
             # S(x^mu x^nu) = S(x^nu) S(x^mu)
             lhs = 0
             for rho in bits_of(a.prod(mu, nu)):
-                lhs ^= s.rows[rho]
-            rhs = a.mul_vec(s.rows[nu], s.rows[mu])
+                lhs ^= s[rho]
+            rhs = a.mul_vec(s[nu], s[mu])
             if lhs != rhs:
                 return AxiomReport(False, "antipode-anti-homomorphism", (mu, nu))
     for mu in range(n):
@@ -794,19 +794,19 @@ def check_antipode_identities(h):
         lhs = 0
         for t in bits_of(c.cop(mu)):
             al, be = divmod(t, n)
-            for i in bits_of(s.rows[be]):
-                for j in bits_of(s.rows[al]):
+            for i in bits_of(s[be]):
+                for j in bits_of(s[al]):
                     lhs ^= 1 << (i * n + j)
         rhs = 0
-        for rho in bits_of(s.rows[mu]):
+        for rho in bits_of(s[mu]):
             rhs ^= c.cop(rho)
         if lhs != rhs:
             return AxiomReport(False, "antipode-anti-cohomomorphism", (mu,))
-        if parity(s.rows[mu] & c.eps) != (c.eps >> mu) & 1:
+        if parity(s[mu] & c.eps) != (c.eps >> mu) & 1:
             return AxiomReport(False, "antipode-counit", (mu,))
     fixed_unit = 0
     for mu in bits_of(a.eta):
-        fixed_unit ^= s.rows[mu]
+        fixed_unit ^= s[mu]
     if fixed_unit != a.eta:
         return AxiomReport(False, "antipode-unit", ())
     return AxiomReport(True)
@@ -820,7 +820,7 @@ def antipode_leg_transform(h, r):
     out = 0
     for t in bits_of(r):
         mu, nu = divmod(t, n)
-        for i in bits_of(h.s.rows[mu]):
+        for i in bits_of(h.s[mu]):
             out ^= 1 << (i * n + nu)
     return out
 
@@ -833,20 +833,28 @@ def both_legs_antipode(h, r):
     out = 0
     for t in bits_of(r):
         mu, nu = divmod(t, n)
-        for i in bits_of(h.s.rows[mu]):
-            for j in bits_of(h.s.rows[nu]):
+        for i in bits_of(h.s[mu]):
+            for j in bits_of(h.s[nu]):
                 out ^= 1 << (i * n + j)
     return out
 
 
+def conjugated(p, m, pinv):
+    """The matrix p m p^-1, for pinv the inverse of p."""
+    from f2hopf.gf2 import mat_mul_rows
+
+    return mat_mul_rows(mat_mul_rows(p, m), pinv)
+
+
 def conjugate(rep, p):
     """The representation x -> p rep(x) p^-1."""
+    from f2hopf.gf2 import mat_inv_rows
     from f2hopf.reps import Representation
 
-    pinv = p.inverse()
+    pinv = mat_inv_rows(p, rep.k)
     if pinv is None:
         raise ValueError("singular conjugation matrix")
-    return Representation(rep.k, tuple(p * m * pinv for m in rep.images))
+    return Representation(rep.k, tuple(conjugated(p, m, pinv) for m in rep.images))
 
 
 def are_equivalent(r1, r2) -> bool:

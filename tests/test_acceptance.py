@@ -28,6 +28,7 @@ from f2hopf.fourier import (
     holonomy,
     transport_matrix,
 )
+from f2hopf.gf2 import mat_order_rows
 from f2hopf.golden import (
     BIALGEBRA_GRAPH_DIM4,
     CENSUS,
@@ -153,11 +154,11 @@ def test_criterion_6_named_structures():
         s = solve_antipode(bi)
         ok &= (s is not None) == e.hopf
         if e.antipode is not None:
-            ok &= s.rows == e.antipode.rows
+            ok &= s == e.antipode
     h = dsl2_presentation()
     ok &= pairing_ok(h.bi, PAIRINGS["d_sl2"])
     s = solve_antipode(h.bi)
-    ok &= s.power(4).is_identity() and not s.power(2).is_identity()
+    ok &= mat_order_rows(s) == 4
 
     def named3(name):
         return next(x for x in COPRODUCTS_DIM3 if x.name == name)
@@ -177,22 +178,22 @@ def test_criterion_7_integrals_and_fourier():
     for fx in HOPF_FIXTURES_DIM4:
         h = fx.hopf()
         i, f, _ = fourier_matrices(h)
-        ok &= i.bits == fx.integral
-        ok &= f.rows == fx.fourier.rows
+        ok &= i == fx.integral
+        ok &= f == fx.fourier
         t = transport_matrix(h, fx.dual_basis)
-        ok &= t.rows == fx.transport.rows
+        ok &= t == fx.transport
         transports[(fx.algebra_label, fx.coalgebra_type)] = t
         # round trip through the dual pair gives the antipode: canonically in
         # the cocommutative case, through the adjoint way back in general
         if catalog(4)[fx.coalgebra_type].commutative:
-            ok &= canonical_round_trip(h).rows == fx.antipode.rows
-        ok &= adjoint_round_trip(h).rows == fx.antipode.rows
-    orders = [m.order() for m, _ in SELF_DUAL_FOURIER.values()]
+            ok &= canonical_round_trip(h) == fx.antipode
+        ok &= adjoint_round_trip(h) == fx.antipode
+    orders = [mat_order_rows(m) for m, _ in SELF_DUAL_FOURIER.values()]
     ok &= sorted(orders) == [2, 2, 2, 3]
     for cycle, want, order in zip(HOLONOMY_CYCLES, HOLONOMY_MATRICES,
                                   HOLONOMY_ORDERS):
         m, got_order = holonomy([transports[a] for a in cycle])
-        ok &= m.rows == want.rows and got_order == order
+        ok &= m == want and got_order == order
     report("7 integrals & Fourier", ok)
 
 
@@ -289,7 +290,6 @@ def test_criterion_8_grassmann_plane_never_factorisable():
 
 def test_criterion_9_representations():
     t0 = time.monotonic()
-    from f2hopf.gf2 import Gf2Mat
     from f2hopf.golden import DUAL_REPS, REP_1, REP_1BAR, REP_2, REP_2BAR
     from f2hopf.reps import (
         direct_sum,
@@ -314,9 +314,9 @@ def test_criterion_9_representations():
 
     def named(key):
         fixture = {"1": REP_1, "1b": REP_1BAR, "2": REP_2, "2b": REP_2BAR}[key]
-        k = fixture["s"].nrows
+        k = len(fixture["s"])
         return Representation(
-            k, (Gf2Mat.identity(k), fixture["s"], fixture["x"], fixture["w"])
+            k, (tuple(1 << i for i in range(k)), fixture["s"], fixture["x"], fixture["w"])
         )
 
     for a, b in DUAL_REPS.items():

@@ -25,7 +25,7 @@ from f2hopf.golden import (
     coalgebra_from_terms,
     dsl2_presentation,
 )
-from f2hopf.gf2 import enumerate_invertible
+from f2hopf.gf2 import enumerate_invertible, mat_order_rows, mat_transpose_rows
 from f2hopf.structure import Bialgebra, check_bialgebra, dualize_coalgebra
 from reference import (
     check_antipode_identities,
@@ -343,7 +343,7 @@ def test_pairing_search_returns_published():
     for bi, key in cases:
         found = self_duality_pairing(bi)
         assert found is not None
-        assert found.rows == PAIRINGS[key].rows
+        assert found == PAIRINGS[key]
 
 
 def test_no_pairing_for_mismatched_type():
@@ -385,7 +385,7 @@ def test_pairing_is_an_isomorphism_with_isomorphic_transpose():
             bi = Bialgebra(dim.cat[c.algebra_label].representative, c.representative.coalg)
             isos = isomorphisms(bi.alg, dualize_coalgebra(bi.coalg))
             for p in enumerate_invertible(n):
-                assert pairing_ok(bi, p) == (p in isos and p.transpose() in isos)
+                assert pairing_ok(bi, p) == (p in isos and mat_transpose_rows(p) in isos)
 
 
 def test_antipode_orders():
@@ -393,14 +393,13 @@ def test_antipode_orders():
     from f2hopf.structure import solve_antipode
 
     s = solve_antipode(dsl2.bi)
-    assert not s.power(2).is_identity()
-    assert s.power(4).is_identity()
+    assert mat_order_rows(s) == 4
     dim4 = classify_dimension(4)
     for cls in dim4.hopf_classes():
         comm = catalog(4)[cls.algebra_label].commutative
         cocomm = catalog(4)[cls.coalgebra_type].commutative
         if comm or cocomm:
-            assert cls.representative.antipode.power(2).is_identity()
+            assert mat_order_rows(cls.representative.antipode) <= 2
 
 
 # The Hopf classes that are their own duals: for n = 4, G is the paper's
@@ -430,7 +429,7 @@ def test_duality_is_an_involution_on_the_classes(n):
         d = dual_bialgebra(b)
         found = locate_class(dim, d)
         label = found.algebra_label
-        p = isomorphisms(dim.cat[label].representative, d.alg)[0].rows
+        p = isomorphisms(dim.cat[label].representative, d.alg)[0]
         c_img = naive_transform_coproduct(d.coalg.c, n, p, mat_inv_rows(p, n))
         rep = partition[label][index[label][c_img]]
         assert rep == min(found.members), key

@@ -877,11 +877,25 @@ def _malformed(kind: str, case: str):
         del payload[0]["product"]
         return payload
     if kind == "fourier":
+        from f2hopf.cli import fixture_fourier_payload
         from f2hopf.golden import HOPF_FIXTURES_DIM4
 
         if case == "F-not-a-string":
             return [{"I": "1", "F": 5}]
-        return [{"name": HOPF_FIXTURES_DIM4[0].name}]
+        if case == "dim-5":
+            # F, and the transport under the identity identification, is the
+            # companion matrix of the primitive x^5 + x^2 + 1: order 31.
+            return [{"I": "2", "F": "2,4,8,10,5", "F_sharp": "10,1,12,4,8",
+                     "identification": "1,2,4,8,10", "transport": "2,4,8,10,5",
+                     "transport_order": 31}]
+        if case == "no-integral":
+            return [{"name": HOPF_FIXTURES_DIM4[0].name}]
+        rec = fixture_fourier_payload()[0]
+        if case == "identification-row-missing":
+            rec["identification"] = ",".join(rec["identification"].split(",")[:-1])
+        else:  # singular: the zero transport is F times the zero identification
+            rec["identification"] = rec["transport"] = "0,0,0,0"
+        return [rec]
     if kind == "summary":
         payload = {"dim": 4, "algebras": 25, "reps": {"1": 2, "2": 20, "3": 394}}
         if case == "dim-list":
@@ -898,6 +912,8 @@ def _malformed(kind: str, case: str):
         payload[0]["C"] = "not hex"
     elif case == "antipode-not-a-string":
         payload[0]["antipode"] = 5
+    elif case == "antipode-bit-beyond-n":
+        payload[0]["antipode"] = "10,2"
     else:
         payload = {"records": payload}
     return payload
@@ -908,10 +924,16 @@ MALFORMED = {
     ("raw", "unknown-label"): "record 0: unreadable (KeyError: 'ZZ')",
     ("raw", "non-hex-C"): "record 0: unreadable (ValueError: invalid literal",
     ("raw", "antipode-not-a-string"): "record 0: unreadable (TypeError: matrix is int",
+    ("raw", "antipode-bit-beyond-n"): "record 0: unreadable (ValueError",
     ("raw", "not-a-list"): "payload is not a list of records",
     ("algebras", "no-product"): "record 0: unreadable (KeyError: 'product')",
     ("fourier", "no-integral"): "record 0: unreadable (KeyError: 'I')",
     ("fourier", "F-not-a-string"): "record 0: unreadable (TypeError: F is int",
+    ("fourier", "identification-row-missing"): "record 0: unreadable (ValueError",
+    ("fourier", "singular-transport"): "record 0: unreadable (ValueError",
+    # Refused before any matrix work: the order of an n x n matrix can reach
+    # 2^n - 1, too many products to take for large n.
+    ("fourier", "dim-5"): "record 0: no catalog for dimension 5",
     ("summary", "dim-list"): "no catalog for dimension [4]",
     ("summary", "reps-not-a-mapping"): "reps: differs",
 }

@@ -14,6 +14,7 @@ from f2hopf.fourier import (
     right_integral,
     transport_matrix,
 )
+from f2hopf.gf2 import mat_inv_rows, mat_mul_rows, mat_order_rows
 from f2hopf.golden import (
     COPRODUCTS_DIM3,
     FOURIER_SMALL,
@@ -58,40 +59,40 @@ def test_small_integral_and_fourier(kind):
     h = small_hopf(kind)
     want_i, want_f = FOURIER_SMALL[kind]
     i, f, fs = fourier_matrices(h)
-    assert i.bits == parse_element(want_i, BASIS_NAMES[h.n])
-    assert f.rows == want_f.rows
-    assert fs.rows == f.rows  # all of these are commutative
+    assert i == parse_element(want_i, BASIS_NAMES[h.n])
+    assert f == want_f
+    assert fs == f  # all of these are commutative
 
 
 def test_grassmann_fourier_squares_to_identity():
     h = small_hopf("gra")
     _, f, _ = fourier_matrices(h)
-    assert (f * f).is_identity()
+    assert mat_mul_rows(f, f) == (1, 2)
 
 
 def test_z2_transports_mutually_inverse():
     _, f_ab = FOURIER_SMALL["F2Z2"][1], FOURIER_SMALL["F2Z2"][1]
     f_ba = FOURIER_SMALL["F2(Z2)"][1]
-    assert (f_ab * f_ba).is_identity()
-    assert (f_ba * f_ab).is_identity()
+    assert mat_mul_rows(f_ab, f_ba) == (1, 2)
+    assert mat_mul_rows(f_ba, f_ab) == (1, 2)
 
 
 def test_z3_composite_is_antipode():
     f = FOURIER_SMALL["F2Z3"][1]
     s = solve_antipode(small_hopf("F2Z3").bi)
-    assert (f * f).rows == s.rows
-    assert (f * f * f * f).is_identity()
+    assert mat_mul_rows(f, f) == s
+    assert mat_mul_rows(s, s) == (1, 2, 4)
 
 
 def test_all_fixture_rows_bit_exact():
     for fx in HOPF_FIXTURES_DIM4:
         h = fx.hopf()
         i, f, fs = fourier_matrices(h)
-        assert i.bits == fx.integral, fx.name
-        assert f.rows == fx.fourier.rows, fx.name
+        assert i == fx.integral, fx.name
+        assert f == fx.fourier, fx.name
         t = transport_matrix(h, fx.dual_basis)
-        assert t.rows == fx.transport.rows, fx.name
-        assert (f.rows == fs.rows) == catalog(4)[fx.algebra_label].commutative
+        assert t == fx.transport, fx.name
+        assert (f == fs) == catalog(4)[fx.algebra_label].commutative
 
 
 def test_integral_space_one_dimensional_everywhere():
@@ -104,32 +105,30 @@ def test_integral_space_one_dimensional_everywhere():
                 cls.representative.antipode,
             )
             i = right_integral(h)  # raises unless dimension exactly one
-            assert i.bits
+            assert i
             lam = right_cointegral(h)
-            assert lam.bits
+            assert lam
             _, f, _ = fourier_matrices(h)
-            assert f.inverse() is not None
+            assert mat_inv_rows(f, n) is not None
 
 
 def test_fourier_degenerates_on_non_hopf():
     # The projector bialgebra still has a one-dimensional right-integral
     # space, but the Fourier matrix it induces is singular: the transform
     # only inverts on genuine Hopf algebras.
-    from f2hopf.gf2 import Gf2Mat
-
     proj = Bialgebra(
         catalog(2)["B"].representative,
         coalgebra_from_terms(BASIS_NAMES[2], "1+x", x="x.x"),
     )
-    h = HopfAlgebra(proj, Gf2Mat.identity(2))  # placeholder antipode
-    assert right_integral(h).coords() == (1, 0)
+    h = HopfAlgebra(proj, (1, 2))  # placeholder antipode
+    assert right_integral(h) == 0b01
     with pytest.raises(IntegralError):
         fourier_matrices(h)
 
 
 def test_self_dual_published_operators():
     for label, (m, order) in SELF_DUAL_FOURIER.items():
-        assert m.order() == order, label
+        assert mat_order_rows(m) == order, label
 
 
 def test_transport_orders_self_dual_commutative():
@@ -139,8 +138,8 @@ def test_transport_orders_self_dual_commutative():
     by_type = {(fx.algebra_label, fx.coalgebra_type): fx for fx in HOPF_FIXTURES_DIM4}
     for label in ("D", "E", "G"):
         fx = by_type[(label, label)]
-        assert (fx.transport * fx.transport).is_identity(), label
-    assert by_type[("NF", "NF")].transport.order() == 4
+        assert mat_mul_rows(fx.transport, fx.transport) == (1, 2, 4, 8), label
+    assert mat_order_rows(by_type[("NF", "NF")].transport) == 4
 
 
 def test_dsl2_presentation_transport_consistent():
@@ -148,11 +147,11 @@ def test_dsl2_presentation_transport_consistent():
 
     h = dsl2_presentation()
     _, f, _ = fourier_matrices(h)
-    t = f * PAIRINGS["d_sl2"].inverse()
+    t = mat_mul_rows(f, mat_inv_rows(PAIRINGS["d_sl2"], 4))
     nf2 = next(fx for fx in HOPF_FIXTURES_DIM4 if fx.name == "NF.2")
     b = DSL2_TO_STANDARD
-    assert (b * nf2.transport * b.inverse()).rows == t.rows
-    assert t.order() == 4
+    assert mat_mul_rows(mat_mul_rows(b, nf2.transport), mat_inv_rows(b, 4)) == t
+    assert mat_order_rows(t) == 4
 
 
 def test_holonomies():
@@ -163,33 +162,33 @@ def test_holonomies():
         )
     for cycle, want, order in zip(HOLONOMY_CYCLES, HOLONOMY_MATRICES, HOLONOMY_ORDERS):
         m, got_order = holonomy([transports[a] for a in cycle])
-        assert m.rows == want.rows
+        assert m == want
         assert got_order == order
     # the long cycle is the product of the two short ones
     m1, _ = holonomy([transports[a] for a in HOLONOMY_CYCLES[0]])
     m2, _ = holonomy([transports[a] for a in HOLONOMY_CYCLES[1]])
     m3, _ = holonomy([transports[a] for a in HOLONOMY_CYCLES[2]])
-    assert (m1 * m2).rows == m3.rows
+    assert mat_mul_rows(m1, m2) == m3
 
 
 def test_round_trip_cocommutative_is_antipode():
     for kind in ("gra", "F2Z2", "F2(Z2)", "F2Z3", "F2(Z3)"):
         h = small_hopf(kind)
-        assert canonical_round_trip(h).rows == h.s.rows
+        assert canonical_round_trip(h) == h.s
     for fx in HOPF_FIXTURES_DIM4:
         h = fx.hopf()
         cocommutative = catalog(4)[fx.coalgebra_type].commutative
         trip = canonical_round_trip(h)
-        assert (trip.rows == fx.antipode.rows) == cocommutative, fx.name
+        assert (trip == fx.antipode) == cocommutative, fx.name
 
 
 def test_adjoint_round_trip_is_antipode_everywhere():
     for fx in HOPF_FIXTURES_DIM4:
         h = fx.hopf()
-        assert adjoint_round_trip(h).rows == fx.antipode.rows, fx.name
+        assert adjoint_round_trip(h) == fx.antipode, fx.name
     for kind in ("gra", "F2Z2", "F2Z3"):
         h = small_hopf(kind)
-        assert adjoint_round_trip(h).rows == h.s.rows
+        assert adjoint_round_trip(h) == h.s
 
 
 def test_computed_identification_mode():
@@ -198,10 +197,10 @@ def test_computed_identification_mode():
     for fx in HOPF_FIXTURES_DIM4:
         h = fx.hopf()
         data = fourier_data(h)
-        assert data.transport.inverse() is not None
+        assert mat_inv_rows(data.transport, 4) is not None
         target = catalog(4)[fx.coalgebra_type].representative
         ident = computed_identification(h.coalg, target)
-        assert ident.rows == data.dual_identification.rows
+        assert ident == data.dual_identification
 
 
 def test_computed_identification_matches_the_gl_scan():
@@ -215,5 +214,5 @@ def test_computed_identification_matches_the_gl_scan():
             coalg = cls.representative.coalg
             target = dim.cat[cls.coalgebra_type].representative
             want = naive_identification(coalg, target)
-            assert computed_identification(coalg, target).rows == want.rows
-            assert isomorphisms(dualize_coalgebra(coalg), target)[0].rows == want.rows
+            assert computed_identification(coalg, target) == want
+            assert isomorphisms(dualize_coalgebra(coalg), target)[0] == want

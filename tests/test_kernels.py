@@ -348,10 +348,10 @@ def test_transforms_invert():
         n = rng.choice([2, 3, 4])
         t = rng.getrandbits(n**3)
         m = rng.choice(enumerate_invertible(n))
-        pinv = mat_inv_rows(m.rows, n)
-        fwd = kernels.transform_product(t, n, m.rows, pinv)
-        assert kernels.transform_product(fwd, n, pinv, m.rows) == t
-        fwd = kernels.transform_coproduct(t, n, m.rows)
+        pinv = mat_inv_rows(m, n)
+        fwd = kernels.transform_product(t, n, m, pinv)
+        assert kernels.transform_product(fwd, n, pinv, m) == t
+        fwd = kernels.transform_coproduct(t, n, m)
         assert kernels.transform_coproduct(fwd, n, pinv) == t
 
 
@@ -361,8 +361,8 @@ def test_coproduct_orbit_matches_transform_coproduct():
     # naive oracle's, and maps to the first change reaching it.
     rng = random.Random(13)
     for n in (1, 2, 3, 4):
-        groups = [[p.rows for p in cls.automorphisms] for cls in catalog(n).classes]
-        groups.append([m.rows for m in rng.sample(enumerate_invertible(n), min(8, n * n))])
+        groups = [list(cls.automorphisms) for cls in catalog(n).classes]
+        groups.append(rng.sample(enumerate_invertible(n), min(8, n * n)))
         for rows in groups:
             changes = [kernels.coproduct_change(p, n) for p in rows]
             for _ in range(4):

@@ -15,12 +15,15 @@ is reused.  A run imports the engine and builds the algebra catalogs
 ``coproducts.solve_coproducts`` (one per algebra solved),
 ``coproducts.solve_coproduct_tensors`` (one per counit system searched),
 ``coproducts.coalgebra_type`` and ``coproducts.solve_antipode`` (the
-annotations), ``kernels.coproduct_orbit`` (the orbit expansions, one per
-bialgebra class) and ``catalog.isomorphisms`` (one per automorphism group
-solved, and per isomorphism looked up) made through any ``f2hopf`` module,
-during the catalog builds (``<name>_setup_calls``) and during the command
-(``<name>_calls``); installing the counters is not timed.  Every command
-must exit 0: the census matched ``golden.CENSUS`` and every file verified.
+annotations), ``kernels.coproduct_orbit`` (every coproduct basis change:
+one per solution carried back from its counit's basis, one orbit expansion
+per bialgebra class, and one per product basis change, which goes through
+the coproduct of the dual) and ``catalog.isomorphisms`` (one per
+automorphism group solved, and per isomorphism looked up) made through any
+``f2hopf`` module, during the catalog builds (``<name>_setup_calls``) and
+during the command (``<name>_calls``); installing the counters is not
+timed.  Every command must exit 0: the census matched ``golden.CENSUS`` and
+every file verified.
 
 ``--tree NAME=SRC`` (repeatable) times the engine whose source is the
 directory SRC, such as a checkout of an older commit's ``src``; the rounds
@@ -169,7 +172,7 @@ def main(argv=None):
                           f"{result['solve_coproducts_calls']} solves, "
                           f"{result['solve_coproduct_tensors_calls']} counit systems, "
                           f"{result['solve_antipode_calls']} antipodes solved, "
-                          f"{result['coproduct_orbit_calls']} orbit expansions, "
+                          f"{result['coproduct_orbit_calls']} coproduct basis changes, "
                           f"isomorphisms solved {result['isomorphisms_setup_calls']} "
                           f"in set-up and {result['isomorphisms_calls']} in the run",
                           flush=True)

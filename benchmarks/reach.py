@@ -81,7 +81,6 @@ KEEP: dict[str, str] = {
     "golden.qt_family_gg": ORACLE,
     "golden.qt_family_grassmann_plane": ACCEPTANCE,
     "kernels.Equation.add_var": ACCEPTANCE,
-    "kernels.transform_coproduct": TRACED,
     "qtri.QuasiTriangularStructure.triangular": ACCEPTANCE,
     "qtri._cqt_equations": ACCEPTANCE,
     "qtri.coquasitriangular_direct": ACCEPTANCE,

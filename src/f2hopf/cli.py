@@ -26,6 +26,7 @@ import functools
 import hashlib
 import importlib
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -413,7 +414,7 @@ def verify_dataset(path: Path) -> list[str]:
     check = {"algebras": _algebra_record_problems, "raw": _raw_record_problems,
              "fourier": _fourier_identity_problems}.get(kind)
     problems = _record_problems(payload, check) if check else []
-    return problems or _derived_problems(kind, payload)
+    return problems or _derived_problems(kind, payload, path.name)
 
 
 def _record_problems(payload: list[dict], check) -> list[str]:
@@ -540,7 +541,7 @@ def _summary_problems(payload) -> list[str]:
     return problems
 
 
-def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
+def _derived_problems(kind: str, payload: list[dict], file_name: str) -> list[str]:
     """Compare a list dataset, record by record, with the one ``run`` writes
     for the dimension its records name, read off the dataset table on a
     fresh solve (``_derived``).  The whole payload is compared first, then
@@ -548,12 +549,16 @@ def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
     1.0 and true differ.
 
     algebras and raw records carry their dimension, and raw records their
-    algebra: a raw file holds the solutions of one algebra, and an empty one
-    names none and is left unchecked.  classes, quiver, qt and fourier files
-    do not record their dimension; it is the smallest whose catalog names
-    every algebra label in the file, since each dimension's classification
-    names an algebra that no smaller dimension has.  Fourier records that
-    carry a fixture name belong to the fixture-mode file of n = 4.
+    algebra: a raw file holds the solutions of one algebra.  The name
+    ``run`` gives it, raw_n<n>_<label>.json, names that algebra too: the
+    records must agree with it, and an empty file is compared with the
+    solutions of the algebra it names.  An empty raw file under any other
+    name names no algebra and is refused.  classes, quiver, qt and fourier
+    files do not record their dimension; it is the smallest whose catalog
+    names every algebra label in the file, since each dimension's
+    classification names an algebra that no smaller dimension has.  Fourier
+    records that carry a fixture name belong to the fixture-mode file of
+    n = 4.
     """
     # The records of algebras and raw files passed their own checks, so
     # each names a catalog dimension and algebra.
@@ -565,9 +570,17 @@ def _derived_problems(kind: str, payload: list[dict]) -> list[str]:
         n = dims.pop()
     elif kind == "raw":
         names = {(rec["dim"], rec["algebra"]) for rec in payload}
-        if len(names) != 1:
-            return ["records of more than one algebra"] if names else []
-        n, label = names.pop()
+        if len(names) > 1:
+            return ["records of more than one algebra"]
+        match = re.fullmatch(r"raw_n(\d+)_(.+)\.json", file_name)
+        named = match and (int(match[1]), match[2])
+        if names and named and names != {named}:
+            (n, label), (name_n, name_label) = names.pop(), named
+            return [f"records of algebra {label} of n={n}, "
+                    f"the file name names {name_label} of n={name_n}"]
+        if not names and not (named and named[1] in RELATIONS.get(named[0], ())):
+            return ["no records, and the file name names no catalog algebra"]
+        n, label = (names or {named}).pop()
     elif kind == "fourier" and any("name" in rec for rec in payload):
         n, mode = 4, "fixture"
     else:

@@ -98,7 +98,7 @@ def _coproduct_equations(a: AlgebraSC, eps: int) -> tuple[int, list[tuple]]:
     n = a.n
     nn = n * n
     p_eps = counit_basis(n, eps)
-    b = AlgebraSC(n, kernels.transform_product(a.v, n, p_eps, p_eps))
+    b = AlgebraSC(n, kernels.transform_product(a.v, n, p_eps))
     ker = range(1, n)
     prod = [[b.prod(x, y) for y in range(n)] for x in range(n)]
     # target[al]: the (nu, nu2) with coefficient al in z_nu z_nu2;

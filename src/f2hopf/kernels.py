@@ -41,18 +41,22 @@ bit); the intertwiners of two representations are linear and are stated as
    numbering, exactly the solutions an index-order search of their system
    would return.
 
-``transform_product`` changes the basis of a packed product tensor.
+``permute_tensor`` is the one relabelling of the indices of a packed
+tensor: duals, opposites and the swapped legs of R21 are each one call.
 ``coproduct_orbit`` is the one implementation of the basis change of a
-coproduct tensor: it collects the images of a tensor under a list of basis
-changes, each prepared once by ``coproduct_change``, whose tables of
+packed tensor: it collects the images of a coproduct tensor under a list of
+basis changes, each prepared once by ``coproduct_change``, whose tables of
 P^-1 (x) P^-1 on the n-bit chunks of a slice turn one image into n^2
 lookups.  ``transform_coproduct`` reads the image under a single change
-off it.
+off it, and ``transform_product`` changes the basis of a product tensor
+through it, as the coproduct of the dual algebra.
 """
 
 from __future__ import annotations
 
-from f2hopf.gf2 import bits_of, mat_inv_rows, solve_linear, spread_table
+from functools import lru_cache
+
+from f2hopf.gf2 import bits_of, mat_inv_rows, mat_transpose_rows, solve_linear, spread_table
 
 # The kernel implementation, as benchmark records name it.
 BACKEND = "python"
@@ -345,41 +349,6 @@ def backtrack(nvars: int, equations, order=None) -> list[int]:
     return solutions
 
 
-def transform_product(v: int, n: int, p: tuple[int, ...], pinv: tuple[int, ...]) -> int:
-    """Basis change of a product tensor, packed layout (mu, nu, rho) -> bit
-    mu*n*n + nu*n + rho.
-
-    New constants V'[a][b][c] = sum P[a][m] P[b][u] V[m][u][r] Pinv[r][c].
-    """
-    mask = (1 << n) - 1
-    out = 0
-    for a in range(n):
-        pa = p[a]
-        for b in range(n):
-            pb = p[b]
-            acc = 0
-            ra = pa
-            while ra:
-                low = ra & -ra
-                m = low.bit_length() - 1
-                ra ^= low
-                base = m * n * n
-                rb = pb
-                while rb:
-                    lo2 = rb & -rb
-                    u = lo2.bit_length() - 1
-                    rb ^= lo2
-                    acc ^= (v >> (base + u * n)) & mask
-            res = 0
-            while acc:
-                low = acc & -acc
-                r = low.bit_length() - 1
-                acc ^= low
-                res ^= pinv[r]
-            out |= res << ((a * n + b) * n)
-    return out
-
-
 # Rows of p, rows of p^-1 and the chunk tables of ``coproduct_change``.
 Change = tuple[tuple[int, ...], tuple[int, ...], tuple[list[int], list[int]]]
 
@@ -444,3 +413,46 @@ def transform_coproduct(c: int, n: int, p: tuple[int, ...]) -> int:
     layout: the one image ``coproduct_orbit`` finds under p alone."""
     (image,) = coproduct_orbit(c, n, [coproduct_change(p, n)])
     return image
+
+
+@lru_cache(maxsize=None)
+def _permutation_table(n: int, order: tuple[int, ...]) -> tuple[int, ...]:
+    """``table[b]``: bit b of a rank-len(order) tensor over n, moved by
+    ``permute_tensor``, as a power of two."""
+    rank = len(order)
+    table = []
+    for b in range(n**rank):
+        index = [b // n ** (rank - 1 - k) % n for k in range(rank)]
+        table.append(1 << sum(index[order[k]] * n ** (rank - 1 - k) for k in range(rank)))
+    return tuple(table)
+
+
+def permute_tensor(t: int, n: int, order: tuple[int, ...]) -> int:
+    """The packed tensor t with its indices relabelled, as numpy's
+    ``transpose(order)``: the entry at (i_0, .., i_(r-1)) moves to
+    (i_order[0], .., i_order[r-1]).  The rank r is len(order), indices run
+    over range(n) and the first is the most significant, so ``(1, 0)``
+    swaps the legs of an element of H (x) H.  One lookup per set bit, in a
+    table built once per (n, order)."""
+    table = _permutation_table(n, order)
+    out = 0
+    while t:
+        low = t & -t
+        out |= table[low.bit_length() - 1]
+        t ^= low
+    return out
+
+
+def transform_product(v: int, n: int, p: tuple[int, ...]) -> int:
+    """Basis change of a product tensor by the invertible p, same packed
+    layout: V'[a][b][c] = sum P[a][m] P[b][u] V[m][u][r] Pinv[r][c].
+
+    V is the coproduct C[r][m][u] = V[m][u][r] of the dual algebra, on the
+    dual basis, which changes by (P^-1)^T; the image is read back as a
+    product.  Raises ValueError when p is singular."""
+    pinv = mat_inv_rows(p, n)
+    if pinv is None:
+        raise ValueError("singular basis-change matrix")
+    dual = transform_coproduct(permute_tensor(v, n, (2, 0, 1)), n, mat_transpose_rows(pinv))
+    return permute_tensor(dual, n, (1, 2, 0))
+

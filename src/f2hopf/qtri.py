@@ -100,17 +100,9 @@ def _equations(b: Bialgebra) -> tuple[int, list[tuple]]:
     return n * n, equations
 
 
-def swap_legs(r: int, n: int) -> int:
-    """R21: the legs of r in H (x) H swapped."""
-    out = 0
-    for t in bits_of(r):
-        mu, nu = divmod(t, n)
-        out |= 1 << (nu * n + mu)
-    return out
-
-
 def killing_form(b: Bialgebra, r: int) -> int:
-    return tensor_square(b.alg).mul_vec(swap_legs(r, b.n), r)
+    """Q = R21 R, R21 the legs of r swapped."""
+    return tensor_square(b.alg).mul_vec(kernels.permute_tensor(r, b.n, (1, 0)), r)
 
 
 def classify_r(b: Bialgebra, r: int, r_inv: int):

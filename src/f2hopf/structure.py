@@ -5,7 +5,11 @@ Rank-3 tensors are packed flat into one integer with index
 (mu, nu, rho) -> bit mu*n*n + nu*n + rho.  For a product tensor V the n-bit
 slice at (mu, nu) is the coefficient vector of x^mu * x^nu; for a coproduct
 tensor C the n^2-bit slice at mu is Delta(x^mu) as an element of H (x) H,
-whose bit nu*n + rho stands for x^nu (x) x^rho.  Tensor products of
+whose bit nu*n + rho stands for x^nu (x) x^rho.  The dual of either
+structure, on the dual basis, is the other with its indices relabelled, and
+so are the opposite product and coproduct: each is one
+``kernels.permute_tensor`` call.  Basis changes are the kernels' too
+(``transform_product``, ``transform_coproduct``).  Tensor products of
 algebras (``TensorProductAlgebra``) are never packed but multiply from one
 table of their basis products, built on first read; ``tensor_square``
 keeps the one of a (x) a per algebra.
@@ -34,7 +38,7 @@ from f2hopf.gf2 import (
     spread_table,
     value_type,
 )
-from f2hopf.kernels import Equation, transform_coproduct, transform_product
+from f2hopf.kernels import Equation, permute_tensor, transform_coproduct, transform_product
 
 
 def tensor_bit(n: int, mu: int, nu: int, rho: int) -> int:
@@ -541,24 +545,12 @@ def solve_antipode(b: Bialgebra) -> tuple[int, ...] | None:
 
 def dualize_coalgebra(c: CoalgebraSC) -> AlgebraSC:
     """Dual algebra on the dual basis: V*[nu][rho][mu] = C[mu][nu][rho]."""
-    n = c.n
-    v = 0
-    for mu in range(n):
-        for t in bits_of(c.cop(mu)):
-            nu, rho = divmod(t, n)
-            v |= 1 << tensor_bit(n, nu, rho, mu)
-    return AlgebraSC(n, v, eta=c.eps)
+    return AlgebraSC(c.n, permute_tensor(c.c, c.n, (1, 2, 0)), eta=c.eps)
 
 
 def dualize_algebra(a: AlgebraSC) -> CoalgebraSC:
     """Dual coalgebra on the dual basis: C*[mu][nu][rho] = V[nu][rho][mu]."""
-    n = a.n
-    c = 0
-    for nu in range(n):
-        for rho in range(n):
-            for mu in bits_of(a.prod(nu, rho)):
-                c |= 1 << tensor_bit(n, mu, nu, rho)
-    return CoalgebraSC(n, c, eps=a.eta)
+    return CoalgebraSC(a.n, permute_tensor(a.v, a.n, (2, 0, 1)), eps=a.eta)
 
 
 def dual_bialgebra_raw(b: Bialgebra) -> Bialgebra:
@@ -567,28 +559,13 @@ def dual_bialgebra_raw(b: Bialgebra) -> Bialgebra:
 
 
 def opposite_product(a: AlgebraSC) -> AlgebraSC:
-    n = a.n
-    v = 0
-    for mu in range(n):
-        for nu in range(n):
-            v |= a.prod(nu, mu) << ((mu * n + nu) * n)
-    return AlgebraSC(n, v, a.eta)
+    """The reversed product: V^op[mu][nu][rho] = V[nu][mu][rho]."""
+    return AlgebraSC(a.n, permute_tensor(a.v, a.n, (1, 0, 2)), a.eta)
 
 
 def opposite_coproduct(c: CoalgebraSC) -> CoalgebraSC:
-    """Each slice Delta(x^mu) transposed as an n x n bit matrix: its row
-    nu, spread, is column nu of the new slice."""
-    n = c.n
-    spread = spread_table(n)
-    row_mask = (1 << n) - 1
-    out = 0
-    for mu in range(n):
-        s = c.cop(mu)
-        t = 0
-        for nu in range(n):
-            t |= spread[(s >> (nu * n)) & row_mask] << nu
-        out |= t << (mu * n * n)
-    return CoalgebraSC(n, out, c.eps)
+    """The reversed coproduct: C^cop[mu][nu][rho] = C[mu][rho][nu]."""
+    return CoalgebraSC(c.n, permute_tensor(c.c, c.n, (0, 2, 1)), c.eps)
 
 
 def opposite(b: Bialgebra, which: str) -> Bialgebra:
@@ -603,10 +580,8 @@ def opposite(b: Bialgebra, which: str) -> Bialgebra:
 def apply_basis_change_algebra(a: AlgebraSC, p: tuple[int, ...]) -> AlgebraSC:
     """Structure constants in the new basis z_a = sum_m P[a][m] x^m."""
     n = a.n
+    v = transform_product(a.v, n, p)  # ValueError when p is singular
     pinv = mat_inv_rows(p, n)
-    if pinv is None:
-        raise ValueError("singular basis-change matrix")
-    v = transform_product(a.v, n, p, pinv)
     eta = 0
     for i in bits_of(a.eta):
         eta ^= pinv[i]

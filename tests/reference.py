@@ -19,6 +19,11 @@ afresh, with no transport along automorphisms, and partitions them with
 ``orbit_class_rep``, which expands each class's orbit on its own with
 ``naive_transform_coproduct``, the packed coproduct basis change as the
 engine computed it bit by bit before it read images off chunk tables;
+``naive_transform_product`` and ``naive_permute_tensor`` are the product
+basis change and the index relabelling entry by entry on unpacked tensors;
+``naive_kron`` is a Kronecker product written entry by entry, and
+``braid_ok`` checks the braid relation of an R-matrix in a representation
+with it;
 ``convolution_antipode`` is the antipode as the engine found it before it
 stated S * id = eta eps = id * S on the coproduct's slices: the inverse of
 id in the tensor product algebra C* (x) A;
@@ -40,14 +45,14 @@ from __future__ import annotations
 from functools import cache
 
 
-def unpack_tensor(bits: int, n: int):
-    return tuple(
-        tuple(
-            tuple((bits >> (mu * n * n + nu * n + rho)) & 1 for rho in range(n))
-            for nu in range(n)
-        )
-        for mu in range(n)
-    )
+def unpack_tensor(bits: int, n: int, rank: int = 3):
+    """A packed tensor of the given rank over n as nested 0/1 tuples, the
+    first index outermost and most significant: for rank 3,
+    t[mu][nu][rho] is bit mu*n*n + nu*n + rho."""
+    if rank == 0:
+        return bits & 1
+    step = n ** (rank - 1)
+    return tuple(unpack_tensor(bits >> (i * step), n, rank - 1) for i in range(n))
 
 
 def unpack_vec(bits: int, n: int):
@@ -260,6 +265,45 @@ def naive_yang_baxter(v, r, n) -> bool:
 
     r12, r13, r23 = leg((0, 1)), leg((0, 2)), leg((1, 2))
     return mul(mul(r12, r13), r23) == mul(mul(r23, r13), r12)
+
+
+def naive_kron(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The Kronecker product of two square 0/1 matrices given as packed rows,
+    entry by entry: entry (i*kb + j, i2*kb + j2) is a[i][i2] b[j][j2]."""
+    ka, kb = len(a), len(b)
+    rows = []
+    for i in range(ka):
+        for j in range(kb):
+            row = 0
+            for i2 in range(ka):
+                if (a[i] >> i2) & 1:
+                    for j2 in range(kb):
+                        row |= ((b[j] >> j2) & 1) << (i2 * kb + j2)
+            rows.append(row)
+    return tuple(rows)
+
+
+def braid_ok(images, r: int, n: int) -> bool:
+    """Whether Psi = tau (rho (x) rho)(R) on V (x) V satisfies the braid
+    relation (Psi (x) 1)(1 (x) Psi)(Psi (x) 1) = (1 (x) Psi)(Psi (x) 1)(1 (x) Psi),
+    for rho given by its images (one matrix of packed rows per basis
+    element, acting on columns), R packed at bit mu*n + nu for
+    x^mu (x) x^nu, and tau the flip e_i (x) e_j -> e_j (x) e_i.  Kronecker
+    products are ``naive_kron``'s; products are gf2's packed ones."""
+    from f2hopf.gf2 import mat_mul_rows
+
+    k = len(images[0])
+    ident = tuple(1 << i for i in range(k))
+    flip = tuple(1 << (j * k + i) for i in range(k) for j in range(k))
+    m = [0] * (k * k)
+    for t in range(n * n):
+        if (r >> t) & 1:
+            mu, nu = divmod(t, n)
+            m = [x ^ y for x, y in zip(m, naive_kron(images[mu], images[nu]))]
+    psi = mat_mul_rows(flip, tuple(m))
+    left, right = naive_kron(psi, ident), naive_kron(ident, psi)
+    return (mat_mul_rows(mat_mul_rows(left, right), left)
+            == mat_mul_rows(mat_mul_rows(right, left), right))
 
 
 def naive_algebra_maps(a, b) -> list[int]:
@@ -658,6 +702,42 @@ def naive_transform_coproduct(c: int, n: int, p: tuple[int, ...], pinv: tuple[in
     return out
 
 
+def naive_permute_tensor(bits: int, n: int, order: tuple[int, ...]) -> int:
+    """The packed tensor with the entry at index (i_0, .., i_(r-1)) moved to
+    (i_order[0], .., i_order[r-1]), read entry by entry off
+    ``unpack_tensor``."""
+    from itertools import product
+
+    rank = len(order)
+    t = unpack_tensor(bits, n, rank)
+    out = 0
+    for index in product(range(n), repeat=rank):
+        entry = t
+        for i in index:
+            entry = entry[i]
+        target = 0
+        for k in range(rank):
+            target = target * n + index[order[k]]
+        out |= entry << target
+    return out
+
+
+def naive_transform_product(v: int, n: int, p: tuple[int, ...], pinv: tuple[int, ...]) -> int:
+    """Basis change of a packed product tensor, entry by entry on the
+    unpacked tensor: V'[a][b][c] = sum P[a][m] P[b][u] V[m][u][r] Pinv[r][c]."""
+    t = unpack_tensor(v, n)
+    pm = [unpack_vec(row, n) for row in p]
+    qm = [unpack_vec(row, n) for row in pinv]
+    out = 0
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                s = sum(pm[a][m] * pm[b][u] * t[m][u][r] * qm[r][c]
+                        for m in range(n) for u in range(n) for r in range(n)) % 2
+                out |= s << (a * n * n + b * n + c)
+    return out
+
+
 def orbit_class_rep(a: AlgebraSC, solutions) -> tuple[int, ...]:
     """The bialgebra classes of the solutions (ascending by tensor) in the
     form of ``RawSolutionSet.class_rep``: the smallest unclassified solution
@@ -698,7 +778,7 @@ def classify_bialgebras_pairwise(a: AlgebraSC, raw: RawSolutionSet) -> list[set[
     auto_pairs = []
     for m in enumerate_invertible(n):
         pinv = mat_inv_rows(m, n)
-        if kernels.transform_product(a.v, n, m, pinv) == a.v:
+        if kernels.transform_product(a.v, n, m) == a.v:
             auto_pairs.append((m, pinv))
     index_of = {s.coalg.c: i for i, s in enumerate(raw.solutions)}
     parent = list(range(len(raw.solutions)))

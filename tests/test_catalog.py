@@ -60,7 +60,7 @@ def unit_fixing_scan(n: int, label: str) -> tuple[set[int], list[tuple[int, ...]
     v = catalog(n)[label].representative.v
     images, stabiliser = set(), []
     for m in enumerate_invertible(n, fix_unit=True):
-        img = kernels.transform_product(v, n, m, mat_inv_rows(m, n))
+        img = kernels.transform_product(v, n, m)
         images.add(img)
         if img == v:
             stabiliser.append(m)

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from f2hopf.catalog import BASIS_NAMES, catalog, isomorphisms
+from f2hopf.catalog import BASIS_NAMES, RELATIONS, catalog, isomorphisms
 from f2hopf.classify import (
     bialgebra_type,
     build_quiver,
@@ -446,3 +446,25 @@ def test_duality_is_an_involution_on_the_classes(n):
     hopf_fixed = [(cls.algebra_label, cls.coalgebra_type) for cls in dim.hopf_classes()
                   if (cls.algebra_label, min(cls.members)) in fixed]
     assert sorted(hopf_fixed) == hopf_types
+
+
+def test_the_uniqueness_claims_of_the_abstract():
+    # A unique smallest Hopf algebra that is neither commutative nor
+    # cocommutative, and it is self-dual; the coalgebra type is the dual
+    # algebra's label, so cocommutative means a commutative type.  And a
+    # unique self-dual Hopf algebra on x^4 = 0, algebra G: the duality test
+    # above finds the self-dual Hopf classes SELF_DUAL lists.
+    found = []
+    for n in (1, 2, 3, 4):
+        dim = classify_dimension(n)
+        for cls in dim.hopf_classes():
+            if not (dim.cat[cls.algebra_label].representative.commutative
+                    or dim.cat[cls.coalgebra_type].representative.commutative):
+                found.append((n, dim, cls))
+    assert [(n, cls.algebra_label, cls.coalgebra_type) for n, _, cls in found] == [(4, "NF", "NF")]
+    (_, dim, cls), = found
+    b = Bialgebra(dim.cat["NF"].representative, cls.representative.coalg)
+    assert locate_class(dim, dual_bialgebra(b)) == cls
+    assert ("NF", "NF") in SELF_DUAL[4][1]
+    assert RELATIONS[4]["G"] == "x*x=y; x*y=z"
+    assert [t for t in SELF_DUAL[4][1] if t[0] == "G"] == [("G", "G")]

@@ -149,25 +149,29 @@ def test_cache_entry_with_bad_classes_recomputed(tmp_path, monkeypatch, capsys, 
 
 def test_warm_run_transforms_no_coproduct(tmp_path, monkeypatch):
     # A cold run carries each solution a search finds back from its counit's
-    # basis once and expands each bialgebra class's orbit once; a warm run
-    # reads the classes from the cache.
+    # basis once, expands each bialgebra class's orbit once, and changes the
+    # basis of the algebra once per searched counit system, a product basis
+    # change through the coproduct one; a warm run reads the classes from
+    # the cache.
     from f2hopf import coproducts, kernels
 
     out = tmp_path / "out"
     monkeypatch.delenv("F2HOPF_CACHE_ROOT", raising=False)
     calls = count_calls(monkeypatch, kernels.coproduct_orbit)
     searched = []
+    systems = []
     solve = coproducts.solve_coproduct_tensors
 
     def recorded(a, eps):
         tensors = solve(a, eps)
+        systems.append((a, eps))
         searched.extend(tensors)
         return tensors
 
     rebind(monkeypatch, solve, recorded)
     assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
     _, classes = load_dataset((out / "classes_n3.json").read_text(), "classes")
-    assert len(calls) == len(searched) + len(classes)
+    assert len(calls) == len(searched) + len(classes) + len(systems)
     calls.clear()
     assert run_cli(["run", "--dim", "3", "--out", str(out)]) == 0
     assert calls == []
@@ -679,6 +683,8 @@ def _edit(records: list, field: str) -> None:
         records[2]["product"] = format(int(records[2]["product"], 16) ^ (1 << 13), "x")
     elif field == "drop":
         del records[-1]
+    elif field == "empty":
+        records.clear()
     elif field == "swap-records":
         records[0], records[1] = records[1], records[0]
     elif field == "transport_order":
@@ -708,6 +714,8 @@ DATASET_EDITS = {
     ("algebras_n3", "product"): "algebras[2] product: differs from the derived dataset of n=3",
     ("algebras_n3", "drop"): "6 records, the derived dataset of n=3 has 7",
     ("raw_n3_B", "drop"): "32 records, the derived dataset of n=3 has 33",
+    # an empty file is compared with the algebra its name names
+    ("raw_n3_B", "empty"): "0 records, the derived dataset of n=3 has 33",
     ("raw_n3_B", "swap-records"): "raw[0] C: differs from the derived dataset of n=3",
     # record 10 is the first Hopf record of algebra B
     ("raw_n3_B", "hopf"): "B[10]: hopf flag mismatch",
@@ -730,6 +738,24 @@ def test_verify_rederives_algebras_raw_and_fourier(tmp_path, datasets_n3, name, 
     target = tmp_path / f"{name}.json"
     target.write_text(dump_dataset(kind, payload))
     assert any(DATASET_EDITS[name, field] in line for line in verify_failures(target))
+
+
+def test_verify_reads_the_algebra_of_a_raw_file_off_its_name(tmp_path, datasets_n3):
+    # Algebra A of n = 3 has no coproduct, so its raw file is empty by
+    # right and verifies; the same empty payload under a name that names no
+    # algebra is refused, and records must agree with the name.
+    target = datasets_n3 / "raw_n3_A.json"
+    assert load_dataset(target.read_text(), "raw")[1] == []
+    assert run_cli(["verify", str(target)]) == 0
+    for name in ("raw.json", "raw_n3_ZZ.json", "raw_n9_A.json"):
+        other = tmp_path / name
+        other.write_text(target.read_text())
+        assert verify_failures(other) == [
+            f"{other}: FAIL no records, and the file name names no catalog algebra"]
+    renamed = tmp_path / "raw_n3_C.json"
+    renamed.write_text((datasets_n3 / "raw_n3_B.json").read_text())
+    assert verify_failures(renamed) == [
+        f"{renamed}: FAIL records of algebra B of n=3, the file name names C of n=3"]
 
 
 def test_verify_antipode_law_refuses_every_single_bit_flip():

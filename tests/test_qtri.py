@@ -30,6 +30,7 @@ from f2hopf.structure import Bialgebra
 from reference import (
     antipode_leg_transform,
     both_legs_antipode,
+    braid_ok,
     coquasitriangular_via_dual,
     naive_qt_equations,
     naive_quasitriangular,
@@ -228,6 +229,40 @@ def test_yang_baxter_matches_the_naive_check_off_the_r_matrices():
     results = [yang_baxter_ok(bi, r) for r in elements]
     assert results == [_naive_yang_baxter(bi, r) for r in elements]
     assert not all(results)
+
+
+def test_r_matrices_braid_in_every_small_representation():
+    # The abstract: R-matrices induce solutions of the braid relation in
+    # any representation.  Every R of every Hopf class of n = 2..4, in the
+    # regular representation and in every one of dimension 1 and 2: 696
+    # cases.  On seeded elements that are not R-matrices the regular
+    # representation, which is faithful, braids exactly when yang_baxter_ok
+    # holds, and some of them fail both.
+    from f2hopf.reps import enumerate_reps, regular_rep
+
+    rng = random.Random(31)
+    cases = 0
+    checked = []
+    for n in (2, 3, 4):
+        dim = classify_dimension(n)
+        by_cls = qt_by_class(dim)
+        for cls in dim.hopf_classes():
+            alg = dim.cat[cls.algebra_label].representative
+            regular = regular_rep(alg)
+            reps = [regular, *enumerate_reps(alg, 1), *enumerate_reps(alg, 2)]
+            rs = {s.r for s in by_cls[(cls.algebra_label, cls.coalgebra_type)]}
+            for r in rs:
+                for rep in reps:
+                    assert braid_ok(rep.images, r, n), (n, cls.algebra_label, r, rep)
+                    cases += 1
+            bi = Bialgebra(alg, cls.representative.coalg)
+            for _ in range(20):
+                x = rng.getrandbits(n * n)
+                if x not in rs:
+                    checked.append((braid_ok(regular.images, x, n), yang_baxter_ok(bi, x)))
+    assert cases == 696
+    assert all(braids == ybe for braids, ybe in checked)
+    assert not all(braids for braids, _ in checked)
 
 
 def test_antipode_leg_identities():
